@@ -2,65 +2,18 @@
 spaces on a smooth projective curve, ranks 1 to 3, with randomized identity
 verification of the motivic ADHM formula."""
 
-from .adhm import Partition, adhm_class, mobius, partition_sum, partitions, plog_series
-from .base_rings import (
-    BigRational,
-    NotDivisible,
-    UVLaurent,
-    ZeroPolynomial,
-    exact_divide,
-    laurent_total_degree,
-)
+from .adhm import adhm_class
+from .base_rings import NotDivisible, UVLaurent
 from .cli import VerificationReport, identity_test, run_adhm_grid
-from .curve_ring import (
-    AtomEnvironment,
-    InvalidGenus,
-    SplitClass,
-    curve_class,
-    frobenius,
-    h1_lambda_values,
-    h1_poly,
-    jacobian_class,
-    lambda_series,
-    make_hodge_env,
-    make_weil_env,
-    sym_power_class,
-)
+from .curve_ring import InvalidGenus, make_hodge_env, make_weil_env
 from .moduli_formulas import (
-    EmptyStratum,
     InvalidSpec,
     ModuliSpec,
     NegativeBetti,
-    VHSType,
-    bb_exponent,
-    bundle_moduli_class,
-    dimension,
     epoly,
-    epoly_rank1,
-    epoly_rank2,
-    epoly_rank3,
-    morse_index,
     motive,
-    motive_rank1,
-    motive_rank2,
-    motive_rank3,
     poincare,
-    triple_stratum_degrees,
-    vhs_class,
 )
-from .series_engine import (
-    BadConstantTerm,
-    BiSeries,
-    InsufficientTruncation,
-    PoleAtOne,
-    TRational,
-    TruncatedSeries,
-    coeff_extract,
-    eval_at_one,
-    series_exp,
-    series_log,
-    substitute_t_power,
-    trational_arith,
-)
+from .series_engine import PoleAtOne
 
 __version__ = "0.1.0"

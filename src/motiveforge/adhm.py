@@ -33,8 +33,11 @@ from typing import Dict, List, Tuple
 
 from .curve_ring import AtomEnvironment, frobenius
 from .series_engine import (
+    PoleAtOne,
     TRational,
     TruncatedSeries,
+    _tp_mul,
+    _tp_mul_factor,
     eval_at_one,
     series_log,
     substitute_t_power,
@@ -149,32 +152,19 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
             cell_coeff = sign * la ** p
             cell_num: Dict[int, object] = {base_exp: cell_coeff}
             for b in env.betas:
-                scaled = b * la
-                nxt = dict(cell_num)
-                for e, c in cell_num.items():
-                    k = e + h
-                    s = nxt.get(k, 0) + c * scaled
-                    if s == 0:
-                        nxt.pop(k, None)
-                    else:
-                        nxt[k] = s
-                cell_num = nxt
-            new_num: Dict[int, object] = {}
-            for e1, c1 in num.items():
-                for e2, c2 in cell_num.items():
-                    k = e1 + e2
-                    s = new_num.get(k, 0) + c1 * c2
-                    if s == 0:
-                        new_num.pop(k, None)
-                    else:
-                        new_num[k] = s
-            num = new_num
+                # the zeta numerator factor 1 + b*L^a*t^h
+                cell_num = _tp_mul_factor(cell_num, -(b * la), h)
+            num = _tp_mul(num, cell_num)
             den.append((la, h))
             den.append((la * L, h))
             if a == 0:
                 zero_arm_cells += 1
         pole_factors = sum(1 for c, _ in den if c == 1)
-        assert pole_factors == zero_arm_cells, "pole factors must come from zero-arm cells only"
+        if pole_factors != zero_arm_cells:
+            raise PoleAtOne(
+                f"partition {lam.parts}: {pole_factors} denominator factors vanish "
+                f"at t = 1, but only its {zero_arm_cells} zero-arm cells may"
+            )
         total = total + TRational(num, den, reduce=False)
     return total
 

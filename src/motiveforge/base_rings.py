@@ -1,11 +1,11 @@
-"""Exact coefficient arithmetic: big rationals and bivariate Laurent polynomials.
+"""Exact coefficient arithmetic: rationals and bivariate Laurent polynomials.
 
 Everything in this package is computed over one of two coefficient domains:
 
 * the Hodge realization, whose values are Laurent polynomials in the Hodge
   variables ``u`` and ``v`` with rational coefficients (``UVLaurent``), and
 * the Weil-style numeric realization, whose values are plain rationals
-  (``BigRational``, an alias of ``fractions.Fraction``).
+  (``int`` or ``fractions.Fraction``).
 
 All arithmetic is exact; nothing is ever rounded.  Polynomial division is
 only available through :func:`exact_divide`, which insists on a zero
@@ -18,11 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Tuple, Union
-
-#: Arbitrary-precision exact rational.  ``fractions.Fraction`` already
-#: guarantees the invariants we need (always reduced, positive denominator,
-#: lossless string round-trip), so it is used directly.
-BigRational = Fraction
 
 Rat = Union[int, Fraction]
 ExponentPair = Tuple[int, int]
@@ -283,15 +278,27 @@ def _upoly_divide_exact(num: Dict[int, Rat], den: Dict[int, Rat]):
     return quot
 
 
-def exact_divide(num: UVLaurent, den: UVLaurent) -> UVLaurent:
+def exact_divide(num: Union[UVLaurent, Rat],
+                 den: Union[UVLaurent, Rat]) -> Union[UVLaurent, Rat]:
     """Exact quotient q with q * den == num, else raise NotDivisible.
 
     The division treats both operands as polynomials in u whose coefficients
     are polynomials in v.  Laurent inputs are handled by factoring out the
-    minimal monomial of each operand first.
+    minimal monomial of each operand first.  Scalar operands (int or
+    Fraction) are accepted: two scalars give their rational quotient, an int
+    when it is integral; a scalar beside a ``UVLaurent`` is read as a
+    constant polynomial.
     """
-    if den.is_zero():
+    if not isinstance(den, UVLaurent):
+        if den == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        if not isinstance(num, UVLaurent):
+            return _norm(Fraction(num) / Fraction(den))
+        den = UVLaurent.const(den)
+    elif den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if not isinstance(num, UVLaurent):
+        num = UVLaurent.const(num)
     if num.is_zero():
         return UVLaurent._raw({})
     if den.is_monomial():
@@ -347,8 +354,3 @@ def exact_divide(num: UVLaurent, den: UVLaurent) -> UVLaurent:
         for ve, c in vpoly.items():
             out[(ue + ushift, ve + vshift)] = _norm(c)
     return UVLaurent._raw({k: x for k, x in out.items() if x})
-
-
-def laurent_total_degree(f: UVLaurent) -> int:
-    """Max of a + b over stored monomials; ZeroPolynomial on f == 0."""
-    return f.total_degree

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -74,9 +73,9 @@ class VerificationReport:
 
 def _trial_seed(seed: int, g: int, r: int, d: int, p: int, trial: int) -> int:
     # deterministic mixing, independent of PYTHONHASHSEED
-    x = seed & 0xFFFFFFFFFFFF
-    for part in (g, r, d & 0xFFFF, p, trial):
-        x = (x * 1000003 + (part & 0xFFFF) + 0x9E3779B9) % (2 ** 61 - 1)
+    x = seed
+    for part in (g, r, d, p, trial):
+        x = (x * 1000003 + part + 0x9E3779B9) % (2 ** 61 - 1)
     return x
 
 
@@ -157,7 +156,10 @@ def run_adhm_grid(
     threads: int = 1,
 ) -> Tuple[List[VerificationReport], List[Dict]]:
     """Run the ADHM identity over a grid.  Cells with gcd(r, d) != 1 are
-    recorded as skipped rather than failed."""
+    recorded as skipped rather than failed.  Every other cell and the trial
+    count are validated before any cell runs (InvalidSpec)."""
+    if trials < 1:
+        raise InvalidSpec(f"trials must be >= 1, got {trials}")
     cells = []
     skipped = []
     for g in gs:
@@ -168,6 +170,7 @@ def run_adhm_grid(
                         skipped.append({"g": g, "r": r, "d": d, "p": p,
                                         "reason": "gcd(r, d) != 1"})
                         continue
+                    ModuliSpec.from_p(g, r, d, p).validate()
                     cells.append((g, r, d, p, trials, seed, hodge))
     if threads > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -233,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--hodge", choices=("auto", "on", "off"), default="auto",
                         help="exact symbolic comparison (auto: genus <= 3 only)")
-    verify.add_argument("--threads", type=int,
-                        default=int(os.environ.get("MOTIVE_FORGE_THREADS", "1")))
+    verify.add_argument("--threads", type=int, default=1)
     verify.add_argument("--out", default=None, help="report file (default stdout)")
 
     motive_cmd = subs.add_parser("motive", help="motivic class of one moduli space")

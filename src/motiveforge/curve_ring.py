@@ -25,7 +25,6 @@ element the operator is no longer recoverable.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,20 +60,6 @@ class AtomEnvironment:
             raise InvalidGenus(f"genus {self.genus} < 2")
         if len(self.betas) != 2 * self.genus:
             raise ValueError("need exactly 2g atoms")
-
-    def lefschetz_power(self, n: int):
-        return self.lefschetz ** n
-
-    def to_json(self) -> str:
-        payload = {"genus": self.genus, "base": self.base}
-        if self.base == "weil":
-            payload["seed"] = self.seed
-            payload["lefschetz"] = str(self.lefschetz)
-            payload["betas"] = [str(b) for b in self.betas]
-        else:
-            payload["lefschetz"] = "u*v"
-            payload["betas"] = "symbolic"
-        return json.dumps(payload, sort_keys=True)
 
 
 def make_hodge_env(g: int) -> AtomEnvironment:
@@ -237,20 +222,13 @@ def lambda_series(env: AtomEnvironment, c: SplitClass, order: int) -> TruncatedS
     return out
 
 
-_SERIES_GUARD = 2
-
-
 def sym_power_class(env: AtomEnvironment, c: SplitClass, n: int):
     """lambda^n of a split class: coefficient of x^n in its lambda series."""
     if n < 0:
         raise ValueError("lambda index must be >= 0")
-    series = lambda_series(env, c, n + _SERIES_GUARD)
-    return series.coeff(n)
+    return lambda_series(env, c, n).coeff(n)
 
 
 def h1_series(env: AtomEnvironment, order: int, var: str = "x") -> TruncatedSeries:
     """Series of prod_k (1 + b_k x); the numerator of the zeta function."""
-    out = TruncatedSeries.constant(1, order, var=var)
-    for b in env.betas:
-        out = out * TruncatedSeries.from_poly({0: 1, 1: b}, order, var=var)
-    return out
+    return TruncatedSeries(h1_lambda_values(env), order=order, var=var)

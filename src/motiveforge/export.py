@@ -28,13 +28,6 @@ def poly_to_csv(e: UVLaurent) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coeff_latex(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        sign = "-" if c < 0 else ""
-        return sign + r"\frac{%d}{%d}" % (abs(c.numerator), c.denominator)
-    return str(c)
-
-
 def poly_to_latex(e: UVLaurent) -> str:
     """Render a u, v Laurent polynomial as LaTeX."""
     items = sorted(e.items(), reverse=True)
@@ -50,27 +43,18 @@ def poly_to_latex(e: UVLaurent) -> str:
         vars_ = " ".join(pieces)
         mag = c if idx == 0 else abs(c)
         if not vars_:
-            body = _coeff_latex(mag)
+            body = _frac_latex(mag)
         elif mag == 1:
             body = vars_
         elif mag == -1 and idx == 0:
             body = "-" + vars_
         else:
-            body = _coeff_latex(mag) + r"\, " + vars_
+            body = _frac_latex(mag) + r"\, " + vars_
         if idx == 0:
             parts.append(body)
         else:
-            parts.append((" + " if _is_positive(c) else " - ") + body)
+            parts.append((" + " if c > 0 else " - ") + body)
     return "".join(parts).strip()
-
-
-def _is_positive(c) -> bool:
-    return c > 0
-
-
-def lefschetz_power_latex(exponent: int) -> str:
-    """L^n with the Lefschetz class rendered as \\mathbb{L}."""
-    return r"\mathbb{L}^{%d}" % exponent
 
 
 def lambda_class_latex(i: int) -> str:

@@ -21,10 +21,9 @@ stratum is evaluated through its duality isomorphism with a (1,2) stratum of
 total degree -d.
 
 Two independent routes to the E-polynomial are provided on purpose:
-evaluating the motivic formulas in the Hodge environment
-(:func:`motive_rank2` / :func:`motive_rank3`) and the closed coefficient-
-extraction forms (:func:`epoly_rank2` / :func:`epoly_rank3`).  Their
-agreement is part of the acceptance suite.
+evaluating the motivic formulas in the Hodge environment (:func:`motive`)
+and the closed coefficient-extraction forms (:func:`epoly_rank2` /
+:func:`epoly_rank3`).  Their agreement is part of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -112,10 +111,6 @@ def dimension(spec: ModuliSpec) -> int:
     """dim M = 1 - r^2 * dL."""
     spec.validate()
     return 1 - spec.r ** 2 * spec.dL
-
-
-def _rfloor(x: Fraction) -> int:
-    return math.floor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +238,7 @@ def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
     jac = jacobian_class(env)
     if r == 2:
         num = jac * h1_poly(env, L) - L ** env.genus * jac * jac
-        return _div(_div(num, L - 1), L * L - 1)
+        return exact_divide(exact_divide(num, L - 1), L * L - 1)
     if r == 3:
         g = env.genus
         pl = h1_poly(env, L)
@@ -254,21 +249,9 @@ def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
             + pl * pl2
         )
         for f in (L - 1, L * L - 1, L * L - 1, L ** 3 - 1):
-            num = _div(num, f)
+            num = exact_divide(num, f)
         return num
     raise InvalidSpec(f"rank {r} not supported")
-
-
-def _div(num, den):
-    """Exact ring division (rational division, or polynomial exact_divide)."""
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        q = Fraction(num) / Fraction(den)
-        return q.numerator if q.denominator == 1 else q
-    if isinstance(num, (int, Fraction)):
-        num = UVLaurent.const(num)
-    if isinstance(den, (int, Fraction)):
-        den = UVLaurent.const(den)
-    return exact_divide(num, den)
 
 
 def _vhs12_class(env: AtomEnvironment, d1: int, d: int, dL: int):
@@ -285,7 +268,7 @@ def _vhs12_class(env: AtomEnvironment, d1: int, d: int, dL: int):
     lead = L ** (2 * (d // 3) - d + d1 + g + 1)
     num = lead * sym_power_class(env, cls_plus, lam_index) - sym_power_class(env, cls_twist, lam_index)
     num = num * jac * jac
-    return _div(num, L - 1)
+    return exact_divide(num, L - 1)
 
 
 def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
@@ -332,13 +315,13 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
         return [VHSType((1,), (d,))]
     if spec.r == 2:
         out = [VHSType((2,), (d,))]
-        for d1 in range(d // 2 + 1, _rfloor(Fraction(d - dL, 2)) + 1):
+        for d1 in range(d // 2 + 1, (d - dL) // 2 + 1):
             out.append(VHSType((1, 1), (d1, d - d1)))
         return out
     out = [VHSType((3,), (d,))]
-    for d1 in range(d // 3 + 1, _rfloor(Fraction(d, 3) - Fraction(dL, 2)) + 1):
+    for d1 in range(d // 3 + 1, (2 * d - 3 * dL) // 6 + 1):
         out.append(VHSType((1, 2), (d1, d - d1)))
-    for d1 in range((2 * d) // 3 + 1, _rfloor(Fraction(2 * d, 3) - Fraction(dL, 2)) + 1):
+    for d1 in range((2 * d) // 3 + 1, (4 * d - 3 * dL) // 6 + 1):
         out.append(VHSType((2, 1), (d1, d - d1)))
     for d1, d2 in triple_stratum_degrees(d, dL):
         out.append(VHSType((1, 1, 1), (d1, d2, d - d1 - d2)))
@@ -358,45 +341,22 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     return total
 
 
-def motive_rank1(env: AtomEnvironment, spec: ModuliSpec):
-    return motive(env, spec)
-
-
-def motive_rank2(env: AtomEnvironment, spec: ModuliSpec):
-    if spec.r != 2:
-        raise InvalidSpec("motive_rank2 needs r = 2")
-    return motive(env, spec)
-
-
-def motive_rank3(env: AtomEnvironment, spec: ModuliSpec):
-    if spec.r != 3:
-        raise InvalidSpec("motive_rank3 needs r = 3")
-    return motive(env, spec)
-
-
 # ---------------------------------------------------------------------------
 # E-polynomials via coefficient extraction (closed forms)
 # ---------------------------------------------------------------------------
-
-def _epoly_bundle(g: int, r: int) -> UVLaurent:
-    env = make_hodge_env(g)
-    return bundle_moduli_class(env, r, 1)
-
 
 def _extract_x0(factors: List[Tuple[int, "object"]], n: int) -> UVLaurent:
     """Coefficient of x^n in a product of series factors.
 
     Each factor is given as (shift, builder); the builder receives the
     absolute order the factor must be expanded to.  Orders are chosen so the
-    product is complete up to n plus two guard terms.
+    product is complete up to n.
     """
     total_shift = sum(s for s, _ in factors)
     built = []
     for s, builder in factors:
-        built.append(builder(n + 2 - (total_shift - s)))
-    prod = series_product(built)
-    assert prod.order >= n + 2
-    return prod.coeff(n)
+        built.append(builder(n - (total_shift - s)))
+    return series_product(built).coeff(n)
 
 
 def epoly_rank1(spec: ModuliSpec) -> UVLaurent:
@@ -414,7 +374,7 @@ def epoly_rank2(spec: ModuliSpec) -> UVLaurent:
     g, dL = spec.g, spec.dL
     env = make_hodge_env(g)
     jac = jacobian_class(env)
-    em2 = _epoly_bundle(g, 2)
+    em2 = bundle_moduli_class(env, 2, 1)
 
     def znum(order):
         return h1_series(env, order)
@@ -432,8 +392,7 @@ def epoly_rank2(spec: ModuliSpec) -> UVLaurent:
     return UV ** (-4 * dL + 4 - 4 * g) * em2 + UV ** (-3 * dL + 2 - 2 * g) * jac * extraction
 
 
-def _rank3_single_extractions(g: int, dL: int) -> Tuple[UVLaurent, UVLaurent, UVLaurent, UVLaurent]:
-    env = make_hodge_env(g)
+def _rank3_single_extractions(env: AtomEnvironment, dL: int) -> Tuple[UVLaurent, UVLaurent, UVLaurent, UVLaurent]:
     uv2 = UV * UV
 
     def znum(order):
@@ -465,9 +424,8 @@ def _rank3_single_extractions(g: int, dL: int) -> Tuple[UVLaurent, UVLaurent, UV
     return s1, s2, s3, s4
 
 
-def _rank3_double_extraction(g: int, dL: int) -> UVLaurent:
+def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
     """coeff_{x^0 y^0} of the (1,1,1) generating kernel."""
-    env = make_hodge_env(g)
     numerator = {
         (2, 1): 1,
         (-dL + 2, 2 * dL + 1): -1,
@@ -476,7 +434,7 @@ def _rank3_double_extraction(g: int, dL: int) -> UVLaurent:
     }
     factors_min = [min(i + j for i, j in numerator), 0, 0, 0, 0, -1, -1]
     total_min = sum(factors_min)
-    caps = [0 + 2 - (total_min - m) for m in factors_min]
+    caps = [m - total_min for m in factors_min]
 
     def xs(series, cap):
         return BiSeries.from_x_series(series, cap)
@@ -496,7 +454,6 @@ def _rank3_double_extraction(g: int, dL: int) -> UVLaurent:
     prod = parts[0]
     for part in parts[1:]:
         prod = prod * part
-    assert prod.level_cap >= 0
     return prod.coeff(0, 0)
 
 
@@ -508,9 +465,9 @@ def epoly_rank3(spec: ModuliSpec) -> UVLaurent:
     g, dL = spec.g, spec.dL
     env = make_hodge_env(g)
     jac = jacobian_class(env)
-    em3 = _epoly_bundle(g, 3)
-    s1, s2, s3, s4 = _rank3_single_extractions(g, dL)
-    d5 = _rank3_double_extraction(g, dL)
+    em3 = bundle_moduli_class(env, 3, 1)
+    s1, s2, s3, s4 = _rank3_single_extractions(env, dL)
+    d5 = _rank3_double_extraction(env, dL)
     pref = jac * jac  # (1-u)^2g (1-v)^2g
 
     pair_a = pref * (UV ** (-7 * dL + 6 - 4 * g) * s1 - UV ** (-8 * dL + 6 - 5 * g) * s2)

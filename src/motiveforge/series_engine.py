@@ -40,20 +40,6 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def ring_exact_div(num, den):
-    """Exact division in the coefficient ring (rationals or UVLaurent)."""
-    if isinstance(den, (int, Fraction)):
-        if den == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        if isinstance(num, UVLaurent):
-            return num * (Fraction(1) / Fraction(den))
-        q = Fraction(num) / Fraction(den)
-        return q.numerator if q.denominator == 1 else q
-    if isinstance(num, (int, Fraction)):
-        num = UVLaurent.const(num)
-    return exact_divide(num, den)
-
-
 # ---------------------------------------------------------------------------
 # univariate truncated series
 # ---------------------------------------------------------------------------
@@ -365,7 +351,8 @@ class TRational:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _over_common_den(self, other):
+        """Both numerators over the multiset union of the two denominators."""
         o = TRational.coerce(other)
         union = _multiset_max(self.den, o.den)
         a = self.num
@@ -374,6 +361,10 @@ class TRational:
         b = o.num
         for f in _multiset_sub(union, o.den):
             b = _tp_mul_factor(b, f[0], f[1])
+        return a, b, union
+
+    def __add__(self, other):
+        a, b, union = self._over_common_den(other)
         return TRational(_tp_add(a, b), union)
 
     __radd__ = __add__
@@ -410,14 +401,7 @@ class TRational:
         return TRational(_tp_mul_factor(self.num, c, m), den, reduce=False)
 
     def __eq__(self, other):
-        o = TRational.coerce(other)
-        union = _multiset_max(self.den, o.den)
-        a = self.num
-        for f in _multiset_sub(union, self.den):
-            a = _tp_mul_factor(a, f[0], f[1])
-        b = o.num
-        for f in _multiset_sub(union, o.den):
-            b = _tp_mul_factor(b, f[0], f[1])
+        a, b, _ = self._over_common_den(other)
         return a == b
 
     def __hash__(self):
@@ -449,15 +433,6 @@ def _multiset_sub(a: Sequence, b: Sequence) -> list:
     return remaining
 
 
-def trational_arith(a: TRational, b: TRational, op: str) -> TRational:
-    """Spec-surface wrapper: exact add / mul of rational functions."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def substitute_t_power(a: TRational, j: int) -> TRational:
     """t -> t^j on the numerator; each factor (1 - c*t^m) -> (1 - c*t^(j*m))."""
     if j < 1:
@@ -481,7 +456,7 @@ def eval_at_one(a: TRational):
     pole_orders = []
     other: List = []
     for c, m in a.den:
-        if _eq_scalar(c, 1) or (isinstance(c, UVLaurent) and c == 1):
+        if _eq_scalar(c, 1):
             pole_orders.append(m)
         else:
             other.append((c, m))
@@ -503,9 +478,9 @@ def eval_at_one(a: TRational):
         factor = 1 - c
         denom_value = factor if denom_value is None else denom_value * factor
     if denom_value is not None:
-        value = ring_exact_div(value, denom_value)
+        value = exact_divide(value, denom_value)
     if scalar != 1:
-        value = ring_exact_div(value, scalar)
+        value = exact_divide(value, scalar)
     return value
 
 
@@ -606,16 +581,3 @@ class BiSeries:
                 f"coefficient x^{i} y^{j} beyond total-degree cap {self.level_cap}"
             )
         return self.terms.get((i, j), 0)
-
-
-def coeff_extract(series, index):
-    """Exact coefficient extraction from a truncated series.
-
-    ``index`` is an integer for a univariate series or an (i, j) pair for a
-    bivariate window.  Raises InsufficientTruncation when the requested
-    coefficient lies beyond the stored order.
-    """
-    if isinstance(series, BiSeries):
-        i, j = index
-        return series.coeff(i, j)
-    return series.coeff(index)

@@ -13,6 +13,7 @@ from motiveforge.adhm import (
     plog_series,
 )
 from motiveforge.curve_ring import (
+    AtomEnvironment,
     frobenius,
     h1_series,
     jacobian_class,
@@ -20,7 +21,7 @@ from motiveforge.curve_ring import (
     make_weil_env,
 )
 from motiveforge.moduli_formulas import ModuliSpec, motive
-from motiveforge.series_engine import TRational, eval_at_one, substitute_t_power
+from motiveforge.series_engine import PoleAtOne, TRational, eval_at_one, substitute_t_power
 
 
 class TestPartitions:
@@ -78,10 +79,17 @@ class TestPartitionSum:
                 assert got == expected
 
     def test_pole_factors_match_zero_arm_cells(self):
-        # the construction asserts this internally; smoke over charges
+        # the construction checks this internally; smoke over charges
         env = make_weil_env(2, 3)
         for n in (1, 2, 3):
             partition_sum(env, n, 1)
+
+    def test_extra_pole_factor_raises(self):
+        # with L = 1 the factor (1 - L^(a+1) t^h) of a zero-arm cell also
+        # vanishes at t = 1, one pole more than the zero-arm cells allow
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1, 1, 1, 1), base="weil")
+        with pytest.raises(PoleAtOne, match=r"partition \(1,\)"):
+            partition_sum(env, 1, 1)
 
     def test_frobenius_compatibility_hodge(self):
         # psi_j of the charge-n term equals the (u, v, t) -> (u^j, v^j, t^j)

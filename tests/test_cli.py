@@ -10,6 +10,7 @@ from motiveforge.cli import (
     EXIT_INVALID_INPUT,
     EXIT_PASS,
     _parse_range,
+    _trial_seed,
     identity_test,
     main,
 )
@@ -22,6 +23,11 @@ class TestRangeParsing:
         assert _parse_range("2..4") == [2, 3, 4]
         assert _parse_range("3") == [3]
         assert _parse_range("1,2") == [1, 2]
+
+
+class TestTrialSeed:
+    def test_degrees_beyond_16_bits_do_not_collide(self):
+        assert _trial_seed(0, 2, 1, 1, 1, 0) != _trial_seed(0, 2, 1, 65537, 1, 0)
 
 
 class TestIdentityTest:
@@ -169,6 +175,24 @@ class TestCommands:
         code = main(["motive", "--g", "2", "--r", "2", "--d", "2", "--p", "1"])
         assert code == EXIT_INVALID_INPUT
         assert "gcd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--g", "1"], "genus"),
+        (["--p", "0"], "twist degree"),
+        (["--trials", "0"], "trials"),
+    ])
+    def test_verify_adhm_invalid_grid_exit_code(self, flags, message, capsys):
+        code = main(["verify-adhm", "--r", "1"] + flags)
+        assert code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_threads_env_var_is_ignored(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("MOTIVE_FORGE_THREADS", "x")
+        code = main(["verify-adhm", "--g", "2", "--r", "1", "--trials", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_PASS
 
     def test_motive_weil_json(self, tmp_path):
         out = tmp_path / "m.json"

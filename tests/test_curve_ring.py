@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motiveforge.base_rings import U, UV, V
+from motiveforge.cli import main
 from motiveforge.curve_ring import (
     FINITE,
     GEOMETRIC,
@@ -71,9 +72,12 @@ class TestEnvironments:
         assert make_weil_env(3, 42) == make_weil_env(3, 42)
         assert make_weil_env(3, 42) != make_weil_env(3, 43)
 
-    def test_env_json(self):
+    def test_env_json(self, tmp_path):
         env = make_weil_env(2, 5)
-        payload = json.loads(env.to_json())
+        out = tmp_path / "m.json"
+        main(["motive", "--g", "2", "--r", "1", "--p", "1",
+              "--realization", "weil", "--seed", "5", "--out", str(out)])
+        payload = json.loads(out.read_text())["environment"]
         assert payload["base"] == "weil" and payload["seed"] == 5
         assert Fraction(payload["lefschetz"]) == env.lefschetz
 
