@@ -173,9 +173,10 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
     """H_1(t) .. H_r(t): plethystic-log coefficients cleared by (1-t)(1-Lt).
 
     Implements the fully expanded Moebius / Adams double sum, truncated at
-    T-order r.  Rational scalars mu(j)/(j k) are carried exactly; the
-    opportunistic cancellation inside TRational leaves each H_n in lowest
-    terms, which for honest inputs means an actual Laurent polynomial in t.
+    T-order r.  Rational scalars mu(j)/(j k) are carried exactly.  TRational
+    sums and products cancel nothing, so each H_n is reduced once, by one
+    explicit TRational construction after clearing (1-t)(1-Lt); for honest
+    inputs that leaves an actual Laurent polynomial in t.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -201,7 +202,7 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
     out: List[TRational] = []
     for m in range(1, r + 1):
         h = acc[m].mul_poly_factor(1, 1).mul_poly_factor(L, 1)
-        h = TRational(h.num, h.den)  # reduce: cancel whatever now divides
+        h = TRational(h.num, h.den)  # the one reduction of the pipeline
         out.append(h)
     return out
 

@@ -186,13 +186,19 @@ def run_adhm_grid(
 # ---------------------------------------------------------------------------
 
 def _parse_range(text: str) -> List[int]:
-    """'2..4' -> [2, 3, 4]; '3' -> [3]; '1,2' -> [1, 2]."""
+    """'2..4' -> [2, 3, 4]; '3' -> [3]; '1,2' -> [1, 2].
+
+    A reversed range such as '3..2' is an error, not an empty grid that
+    would pass vacuously.
+    """
     out: List[int] = []
     for piece in text.split(","):
         piece = piece.strip()
         if ".." in piece:
-            lo, hi = piece.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in piece.split(".."))
+            if lo > hi:
+                raise argparse.ArgumentTypeError(f"reversed range {piece!r}: {lo} > {hi}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(piece))
     return out

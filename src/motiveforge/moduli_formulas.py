@@ -432,7 +432,7 @@ def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
         (2 * dL + 2, -dL + 1): -1,
         (dL + 2, dL + 1): 1,
     }
-    factors_min = [min(i + j for i, j in numerator), 0, 0, 0, 0, -1, -1]
+    factors_min = [min(i + j for i, j in numerator), 0, 0, -1, -1]
     total_min = sum(factors_min)
     caps = [m - total_min for m in factors_min]
 
@@ -448,8 +448,8 @@ def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
         xs(h1_series(env, caps[1]) * geom(1, 1, caps[1]) * geom(UV, 1, caps[1]), caps[1]),
         ys(h1_series(env, caps[2], var="y") * geom(1, 1, caps[2], var="y")
            * geom(UV, 1, caps[2], var="y"), caps[2]),
-        BiSeries.inv_x_minus_y2(caps[5]),
-        BiSeries.inv_y_minus_x2(caps[6]),
+        BiSeries.inv_x_minus_y2(caps[3]),
+        BiSeries.inv_y_minus_x2(caps[4]),
     ]
     prod = parts[0]
     for part in parts[1:]:

@@ -11,7 +11,9 @@ literals 0 and 1 works):
   polynomial over a *factored* denominator, a multiset of terms
   ``(1 - c*t^m)``.  Denominators are never expanded, so no polynomial GCD is
   ever required; factors with ``c == 1`` are the only sources of poles at
-  ``t = 1`` and are tracked explicitly for :func:`eval_at_one`.
+  ``t = 1`` and are tracked explicitly for :func:`eval_at_one`.  Sums and
+  products keep every denominator factor; only the constructor cancels
+  factors against the numerator, so a pipeline reduces once, at its end.
 * :class:`BiSeries` - a bivariate Laurent window truncated by total degree,
   used for the one double coefficient extraction in the rank-3 E-polynomial.
 """
@@ -262,24 +264,26 @@ def _tp_mul_factor(a: Dict[int, object], c, m: int) -> Dict[int, object]:
 def _tp_divide_factor(a: Dict[int, object], c, m: int):
     """Exact division of a t-polynomial by (1 - c*t^m); None if not exact.
 
-    Uses the recurrence q[e] = a[e] + c*q[e-m] from the bottom exponent up,
-    then verifies the reconstruction (cheap, and robust for Laurent input).
+    Uses the recurrence q[e] = a[e] + c*q[e-m] from the bottom exponent up to
+    hi - m, which makes every coefficient of q*(1 - c*t^m) below hi - m + 1
+    equal to a's.  The division is exact iff the top m coefficients agree
+    too, that is a[e] + c*q[e-m] == 0 for hi - m < e <= hi.
     """
     if not a:
         return {}
     lo = min(a)
     hi = max(a)
     q: Dict[int, object] = {}
-    for e in range(lo, hi - m + 1):
+    for e in range(lo, hi + 1):
         val = a.get(e, 0)
         prev = q.get(e - m)
         if prev is not None:
             val = val + prev * c
-        if not _is_zero(val):
-            q[e] = val
-    # verify: q * (1 - c t^m) == a
-    if _tp_mul_factor(q, c, m) != a:
-        return None
+        if _is_zero(val):
+            continue
+        if e > hi - m:
+            return None
+        q[e] = val
     return q
 
 
@@ -299,10 +303,11 @@ class TRational:
 
     The denominator is a multiset of pairs ``(c, m)`` standing for factors
     ``(1 - c*t^m)``; ``c`` is a unit of the coefficient ring (a rational, or
-    a monomial in the Hodge realization).  Addition and multiplication
-    opportunistically cancel denominator factors that divide the numerator
-    exactly, which keeps the pipeline outputs in lowest terms whenever the
-    underlying class is actually polynomial.
+    a monomial in the Hodge realization).  Only the constructor cancels
+    denominator factors that divide the numerator exactly (unless called
+    with ``reduce=False``); addition and multiplication keep every factor of
+    their operands, so a caller reduces once, at the end, by constructing
+    ``TRational(x.num, x.den)``.
     """
 
     __slots__ = ("num", "den")
@@ -330,18 +335,16 @@ class TRational:
     def _reduce(self) -> None:
         if not self.den or not self.num:
             return
-        den = list(self.den)
-        changed = True
-        while changed and den:
-            changed = False
-            for i, (c, m) in enumerate(den):
-                q = _tp_divide_factor(self.num, c, m)
-                if q is not None:
-                    self.num = q
-                    del den[i]
-                    changed = True
-                    break
-        self.den = tuple(den)
+        # one pass suffices: a factor that does not divide the numerator
+        # cannot divide any quotient of it either
+        kept = []
+        for c, m in self.den:
+            q = _tp_divide_factor(self.num, c, m)
+            if q is None:
+                kept.append((c, m))
+            else:
+                self.num = q
+        self.den = tuple(kept)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -365,7 +368,7 @@ class TRational:
 
     def __add__(self, other):
         a, b, union = self._over_common_den(other)
-        return TRational(_tp_add(a, b), union)
+        return TRational(_tp_add(a, b), union, reduce=False)
 
     __radd__ = __add__
 
@@ -383,7 +386,7 @@ class TRational:
             return TRational(_tp_scale(self.num, other), self.den, reduce=False)
         if not isinstance(other, TRational):
             return NotImplemented
-        return TRational(_tp_mul(self.num, other.num), self.den + other.den)
+        return TRational(_tp_mul(self.num, other.num), self.den + other.den, reduce=False)
 
     def __rmul__(self, other):
         if _is_scalar(other) or isinstance(other, UVLaurent):

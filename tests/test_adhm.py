@@ -127,7 +127,7 @@ class TestPlogSeries:
 
     def test_polynomiality_after_reduction(self):
         # the conjectural H_n are honest Laurent polynomials in t; the
-        # pipeline's opportunistic cancellation discovers that
+        # pipeline's one reduction at the end discovers that
         env = make_weil_env(2, 7)
         for h in plog_series(env, 3, 1):
             assert h.is_polynomial()

@@ -1,9 +1,15 @@
 """CLI contract: exit codes, schemas, determinism, formats."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import motiveforge
 from motiveforge.cli import (
     EXIT_ARITHMETIC_ERROR,
     EXIT_IDENTITY_FAILURE,
@@ -23,6 +29,21 @@ class TestRangeParsing:
         assert _parse_range("2..4") == [2, 3, 4]
         assert _parse_range("3") == [3]
         assert _parse_range("1,2") == [1, 2]
+
+    def test_reversed_range_rejected(self):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_range("3..2")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_range("1,4..2")
+
+    def test_reversed_grid_exits_invalid_input(self, capsys):
+        # an empty grid would report "all_pass": true with no cells
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-adhm", "--g", "3..2", "--r", "1"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "reversed range" in captured.err
+        assert captured.out == ""
 
 
 class TestTrialSeed:
@@ -255,3 +276,18 @@ class TestCommands:
         assert code == EXIT_PASS
         payload = json.loads(out.read_text())
         assert payload["spec"]["p"] == 2
+
+    def test_module_entry_point_is_clean(self):
+        # `python -m motiveforge` runs __main__.py; unlike `-m motiveforge.cli`
+        # it must not warn about the cli module being imported twice
+        src = str(Path(motiveforge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "motiveforge", "epoly",
+             "--g", "2", "--r", "2", "--d", "1", "--p", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_PASS
+        assert proc.stderr == ""
+        assert proc.stdout

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motiveforge.base_rings import UV
+from collections import Counter
+
+from motiveforge.base_rings import UV, UVLaurent
 from motiveforge.series_engine import (
     BadConstantTerm,
     BiSeries,
@@ -14,6 +16,9 @@ from motiveforge.series_engine import (
     PoleAtOne,
     TRational,
     TruncatedSeries,
+    _tp_divide_factor,
+    _tp_mul,
+    _tp_mul_factor,
     eval_at_one,
     series_exp,
     series_log,
@@ -78,6 +83,55 @@ def tr(num, den=()):
     return TRational(num, den)
 
 
+def _nonzero_terms(d):
+    return {e: x for e, x in d.items() if x != 0}
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero_rationals = rationals.filter(lambda x: x != 0)
+uv_monomials = st.builds(UVLaurent.monomial, st.integers(-2, 2), st.integers(-2, 2),
+                         nonzero_rationals)
+uv_polynomials = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                 rationals, max_size=3).map(UVLaurent)
+# Laurent t-polynomials over the rationals or over Q[u, v] Laurent polynomials
+t_polynomials = st.one_of(
+    st.dictionaries(st.integers(-5, 5), rationals, max_size=6),
+    st.dictionaries(st.integers(-5, 5), uv_polynomials, max_size=6),
+).map(_nonzero_terms)
+units = st.one_of(nonzero_rationals, uv_monomials)
+factors = st.tuples(units, st.integers(1, 4))
+
+
+def _divide_by_reconstruction(a, c, m):
+    """Reference: the recurrence, then the full product q*(1 - c t^m) == a."""
+    if not a:
+        return {}
+    q = {}
+    for e in range(min(a), max(a) - m + 1):
+        val = a.get(e, 0)
+        if e - m in q:
+            val = val + q[e - m] * c
+        if val != 0:
+            q[e] = val
+    return q if _tp_mul_factor(q, c, m) == a else None
+
+
+class TestDivideFactor:
+    @given(t_polynomials, factors, nonzero_rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_multiples_and_perturbations(self, b, factor, delta):
+        c, m = factor
+        a = _tp_mul_factor(b, c, m)
+        assert _tp_divide_factor(a, c, m) == b
+        assert _divide_by_reconstruction(a, c, m) == b
+        # a monomial is never a multiple of (1 - c t^m), so changing any one
+        # coefficient of an exact multiple leaves no exact quotient
+        for e in set(a) | {min(a, default=0) - 1, max(a, default=0) + 1}:
+            changed = _nonzero_terms({**a, e: a.get(e, 0) + delta})
+            assert _tp_divide_factor(changed, c, m) is None
+            assert _divide_by_reconstruction(changed, c, m) is None
+
+
 class TestTRational:
     def test_add_same_pole(self):
         a = tr({0: 1}, [(1, 1)])
@@ -116,6 +170,43 @@ class TestTRational:
         assert a * b == b * a
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
+
+    @given(t_polynomials.filter(bool), st.lists(factors, min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_constructor_cancels_every_dividing_factor(self, p, den):
+        num = p
+        for c, m in den:
+            num = _tp_mul_factor(num, c, m)
+        a = TRational(num, den)
+        assert a.num == p
+        assert a.den == ()
+
+    @given(t_polynomials, st.lists(factors, max_size=2),
+           t_polynomials, st.lists(factors, max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_and_product_cancel_nothing(self, pa, da, pb, db):
+        a = TRational(pa, da, reduce=False)
+        b = TRational(pb, db, reduce=False)
+        s = a + b
+        assert Counter(s.den) == Counter(a.den) | Counter(b.den)
+        assert s == TRational(s.num, s.den)
+        prod = a * b
+        assert Counter(prod.den) == Counter(a.den) + Counter(b.den)
+        assert prod == TRational(prod.num, prod.den)
+
+    def test_sum_keeps_a_cancelling_factor(self):
+        # 1/(1-t) - t/(1-t) is 1, but the sum keeps (1 - t) until reduced
+        s = tr({0: 1}, [(1, 1)]) + tr({1: -1}, [(1, 1)])
+        assert s.num == {0: 1, 1: -1}
+        assert s.den == ((1, 1),)
+        reduced = TRational(s.num, s.den)
+        assert (reduced.num, reduced.den) == ({0: 1}, ())
+        assert s == reduced
+
+    def test_product_keeps_a_cancelling_factor(self):
+        prod = tr({0: 1, 1: -1}) * tr({0: 1}, [(1, 1)])
+        assert prod.den == ((1, 1),)
+        assert prod == 1
 
     def test_equality_cross_multiplication(self):
         # t/(1-t)^2 equals (t - t^2)/((1-t)^3)
