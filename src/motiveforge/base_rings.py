@@ -33,6 +33,10 @@ class ZeroPolynomial(ValueError):
 
 def _norm(c: Rat) -> Rat:
     """Store integral values as int (cheaper arithmetic), the rest as Fraction."""
+    # exact type test first: isinstance against Fraction goes through the
+    # numbers ABC machinery, and most coefficients are plain ints
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -259,6 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Open ``path`` for appending, so that an unwritable ``--out`` fails
+    before any computation runs; a file the check created is removed again.
+    Raises ``OSError``."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -380,6 +392,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "epoly": _cmd_epoly,
         "betti": _cmd_betti,
     }[args.command]
+    if args.out:
+        try:
+            _check_writable(args.out)
+        except OSError as exc:
+            print(f"invalid input: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_INVALID_INPUT
     try:
         return handler(args)
     except InvalidSpec as exc:

@@ -40,8 +40,8 @@ from .curve_ring import (
     h1_poly,
     h1_series,
     jacobian_class,
+    lambda_series,
     make_hodge_env,
-    sym_power_class,
 )
 from .series_engine import BiSeries, TruncatedSeries, series_product
 
@@ -254,53 +254,97 @@ def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
     raise InvalidSpec(f"rank {r} not supported")
 
 
-def _vhs12_class(env: AtomEnvironment, d1: int, d: int, dL: int):
-    """Stratum class for shape (1,2), first degree d1, total degree d."""
-    g = env.genus
-    L = env.lefschetz
-    jac = jacobian_class(env)
-    lam_index = d - d // 3 - 2 * d1 - dL - 1
-    if lam_index < 0:
-        raise EmptyStratum("negative lambda index in (1,2) stratum")
-    cx = curve_class(env)
-    cls_plus = cx.plus_geometric(L * L)
-    cls_twist = cx.scale(L).plus_geometric(1)
-    lead = L ** (2 * (d // 3) - d + d1 + g + 1)
-    num = lead * sym_power_class(env, cls_plus, lam_index) - sym_power_class(env, cls_twist, lam_index)
-    num = num * jac * jac
-    return exact_divide(num, L - 1)
+# The split classes whose lambda-powers the stratum classes read.
+_CURVE = "[X]"
+_PLUS = "[X] + L^2"
+_TWIST = "[X]*L + 1"
 
 
-def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
-    """Class of a variation-of-Hodge-structure stratum in the realization."""
+def _vhs12_degrees(t: VHSType) -> Tuple[int, int]:
+    """(first degree, total degree) of the (1,2) stratum a (1,2) or (2,1)
+    stratum is evaluated as; a (2,1) stratum goes through its dual (1,2)
+    stratum of total degree -d."""
+    d = t.total_deg
+    if t.ranks == (1, 2):
+        return t.degs[0], d
+    return t.degs[0] - d, -d
+
+
+def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
+    """(split class, lambda index) pairs the class of a stratum reads.
+
+    A bundle stratum (one part) reads none.  Raises :class:`EmptyStratum`
+    for an empty stratum and :class:`InvalidSpec` for an unsupported shape.
+    """
     ranks = t.ranks
     d = t.total_deg
     if len(ranks) == 1:
-        return bundle_moduli_class(env, ranks[0], d)
+        return []
     if ranks == (1, 1):
         d1 = t.degs[0]
         if not (2 * d1 > d and 2 * d1 <= d - dL):
             raise EmptyStratum(f"(1,1) stratum empty at d1 = {d1}")
-        index = d - 2 * d1 - dL
-        return sym_power_class(env, curve_class(env), index) * jacobian_class(env)
-    if ranks == (1, 2):
-        if not _vhs12_nonempty(t.degs[0], d, dL):
-            raise EmptyStratum(f"(1,2) stratum empty at degrees {t.degs}")
-        return _vhs12_class(env, t.degs[0], d, dL)
-    if ranks == (2, 1):
-        if not _vhs12_nonempty(t.degs[0] - d, -d, dL):
-            raise EmptyStratum(f"(2,1) stratum empty at degrees {t.degs}")
-        return _vhs12_class(env, t.degs[0] - d, -d, dL)
+        return [(_CURVE, d - 2 * d1 - dL)]
+    if ranks in ((1, 2), (2, 1)):
+        d1, dd = _vhs12_degrees(t)
+        if not _vhs12_nonempty(d1, dd, dL):
+            raise EmptyStratum(f"({ranks[0]},{ranks[1]}) stratum empty at degrees {t.degs}")
+        index = dd - dd // 3 - 2 * d1 - dL - 1
+        if index < 0:
+            raise EmptyStratum("negative lambda index in (1,2) stratum")
+        return [(_PLUS, index), (_TWIST, index)]
     if ranks == (1, 1, 1):
         d1, d2 = t.degs[0], t.degs[1]
         i1 = -d1 + d2 - dL
         i2 = d - d1 - 2 * d2 - dL
         if i1 < 0 or i2 < 0 or 3 * d1 <= d or 3 * (d1 + d2) <= 2 * d:
             raise EmptyStratum(f"(1,1,1) stratum empty at degrees {t.degs}")
-        cx = curve_class(env)
-        return (sym_power_class(env, cx, i1) * sym_power_class(env, cx, i2)
-                * jacobian_class(env))
+        return [(_CURVE, i1), (_CURVE, i2)]
     raise InvalidSpec(f"unsupported stratum shape {ranks}")
+
+
+def _lambda_tables(env: AtomEnvironment,
+                   reads: List[Tuple[str, int]]) -> Dict[str, TruncatedSeries]:
+    """One lambda series per split class read, to the largest index read."""
+    top: Dict[str, int] = {}
+    for name, n in reads:
+        top[name] = max(top.get(name, 0), n)
+    L = env.lefschetz
+    cx = curve_class(env)
+    classes = {
+        _CURVE: cx,
+        _PLUS: cx.plus_geometric(L * L),
+        _TWIST: cx.scale(L).plus_geometric(1),
+    }
+    return {name: lambda_series(env, classes[name], n) for name, n in top.items()}
+
+
+def _vhs_class(env: AtomEnvironment, t: VHSType, dL: int,
+               tables: Dict[str, TruncatedSeries], jac):
+    """Class of a stratum, its lambda-powers read from ``tables`` (built by
+    :func:`_lambda_tables` for at least this stratum's reads) and ``jac``
+    the class of the Jacobian."""
+    if len(t.ranks) == 1:
+        return bundle_moduli_class(env, t.ranks[0], t.total_deg)
+    lam = [tables[name].coeff(n) for name, n in _lambda_reads(t, dL)]
+    if t.ranks == (1, 1):
+        return lam[0] * jac
+    if t.ranks == (1, 1, 1):
+        return lam[0] * lam[1] * jac
+    d1, dd = _vhs12_degrees(t)
+    L = env.lefschetz
+    lead = L ** (2 * (dd // 3) - dd + d1 + env.genus + 1)
+    return exact_divide((lead * lam[0] - lam[1]) * jac * jac, L - 1)
+
+
+def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
+    """Class of a variation-of-Hodge-structure stratum in the realization.
+
+    Builds the lambda series of the split classes this one stratum reads;
+    :func:`motive` builds them once for all of its strata instead.
+    """
+    return _vhs_class(env, t, dL, _lambda_tables(env, _lambda_reads(t, dL)),
+                      jacobian_class(env))
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +373,23 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
 
 
 def motive(env: AtomEnvironment, spec: ModuliSpec):
-    """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS]."""
+    """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
+
+    The lambda series of each split class the strata read ([X], [X] + L^2,
+    [X]*L + 1) is built once per call, to the largest index any stratum
+    needs, and every stratum class reads its coefficients from it.
+    """
     spec.validate()
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
+    strata = strata_for(spec)
+    tables = _lambda_tables(env, [read for t in strata for read in _lambda_reads(t, spec.dL)])
+    jac = jacobian_class(env)
     L = env.lefschetz
     total = 0
-    for t in strata_for(spec):
+    for t in strata:
         exponent = bb_exponent(t, spec)
-        total = total + L ** exponent * vhs_class(env, t, spec.dL)
+        total = total + L ** exponent * _vhs_class(env, t, spec.dL, tables, jac)
     return total
 
 
@@ -425,36 +477,46 @@ def _rank3_single_extractions(env: AtomEnvironment, dL: int) -> Tuple[UVLaurent,
 
 
 def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
-    """coeff_{x^0 y^0} of the (1,1,1) generating kernel."""
+    """coeff_{x^0 y^0} of the (1,1,1) generating kernel.
+
+    The generating function is N(x, y) A(x) A(y) / ((x - y^2)(y - x^2)),
+    with N a four-term integer numerator and
+    A(x) = h1(x) / ((1 - x)(1 - uv x)) = sum_i X_i x^i.  The integer kernel
+    K = N / ((x - y^2)(y - x^2)) is expanded as a :class:`BiSeries`; its
+    total degree is bounded below by min_level(N) - 2, so only
+    i + j <= cap := 2 - min_level(N) contributes, and
+
+        coeff_{x^0 y^0} = sum_j X_j * (sum_i K[-i, -j] * X_i).
+
+    The inner sums only add integer multiples of the X_i; the outer sum
+    takes at most cap + 1 products of ``UVLaurent`` values.
+    """
     numerator = {
         (2, 1): 1,
         (-dL + 2, 2 * dL + 1): -1,
         (2 * dL + 2, -dL + 1): -1,
         (dL + 2, dL + 1): 1,
     }
-    factors_min = [min(i + j for i, j in numerator), 0, 0, -1, -1]
+    factors_min = [min(i + j for i, j in numerator), -1, -1]
     total_min = sum(factors_min)
+    # the cap of each kernel factor leaves the kernel complete up to level
+    # 0, the highest level the x^0 y^0 coefficient reads
     caps = [m - total_min for m in factors_min]
-
-    def xs(series, cap):
-        return BiSeries.from_x_series(series, cap)
-
-    def ys(series, cap):
-        return BiSeries.from_y_series(series, cap)
-
+    kernel = (BiSeries.from_monomials(numerator, caps[0])
+              * BiSeries.inv_x_minus_y2(caps[1])
+              * BiSeries.inv_y_minus_x2(caps[2]))
+    cap = -total_min
     geom = TruncatedSeries.geometric
-    parts = [
-        BiSeries.from_monomials(numerator, caps[0]),
-        xs(h1_series(env, caps[1]) * geom(1, 1, caps[1]) * geom(UV, 1, caps[1]), caps[1]),
-        ys(h1_series(env, caps[2], var="y") * geom(1, 1, caps[2], var="y")
-           * geom(UV, 1, caps[2], var="y"), caps[2]),
-        BiSeries.inv_x_minus_y2(caps[3]),
-        BiSeries.inv_y_minus_x2(caps[4]),
-    ]
-    prod = parts[0]
-    for part in parts[1:]:
-        prod = prod * part
-    return prod.coeff(0, 0)
+    xs = h1_series(env, cap) * geom(1, 1, cap) * geom(UV, 1, cap)
+    total = 0
+    for j in range(cap + 1):
+        inner = 0
+        for i in range(cap + 1 - j):
+            k = kernel.coeff(-i, -j)
+            if k:
+                inner = inner + k * xs.coeff(i)
+        total = total + xs.coeff(j) * inner
+    return total
 
 
 def epoly_rank3(spec: ModuliSpec) -> UVLaurent:

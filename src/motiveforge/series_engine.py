@@ -14,8 +14,10 @@ literals 0 and 1 works):
   ``t = 1`` and are tracked explicitly for :func:`eval_at_one`.  Sums and
   products keep every denominator factor; only the constructor cancels
   factors against the numerator, so a pipeline reduces once, at its end.
-* :class:`BiSeries` - a bivariate Laurent window truncated by total degree,
-  used for the one double coefficient extraction in the rank-3 E-polynomial.
+* :class:`BiSeries` - a bivariate Laurent window truncated by total degree.
+  It builds the integer kernel of the one double coefficient extraction in
+  the rank-3 E-polynomial; the ring-valued series are convolved against
+  the kernel's coefficients afterwards, never multiplied as windows.
 """
 
 from __future__ import annotations
@@ -499,6 +501,8 @@ class BiSeries:
     i + j <= level_cap are complete.  Products propagate both bounds, which
     is what makes expansions of 1/(x - y^2) and 1/(y - x^2) (bounded below
     in total degree, unbounded in each variable separately) multiply safely.
+    The rank-3 extraction uses it only for the integer kernel
+    N / ((x - y^2)(y - x^2)), whose coefficients are ints.
     """
 
     __slots__ = ("terms", "min_level", "level_cap")
@@ -551,16 +555,6 @@ class BiSeries:
             terms[(2 * k, -1 - k)] = 1
             k += 1
         return cls(terms, -1, level_cap)
-
-    @classmethod
-    def from_x_series(cls, s: TruncatedSeries, level_cap: int) -> "BiSeries":
-        terms = {(s.shift + i, 0): c for i, c in enumerate(s.coeffs)}
-        return cls(terms, s.shift, min(level_cap, s.order))
-
-    @classmethod
-    def from_y_series(cls, s: TruncatedSeries, level_cap: int) -> "BiSeries":
-        terms = {(0, s.shift + i): c for i, c in enumerate(s.coeffs)}
-        return cls(terms, s.shift, min(level_cap, s.order))
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         cap = min(self.level_cap + other.min_level, other.level_cap + self.min_level)

@@ -144,6 +144,32 @@ class TestErrorPaths:
         payload = json.loads(out.read_text())
         assert payload["all_pass"] is False
 
+    @pytest.mark.parametrize("command", [
+        ["epoly", "--g", "2", "--r", "2", "--d", "1"],
+        ["verify-adhm", "--g", "2", "--r", "1", "--trials", "1"],
+    ])
+    def test_unwritable_out_exits_invalid_input(self, command, monkeypatch, tmp_path, capsys):
+        import motiveforge.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("computation ran before --out was checked")
+
+        monkeypatch.setattr(cli_mod, "epoly", never)
+        monkeypatch.setattr(cli_mod, "run_adhm_grid", never)
+        out = tmp_path / "missing" / "x.json"
+        code = main(command + ["--out", str(out)])
+        assert code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input: cannot write --out")
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_out_check_leaves_no_file_behind(self, tmp_path):
+        out = tmp_path / "x.json"
+        code = main(["epoly", "--g", "2", "--r", "2", "--d", "2", "--out", str(out)])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+
     def test_arithmetic_error_exit(self, monkeypatch):
         import motiveforge.cli as cli_mod
         from motiveforge.base_rings import NotDivisible

@@ -1,11 +1,14 @@
 """Moduli formulas: strata, exponents, motives, E-polynomials, Betti numbers."""
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from motiveforge import moduli_formulas
 from motiveforge.base_rings import UV, UVLaurent, exact_divide
-from motiveforge.curve_ring import jacobian_class, make_hodge_env, make_weil_env
+from motiveforge.curve_ring import h1_series, jacobian_class, make_hodge_env, make_weil_env
 from motiveforge.moduli_formulas import (
     EmptyStratum,
     InvalidSpec,
@@ -23,6 +26,7 @@ from motiveforge.moduli_formulas import (
     triple_stratum_degrees,
     vhs_class,
 )
+from motiveforge.series_engine import BiSeries, TruncatedSeries
 
 U2V = UVLaurent.monomial(2, 1)
 UV2 = UVLaurent.monomial(1, 2)
@@ -221,6 +225,83 @@ class TestMotiveEpolyConsistency:
         env = make_weil_env(3, 1)
         with pytest.raises(InvalidSpec):
             motive(env, ModuliSpec.from_p(2, 2, 1, 1))
+
+
+class TestSharedLambdaTables:
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=3),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=-4, max_value=4),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+    @settings(max_examples=30, deadline=None)
+    def test_motive_is_the_sum_of_public_stratum_classes(self, g, r, p, d, seed):
+        # motive reads every stratum from one lambda series per split class;
+        # vhs_class builds its own for its single stratum
+        assume(math.gcd(r, d) == 1)
+        spec = ModuliSpec.from_p(g, r, d, p)
+        env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
+        L = env.lefschetz
+        expected = 0
+        for t in strata_for(spec):
+            expected = expected + L ** bb_exponent(t, spec) * vhs_class(env, t, spec.dL)
+        assert motive(env, spec) == expected
+
+
+def _five_window_product(env, dL):
+    """x^0 y^0 of the (1,1,1) kernel, read after expanding the full product
+    of five BiSeries windows; the reference for the convolution."""
+    numerator = {
+        (2, 1): 1,
+        (-dL + 2, 2 * dL + 1): -1,
+        (2 * dL + 2, -dL + 1): -1,
+        (dL + 2, dL + 1): 1,
+    }
+    factors_min = [min(i + j for i, j in numerator), 0, 0, -1, -1]
+    total_min = sum(factors_min)
+    caps = [m - total_min for m in factors_min]
+    geom = TruncatedSeries.geometric
+    a = h1_series(env, caps[1]) * geom(1, 1, caps[1]) * geom(UV, 1, caps[1])
+    parts = [
+        BiSeries.from_monomials(numerator, caps[0]),
+        BiSeries.from_monomials({(i, 0): c for i, c in enumerate(a.coeffs)}, caps[1]),
+        BiSeries.from_monomials({(0, j): c for j, c in enumerate(a.coeffs)}, caps[2]),
+        BiSeries.inv_x_minus_y2(caps[3]),
+        BiSeries.inv_y_minus_x2(caps[4]),
+    ]
+    prod = parts[0]
+    for part in parts[1:]:
+        prod = prod * part
+    return prod.coeff(0, 0)
+
+
+class TestRank3DoubleExtraction:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_five_window_product(self, g, p, monkeypatch):
+        env = make_hodge_env(g)
+        dL = -(2 * g - 2 + p)
+        assert moduli_formulas._rank3_double_extraction(env, dL) == _five_window_product(env, dL)
+        # and through the whole query, for both residues of d mod 3
+        specs = [ModuliSpec.from_p(g, 3, d, p) for d in (1, 2)]
+        got = [epoly(spec) for spec in specs]
+        monkeypatch.setattr(moduli_formulas, "_rank3_double_extraction", _five_window_product)
+        assert got == [epoly(spec) for spec in specs]
+
+
+class TestEpolyProperties:
+    @given(st.integers(min_value=2, max_value=4), st.sampled_from([2, 3]),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=-5, max_value=5),
+           st.integers(min_value=-2, max_value=2))
+    @settings(max_examples=25, deadline=None)
+    def test_d_independent_within_residue_class(self, g, r, p, d, k):
+        assume(math.gcd(r, d) == 1)
+        assert epoly(ModuliSpec.from_p(g, r, d, p)) == epoly(ModuliSpec.from_p(g, r, d + k * r, p))
+
+    @given(st.integers(min_value=2, max_value=4), st.sampled_from([2, 3]),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=-5, max_value=5))
+    @settings(max_examples=25, deadline=None)
+    def test_uv_symmetric(self, g, r, p, d):
+        assume(math.gcd(r, d) == 1)
+        e = epoly(ModuliSpec.from_p(g, r, d, p))
+        assert e.swap_uv() == e
 
 
 class TestPoincare:

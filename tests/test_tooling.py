@@ -1,11 +1,14 @@
 """Source-level invariants of the package."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import motiveforge
 
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_package_has_no_assert_statements():
@@ -16,3 +19,21 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def test_benchmark_traced_layers_exist():
+    # the benchmark's traced run wraps these by name; a rename or deletion
+    # in the package must fail here rather than break that run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for mod, fn in spans.LAYER_FUNCTIONS:
+        module = importlib.import_module(f"motiveforge.{mod}")
+        if not callable(getattr(module, fn, None)):
+            missing.append(f"{mod}.{fn}")
+    for mod, cls_name, _, attrs, _ in spans.LAYER_OPERATORS:
+        cls = getattr(importlib.import_module(f"motiveforge.{mod}"), cls_name, None)
+        missing += [f"{mod}.{cls_name}.{attr}" for attr in attrs
+                    if cls is None or attr not in vars(cls)]
+    assert spans.LAYER_FUNCTIONS and spans.LAYER_OPERATORS and not missing, missing
