@@ -9,9 +9,12 @@ Everything in this package is computed over one of two coefficient domains:
 
 All arithmetic is exact; nothing is ever rounded.  Polynomial division is
 only available through :func:`exact_divide`, which insists on a zero
-remainder.  A failed division means some upstream polynomiality claim is
-violated (or a formula was transcribed wrongly), so it raises
-:class:`NotDivisible` instead of returning an approximation.
+remainder.  It walks the quotient's exponent box once; integer operands
+stay ints when the divisor's lex-leading coefficient is +-1, as for every
+polynomial divisor used here, and a ``Fraction`` appears only otherwise.
+A failed division means some upstream polynomiality claim is violated (or
+a formula was transcribed wrongly), so it raises :class:`NotDivisible`
+instead of returning an approximation.
 """
 
 from __future__ import annotations
@@ -91,22 +94,11 @@ class UVLaurent:
     def is_zero(self) -> bool:
         return not self._c
 
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     @property
     def total_degree(self) -> int:
         if not self._c:
             raise ZeroPolynomial("total degree of the zero polynomial")
         return max(a + b for a, b in self._c)
-
-    def degree_span(self) -> Tuple[int, int, int, int]:
-        """(min_u, max_u, min_v, max_v) over stored monomials."""
-        if not self._c:
-            raise ZeroPolynomial("degree span of the zero polynomial")
-        us = [a for a, _ in self._c]
-        vs = [b for _, b in self._c]
-        return min(us), max(us), min(vs), max(vs)
 
     def coeff(self, a: int, b: int) -> Rat:
         return self._c.get((a, b), 0)
@@ -255,43 +247,26 @@ UV = UVLaurent.monomial(1, 1)
 ONE = UVLaurent.const(1)
 
 
-def _upoly_divide_exact(num: Dict[int, Rat], den: Dict[int, Rat]):
-    """Exact division of univariate polynomials stored as exp -> coeff dicts.
-
-    Returns the quotient dict or None when the division is not exact.
-    """
-    if not num:
-        return {}
-    dd = max(den)
-    dlead = den[dd]
-    rem = dict(num)
-    quot: Dict[int, Rat] = {}
-    while rem:
-        nd = max(rem)
-        if nd < dd:
-            return None
-        q = Fraction(rem[nd]) / Fraction(dlead)
-        quot[nd - dd] = _norm(q)
-        for e, c in den.items():
-            k = nd - dd + e
-            s = rem.get(k, 0) - q * c
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return quot
-
-
 def exact_divide(num: Union[UVLaurent, Rat],
                  den: Union[UVLaurent, Rat]) -> Union[UVLaurent, Rat]:
     """Exact quotient q with q * den == num, else raise NotDivisible.
 
-    The division treats both operands as polynomials in u whose coefficients
-    are polynomials in v.  Laurent inputs are handled by factoring out the
-    minimal monomial of each operand first.  Scalar operands (int or
-    Fraction) are accepted: two scalars give their rational quotient, an int
-    when it is integral; a scalar beside a ``UVLaurent`` is read as a
-    constant polynomial.
+    Scalar operands (int or Fraction) are accepted: two scalars give their
+    rational quotient, an int when it is integral; a scalar beside a
+    ``UVLaurent`` is read as a constant polynomial.
+
+    Polynomial division walks the quotient's exponent box.  The Newton
+    polytope of a product is the Minkowski sum of its factors' polytopes, so
+    every exponent of q lies in the box from (min_u(num) - min_u(den),
+    min_v(num) - min_v(den)) to (max_u(num) - max_u(den),
+    max_v(num) - max_v(den)).  The box is visited in descending lex order;
+    at (a, b) the remainder's coefficient at (a, b) + lead(den), lead taken
+    in lex order, can no longer change, so it fixes q[a, b], and
+    q[a, b] * den is subtracted.  With a lead coefficient of +-1, q[a, b]
+    is that remainder coefficient up to sign, so integer operands stay in
+    int arithmetic throughout; a ``Fraction`` appears only for a non-unit
+    lead coefficient or non-integral operands.  A nonzero remainder after
+    the walk means no exact quotient exists.
     """
     if not isinstance(den, UVLaurent):
         if den == 0:
@@ -305,56 +280,29 @@ def exact_divide(num: Union[UVLaurent, Rat],
         num = UVLaurent.const(num)
     if num.is_zero():
         return UVLaurent._raw({})
-    if den.is_monomial():
-        ((da, db), dx), = den._c.items()
-        inv = Fraction(1) / Fraction(dx)
-        return UVLaurent._raw(
-            {(a - da, b - db): _norm(x * inv) for (a, b), x in num._c.items()}
-        )
-
-    nmu, _, nmv, _ = num.degree_span()
-    dmu, _, dmv, _ = den.degree_span()
-    # shift both operands to ordinary polynomials
-    nshift = {(a - nmu, b - nmv): x for (a, b), x in num._c.items()}
-    dshift = {(a - dmu, b - dmv): x for (a, b), x in den._c.items()}
-
-    # group by u-exponent: u_exp -> {v_exp: coeff}
-    def by_u(poly):
-        g: Dict[int, Dict[int, Rat]] = {}
-        for (a, b), x in poly.items():
-            g.setdefault(a, {})[b] = x
-        return g
-
-    rem = by_u(nshift)
-    dgrp = by_u(dshift)
-    du = max(dgrp)
-    dlead = dgrp[du]
-    quot: Dict[int, Dict[int, Rat]] = {}
-    while rem:
-        nu = max(rem)
-        if nu < du:
-            raise NotDivisible("no exact quotient (u-degree remainder)")
-        qv = _upoly_divide_exact(rem[nu], dlead)
-        if qv is None:
-            raise NotDivisible("no exact quotient (coefficient division)")
-        quot[nu - du] = qv
-        for ue, vpoly in dgrp.items():
-            target = rem.setdefault(nu - du + ue, {})
-            for ve, c in vpoly.items():
-                for qe, qc in qv.items():
-                    k = ve + qe
-                    s = target.get(k, 0) - qc * c
-                    if s:
-                        target[k] = s
-                    else:
-                        target.pop(k, None)
-            if not target:
-                rem.pop(nu - du + ue, None)
-        rem = {k: v for k, v in rem.items() if v}
-    out: Dict[ExponentPair, Rat] = {}
-    ushift = nmu - dmu
-    vshift = nmv - dmv
-    for ue, vpoly in quot.items():
-        for ve, c in vpoly.items():
-            out[(ue + ushift, ve + vshift)] = _norm(c)
-    return UVLaurent._raw({k: x for k, x in out.items() if x})
+    rem = dict(num._c)
+    quot: Dict[ExponentPair, Rat] = {}
+    dc = den._c
+    la, lb = lead = max(dc)
+    lc = dc[lead]
+    unit = lc == 1 or lc == -1
+    nus, nvs = zip(*rem)
+    dus, dvs = zip(*dc)
+    v_hi, v_lo = max(nvs) - max(dvs), min(nvs) - min(dvs)
+    for a in range(max(nus) - la, min(nus) - min(dus) - 1, -1):
+        for b in range(v_hi, v_lo - 1, -1):
+            c = rem.get((a + la, b + lb))
+            if c is None:
+                continue
+            q = c * lc if unit else _norm(Fraction(c) / lc)
+            quot[(a, b)] = q
+            for (ea, eb), x in dc.items():
+                k = (a + ea, b + eb)
+                s = rem.get(k, 0) - q * x
+                if s:
+                    rem[k] = _norm(s)
+                else:
+                    del rem[k]
+    if rem:
+        raise NotDivisible("no exact quotient: nonzero remainder")
+    return UVLaurent._raw(quot)

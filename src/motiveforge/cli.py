@@ -91,10 +91,15 @@ def identity_test(
 ) -> VerificationReport:
     """Schwartz-Zippel style certification of a class identity.
 
-    Evaluates both builders in ``trials`` deterministic weil environments; a
-    single mismatch certifies inequality.  For g up to 3 (or when forced by
-    ``hodge=True``) an exact polynomial comparison in the hodge environment
-    runs as well.  Arithmetic errors from a builder are re-raised tagged
+    Evaluates both builders in ``trials`` deterministic weil environments.
+    A single mismatch certifies inequality.  Agreement in every trial is
+    evidence, not proof, and only over the sample space the environments
+    are drawn from: L and b_1..b_g rationals with numerators and
+    denominators at most 10^4 in absolute value, L not in {0, 1, -1}, and
+    b_{g+i} = L / b_i.  No false-pass bound is stated.  For g up to 3 (or
+    when forced by ``hodge=True``) an exact polynomial comparison in the
+    hodge environment runs as well, and decides the identity in the Hodge
+    realization.  Arithmetic errors from a builder are re-raised tagged
     with the failing environment's seed.
     """
     if trials < 1:
@@ -157,10 +162,14 @@ def run_adhm_grid(
     threads: int = 1,
 ) -> Tuple[List[VerificationReport], List[Dict]]:
     """Run the ADHM identity over a grid.  Cells with gcd(r, d) != 1 are
-    recorded as skipped rather than failed.  Every other cell and the trial
-    count are validated before any cell runs (InvalidSpec)."""
+    recorded as skipped rather than failed.  Every other cell, the trial
+    count and the thread count are validated before any cell runs
+    (InvalidSpec).  With ``threads > 1`` the cells go to a process pool of
+    at most one worker per cell."""
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise InvalidSpec(f"threads must be >= 1, got {threads}")
     cells = []
     skipped = []
     for g in gs:
@@ -174,7 +183,8 @@ def run_adhm_grid(
                     ModuliSpec.from_p(g, r, d, p).validate()
                     cells.append((g, r, d, p, trials, seed, hodge))
     if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the fork start method starts every worker when the pool starts
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             reports = list(pool.map(_adhm_cell, cells))
     else:
         reports = [_adhm_cell(c) for c in cells]

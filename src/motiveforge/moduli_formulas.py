@@ -174,28 +174,17 @@ def stratum_dimension(t: VHSType, spec: ModuliSpec) -> int:
     raise InvalidSpec(f"unsupported stratum shape {ranks}")
 
 
-def _stratum_nonempty(t: VHSType, spec: ModuliSpec) -> bool:
-    d, dL = spec.d, spec.dL
-    ranks = t.ranks
-    if len(ranks) == 1:
-        return True
-    if ranks == (1, 1):
-        d1 = t.degs[0]
-        return 2 * d1 > d and 2 * d1 <= d - dL
-    if ranks == (1, 2):
-        return _vhs12_nonempty(t.degs[0], t.total_deg, dL)
-    if ranks == (2, 1):
-        return _vhs12_nonempty(t.degs[0] - t.total_deg, -t.total_deg, dL)
-    if ranks == (1, 1, 1):
-        return (t.degs[0], t.degs[1]) in set(triple_stratum_degrees(d, dL))
-    return False
-
-
 def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
-    """Rank N+ of the attracting affine bundle over a stratum."""
+    """Rank N+ of the attracting affine bundle over a stratum of ``spec``.
+
+    Raises :class:`InvalidSpec` when the stratum's total rank or degree is
+    not the space's, or its shape is unsupported, and :class:`EmptyStratum`
+    when it is empty.
+    """
     spec.validate()
-    if not _stratum_nonempty(t, spec):
-        raise EmptyStratum(f"stratum {t} is empty for {spec}")
+    if t.total_rank != spec.r or t.total_deg != spec.d:
+        raise InvalidSpec(f"stratum {t} is not a stratum of {spec}")
+    _lambda_reads(t, spec.dL)  # raises EmptyStratum for an empty stratum
     m = morse_index(t, -spec.dL, spec.g)
     return dimension(spec) - stratum_dimension(t, spec) - m // 2
 

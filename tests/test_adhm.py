@@ -157,14 +157,16 @@ class TestPlogSeries:
 
 
 class TestAdhmClass:
-    def test_rank1_oracle(self):
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=6),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_rank1_oracle(self, g, p, seed):
         # independent derivation: the rank-1 moduli space is an affine
         # bundle of rank -dL + 1 - g over the Jacobian (Riemann-Roch), so
         # its class is L^(g - 1 + p) [Jac]
-        for g, p in [(2, 1), (2, 3), (3, 2), (4, 1)]:
-            for env in (make_hodge_env(g), make_weil_env(g, 29)):
-                expected = env.lefschetz ** (g - 1 + p) * jacobian_class(env)
-                assert adhm_class(env, 1, p) == expected
+        env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
+        expected = env.lefschetz ** (g - 1 + p) * jacobian_class(env)
+        assert adhm_class(env, 1, p) == expected
 
     def test_even_rank_sign(self):
         # (-1)^(p r) = 1 for even r: flipping p must not flip the sign

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motiveforge.base_rings import (
@@ -35,6 +35,67 @@ def laurents(draw, max_terms=5, zero_ok=True):
     if not zero_ok and poly.is_zero():
         poly = poly + 1
     return poly
+
+
+def _two_level_divide(num, den):
+    """Exact division as nested long division, by u-degree outside and by
+    v-degree inside, after shifting both operands to ordinary polynomials;
+    the reference the one-pass box walk of exact_divide is compared with."""
+    if num.is_zero():
+        return UVLaurent()
+    nmu = min(a for (a, _), _ in num.items())
+    nmv = min(b for (_, b), _ in num.items())
+    dmu = min(a for (a, _), _ in den.items())
+    dmv = min(b for (_, b), _ in den.items())
+
+    def by_u(poly, su, sv):
+        g = {}
+        for (a, b), x in poly.items():
+            g.setdefault(a - su, {})[b - sv] = Fraction(x)
+        return g
+
+    def divide_v(n, d):
+        dd = max(d)
+        rem = dict(n)
+        quot = {}
+        while rem:
+            nd = max(rem)
+            if nd < dd:
+                return None
+            q = rem[nd] / d[dd]
+            quot[nd - dd] = q
+            for e, c in d.items():
+                s = rem.get(nd - dd + e, 0) - q * c
+                if s:
+                    rem[nd - dd + e] = s
+                else:
+                    rem.pop(nd - dd + e, None)
+        return quot
+
+    rem = by_u(num, nmu, nmv)
+    dgrp = by_u(den, dmu, dmv)
+    du = max(dgrp)
+    quot = {}
+    while rem:
+        nu = max(rem)
+        if nu < du:
+            raise NotDivisible("u-degree remainder")
+        qv = divide_v(rem[nu], dgrp[du])
+        if qv is None:
+            raise NotDivisible("coefficient division")
+        for qe, qc in qv.items():
+            quot[(nu - du + nmu - dmu, qe + nmv - dmv)] = qc
+        for ue, vpoly in dgrp.items():
+            target = rem.setdefault(nu - du + ue, {})
+            for ve, c in vpoly.items():
+                for qe, qc in qv.items():
+                    s = target.get(ve + qe, 0) - qc * c
+                    if s:
+                        target[ve + qe] = s
+                    else:
+                        target.pop(ve + qe, None)
+        rem = {k: v for k, v in rem.items() if v}
+    return UVLaurent(quot)
 
 
 class TestUVLaurent:
@@ -101,6 +162,57 @@ class TestUVLaurent:
             exact_divide(UV, Fraction(0))
         assert exact_divide(2 * UV - 4, Fraction(2, 3)) == 3 * UV - 6
         assert exact_divide(2, 1 + U - U) == 2
+
+    @given(laurents(max_terms=6), laurents(max_terms=4, zero_ok=False),
+           st.fractions(min_value=-9, max_value=9, max_denominator=7)
+           .filter(lambda x: x not in (0, 1, -1)))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_multiple_and_two_level_reference(self, a, b, scale):
+        # a non-unit Fraction lead coefficient takes the Fraction path
+        for den in (b, b * scale):
+            num = a * den
+            q = exact_divide(num, den)
+            assert q == a
+            assert q == _two_level_divide(num, den)
+            assert all(type(x) is int or x.denominator != 1 for _, x in q.items())
+
+    @given(laurents(max_terms=5), laurents(max_terms=4, zero_ok=False),
+           st.integers(min_value=-7, max_value=7), st.integers(min_value=-7, max_value=7),
+           rationals.filter(lambda x: x != 0))
+    @settings(max_examples=80, deadline=None)
+    def test_changed_coefficient_not_divisible(self, a, b, ea, eb, delta):
+        # a multiple of a non-monomial b plus one monomial is no multiple of b
+        assume(len(list(b.items())) > 1)
+        num = a * b + UVLaurent.monomial(ea, eb, delta)
+        with pytest.raises(NotDivisible):
+            exact_divide(num, b)
+        with pytest.raises(NotDivisible):
+            _two_level_divide(num, b)
+
+    @given(laurents(max_terms=5, zero_ok=False), laurents(max_terms=5, zero_ok=False),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_narrower_numerator_not_divisible(self, num, den, along_v):
+        # the quotient box is empty in a coordinate where num spans less than den
+        def span(f, i):
+            es = [k[i] for k, _ in f.items()]
+            return max(es) - min(es)
+
+        i = 1 if along_v else 0
+        assume(span(num, i) < span(den, i))
+        with pytest.raises(NotDivisible):
+            exact_divide(num, den)
+
+    @given(laurents(max_terms=6), laurents(max_terms=4, zero_ok=False))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_two_level_reference(self, num, den):
+        try:
+            expected = _two_level_divide(num, den)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                exact_divide(num, den)
+        else:
+            assert exact_divide(num, den) == expected
 
     def test_power_substitute(self):
         f = 1 - 2 * U + 3 * UV

@@ -102,6 +102,47 @@ class TestProcessPool:
                  for r in serial]
         assert pooled == plain
 
+    def test_pool_is_no_larger_than_the_grid(self, monkeypatch):
+        # a fake executor records the pool size and runs cells in-process,
+        # so no worker process is ever started
+        from motiveforge import cli
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        reports, _ = cli.run_adhm_grid([2], [1], [1, 2], [1], trials=1, seed=3,
+                                       hodge=False, threads=10 ** 6)
+        assert sizes == [2] and len(reports) == 2
+        cli.run_adhm_grid([2], [1], [1, 2, 3], [1], trials=1, seed=3,
+                          hodge=False, threads=2)
+        assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads, monkeypatch, capsys):
+        from motiveforge import cli
+        from motiveforge.moduli_formulas import InvalidSpec
+
+        monkeypatch.setattr(cli, "_adhm_cell", lambda cell: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidSpec):
+            cli.run_adhm_grid([2], [1], [1], [1], trials=1, seed=0, threads=threads)
+        code = main(["verify-adhm", "--r", "1", "--threads", str(threads)])
+        assert code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "threads" in captured.err and captured.out == ""
+
 
 class TestExportRendering:
     def test_latex_fraction_and_signs(self):

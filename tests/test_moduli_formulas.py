@@ -122,6 +122,13 @@ class TestMorseIndexAndExponents:
                         elif t.ranks == (1, 1, 1):
                             assert bb_exponent(t, spec3) == -6 * dL + 3 - 3 * g
 
+    def test_stratum_of_another_space_rejected(self):
+        spec = ModuliSpec.from_p(2, 2, 1, 1)
+        with pytest.raises(InvalidSpec):
+            bb_exponent(VHSType((1, 1), (2, 1)), spec)  # total degree 3, not 1
+        with pytest.raises(InvalidSpec):
+            bb_exponent(VHSType((1, 2), (1, 0)), spec)  # total rank 3, not 2
+
     def test_empty_stratum_raises(self):
         spec = ModuliSpec(g=2, r=2, d=1, dL=-3)
         with pytest.raises(EmptyStratum):
@@ -220,6 +227,18 @@ class TestMotiveEpolyConsistency:
             a = motive(env, ModuliSpec.from_p(2, 3, 1, 1))
             b = motive(env, ModuliSpec.from_p(2, 3, -1, 1))
             assert a == b
+
+    @given(st.integers(min_value=2, max_value=4), st.sampled_from([2, 3]),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=-7, max_value=7),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_duality_d_negation(self, g, r, p, d, seed):
+        # E -> E^dual maps M(r, d) onto M(r, -d); hodge runs at g <= 3 only
+        assume(math.gcd(r, d) == 1)
+        assume(seed is not None or g <= 3)
+        env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
+        assert motive(env, ModuliSpec.from_p(g, r, d, p)) == \
+            motive(env, ModuliSpec.from_p(g, r, -d, p))
 
     def test_motive_rejects_genus_mismatch(self):
         env = make_weil_env(3, 1)
