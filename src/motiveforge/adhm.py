@@ -27,17 +27,19 @@ evaluated exactly with :func:`motiveforge.series_engine.eval_at_one`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .curve_ring import AtomEnvironment, frobenius
+from .base_rings import DContext, DFraction
+from .curve_ring import AtomEnvironment, frobenius, h1_lambda_values
 from .series_engine import (
     PoleAtOne,
     TRational,
     TruncatedSeries,
+    _is_zero,
     _tp_mul,
-    _tp_mul_factor,
     eval_at_one,
     series_log,
     substitute_t_power,
@@ -141,6 +143,7 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
     g = env.genus
     L = env.lefschetz
     sign = (-1) ** p
+    e = h1_lambda_values(env)
     total = TRational.from_scalar(0)
     for lam in partitions(n):
         num: Dict[int, object] = {0: 1}
@@ -149,11 +152,15 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
         for a, l, h in lam.cell_data():
             la = L ** a
             base_exp = p * (a - l) + (1 - g) * (2 * l + 1)
-            cell_coeff = sign * la ** p
-            cell_num: Dict[int, object] = {base_exp: cell_coeff}
-            for b in env.betas:
-                # the zeta numerator factor 1 + b*L^a*t^h
-                cell_num = _tp_mul_factor(cell_num, -(b * la), h)
+            # the cell coefficient times the zeta numerator
+            # prod_k (1 + b_k L^a t^h) = sum_i e_i (L^a)^i t^(h i)
+            coeff = sign * la ** p
+            cell_num: Dict[int, object] = {}
+            for i, e_i in enumerate(e):
+                c = coeff * e_i
+                if not _is_zero(c):
+                    cell_num[base_exp + h * i] = c
+                coeff = coeff * la
             num = _tp_mul(num, cell_num)
             den.append((la, h))
             den.append((la * L, h))
@@ -207,12 +214,31 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
     return out
 
 
+def _over_one_base(env: AtomEnvironment, r: int) -> AtomEnvironment:
+    """The weil environment with every atom a DFraction over one base D.
+
+    D is the lcm of the atom denominators times r!, so that the Moebius
+    weights mu(j)/j and series_log's k/n, j, n <= r, are DFractions too.
+    """
+    atoms = (env.lefschetz,) + env.betas
+    den = math.lcm(*(a.denominator for a in atoms))
+    ctx = DContext(den * math.factorial(r))
+    return replace(env, lefschetz=ctx.lift(env.lefschetz),
+                   betas=tuple(ctx.lift(b) for b in env.betas))
+
+
 def adhm_class(env: AtomEnvironment, r: int, p: int):
     """Conjectural class of the twisted moduli space of rank r, any coprime
-    degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1)."""
+    degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1).
+
+    A weil environment is evaluated with DFraction scalars over one base D
+    and its value returned as a Fraction.
+    """
     g = env.genus
-    h_r = plog_series(env, r, p)[r - 1]
-    value = eval_at_one(h_r)
+    work = _over_one_base(env, r) if env.base == "weil" else env
+    value = eval_at_one(plog_series(work, r, p)[r - 1])
+    if isinstance(value, DFraction):
+        value = value.fraction()
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

@@ -35,6 +35,7 @@ from .curve_ring import (
     make_weil_env,
 )
 from .moduli_formulas import (
+    INPUT_BUDGET,
     InvalidSpec,
     ModuliSpec,
     NegativeBetti,
@@ -200,7 +201,8 @@ def _parse_range(text: str) -> List[int]:
     """'2..4' -> [2, 3, 4]; '3' -> [3]; '1,2' -> [1, 2].
 
     A reversed range such as '3..2' is an error, not an empty grid that
-    would pass vacuously.
+    would pass vacuously, and so is a range of more than INPUT_BUDGET
+    values.
     """
     out: List[int] = []
     for piece in text.split(","):
@@ -209,6 +211,9 @@ def _parse_range(text: str) -> List[int]:
             lo, hi = (int(x) for x in piece.split(".."))
             if lo > hi:
                 raise argparse.ArgumentTypeError(f"reversed range {piece!r}: {lo} > {hi}")
+            if hi - lo >= INPUT_BUDGET:
+                raise argparse.ArgumentTypeError(
+                    f"range {piece!r} has more than the input budget of {INPUT_BUDGET} values")
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(piece))

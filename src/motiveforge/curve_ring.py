@@ -164,11 +164,11 @@ def curve_class(env: AtomEnvironment) -> SplitClass:
 
 
 def h1_poly(env: AtomEnvironment, arg):
-    """prod_k (1 + b_k * arg): the generating value of the exterior powers
-    of the weight-one part, evaluated at a ring element."""
-    out = 1
-    for b in env.betas:
-        out = out * (1 + b * arg)
+    """prod_k (1 + b_k * arg) = sum_i e_i * arg^i: the generating value of
+    the exterior powers of the weight-one part, evaluated at a ring element."""
+    out = 0
+    for e_i in reversed(h1_lambda_values(env)):
+        out = out * arg + e_i
     return out
 
 
@@ -182,13 +182,10 @@ def h1_lambda_values(env: AtomEnvironment) -> List[object]:
 
     e_i is the i-th lambda class of the weight-one part in this realization.
     """
-    e: List[object] = [1]
-    for b in env.betas:
-        nxt = [1]
-        for i in range(1, len(e) + 1):
-            lower = e[i] if i < len(e) else 0
-            nxt.append(lower + e[i - 1] * b)
-        e = nxt
+    e: List[object] = [1] + [0] * len(env.betas)
+    for n, b in enumerate(env.betas, 1):
+        for i in range(n, 0, -1):
+            e[i] = e[i] + e[i - 1] * b
     return e
 
 

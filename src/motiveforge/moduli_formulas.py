@@ -58,6 +58,13 @@ class NegativeBetti(ArithmeticError):
     """A Betti coefficient came out negative or non-integral."""
 
 
+#: Largest dim M = 1 - r^2 dL a query may have.  For a valid query dim M
+#: exceeds g, p and |dL|, so this one number bounds all four; larger
+#: inputs are refused before any work, since sizes such as dim M index
+#: lists and powers and beyond machine size end in OverflowError.
+INPUT_BUDGET = 1000
+
+
 @dataclass(frozen=True)
 class ModuliSpec:
     """Moduli-space query (genus, rank, degree, twist degree)."""
@@ -84,6 +91,9 @@ class ModuliSpec:
             raise InvalidSpec(f"gcd(r, d) = gcd({self.r}, {self.d}) != 1")
         if self.dL >= 2 - 2 * self.g:
             raise InvalidSpec(f"twist degree {self.dL} must be < {2 - 2 * self.g}")
+        if 1 - self.r ** 2 * self.dL > INPUT_BUDGET:
+            raise InvalidSpec(f"dim M = 1 - r^2 dL = {1 - self.r ** 2 * self.dL} exceeds "
+                              f"the input budget {INPUT_BUDGET}")
         return self
 
 

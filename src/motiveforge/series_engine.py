@@ -2,8 +2,12 @@
 
 Three carriers live here, all generic over the coefficient ring (plain
 rationals in the numeric realization, ``UVLaurent`` in the Hodge one; any
-ring element supporting ``+``, ``-``, ``*`` and comparison with the scalar
-literals 0 and 1 works):
+ring element supporting ``+``, ``-``, ``*``, comparison with the scalar
+literals 0 and 1, and ``bool()`` false exactly at zero works; a
+``UVLaurent`` is tested with ``is_zero()`` instead).  The weil ADHM route
+feeds them ``DFraction`` scalars, n / D^k over one integer D, which need
+no gcd; a canonical ``Fraction`` appears only in a denominator factor's
+sort key and in the scalar division that ends :func:`eval_at_one`:
 
 * :class:`TruncatedSeries` - univariate truncated series with an explicit
   Laurent shift, used for every single-variable coefficient extraction.
@@ -25,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .base_rings import UVLaurent, exact_divide
+from .base_rings import DFraction, UVLaurent, _as_fraction, exact_divide
 
 
 class InsufficientTruncation(ValueError):
@@ -41,7 +45,7 @@ class PoleAtOne(ArithmeticError):
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    return isinstance(x, (int, Fraction, DFraction))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ def _tp_add(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
 def _is_zero(x) -> bool:
     if isinstance(x, UVLaurent):
         return x.is_zero()
-    return x == 0
+    return not x
 
 
 def _tp_scale(a: Dict[int, object], factor) -> Dict[int, object]:
@@ -296,7 +300,7 @@ def _tp_subst_power(a: Dict[int, object], j: int) -> Dict[int, object]:
 def _den_sort_key(c):
     if isinstance(c, UVLaurent):
         return (1, c.sort_key())
-    f = Fraction(c)
+    f = _as_fraction(c)
     return (0, (f.numerator, f.denominator))
 
 
@@ -516,25 +520,6 @@ class BiSeries:
     def from_monomials(cls, terms: Dict[Tuple[int, int], object], level_cap: int) -> "BiSeries":
         min_level = min((i + j for i, j in terms), default=0)
         return cls(terms, min_level, level_cap)
-
-    @classmethod
-    def geometric_x(cls, c, level_cap: int) -> "BiSeries":
-        """1 / (1 - c*x) expanded in nonnegative powers of x."""
-        terms = {}
-        power = 1
-        for k in range(max(level_cap, 0) + 1):
-            terms[(k, 0)] = power
-            power = power * c
-        return cls(terms, 0, level_cap)
-
-    @classmethod
-    def geometric_y(cls, c, level_cap: int) -> "BiSeries":
-        terms = {}
-        power = 1
-        for k in range(max(level_cap, 0) + 1):
-            terms[(0, k)] = power
-            power = power * c
-        return cls(terms, 0, level_cap)
 
     @classmethod
     def inv_x_minus_y2(cls, level_cap: int) -> "BiSeries":

@@ -1,5 +1,7 @@
 """Partition hook data and the plethystic-log pipeline."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,14 @@ from motiveforge.curve_ring import (
     make_weil_env,
 )
 from motiveforge.moduli_formulas import ModuliSpec, motive
-from motiveforge.series_engine import PoleAtOne, TRational, eval_at_one, substitute_t_power
+from motiveforge.series_engine import (
+    PoleAtOne,
+    TRational,
+    _tp_mul,
+    _tp_mul_factor,
+    eval_at_one,
+    substitute_t_power,
+)
 
 
 class TestPartitions:
@@ -83,6 +92,29 @@ class TestPartitionSum:
         env = make_weil_env(2, 3)
         for n in (1, 2, 3):
             partition_sum(env, n, 1)
+
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_atom_factors(self, g, n, p, seed):
+        # reference: each cell numerator built as one (1 + b L^a t^h)
+        # factor per atom instead of from the e_i
+        env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
+        L = env.lefschetz
+        expected = TRational.from_scalar(0)
+        for lam in partitions(n):
+            num, den = {0: 1}, []
+            for a, l, h in lam.cell_data():
+                la = L ** a
+                cell = {p * (a - l) + (1 - g) * (2 * l + 1): (-1) ** p * la ** p}
+                for b in env.betas:
+                    cell = _tp_mul_factor(cell, -(b * la), h)
+                num = _tp_mul(num, cell)
+                den += [(la, h), (la * L, h)]
+            expected = expected + TRational(num, den, reduce=False)
+        got = partition_sum(env, n, p)
+        assert got.num == expected.num and got.den == expected.den
 
     def test_extra_pole_factor_raises(self):
         # with L = 1 the factor (1 - L^(a+1) t^h) of a zero-arm cell also
@@ -167,6 +199,19 @@ class TestAdhmClass:
         env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
         expected = env.lefschetz ** (g - 1 + p) * jacobian_class(env)
         assert adhm_class(env, 1, p) == expected
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_weil_value_matches_fraction_pipeline(self, g, p, r, seed):
+        # adhm_class computes over DFraction scalars; the reference runs the
+        # same pipeline on the environment's plain Fraction atoms
+        env = make_weil_env(g, seed)
+        value = eval_at_one(plog_series(env, r, p)[r - 1])
+        prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
+        got = adhm_class(env, r, p)
+        assert type(got) is Fraction
+        assert got == (-1) ** (p * r) * prefactor * value
 
     def test_even_rank_sign(self):
         # (-1)^(p r) = 1 for even r: flipping p must not flip the sign

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, schemas, determinism, formats."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motiveforge
 from motiveforge.cli import (
@@ -22,6 +26,10 @@ from motiveforge.cli import (
 )
 from motiveforge.curve_ring import jacobian_class
 from motiveforge.moduli_formulas import ModuliSpec, motive
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran after the input should have been refused")
 
 
 class TestRangeParsing:
@@ -275,6 +283,63 @@ class TestCommands:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["motive", "--g", "99999999999999999999", "--r", "2"],
+        ["motive", "--g", "99999999999999999999", "--r", "2", "--realization", "weil"],
+        ["epoly", "--g", "2", "--r", "2", "--d", "1", "--p", "99999999999999999999"],
+        ["epoly", "--g", "2", "--r", "2", "--d", "1", "--dL", "-99999999999999999999"],
+        ["betti", "--g", "2", "--r", "1", "--p", "99999999999999999999"],
+        ["verify-adhm", "--g", "2", "--r", "1", "--p", "99999999999999999999"],
+    ])
+    def test_over_budget_exits_invalid_input(self, argv, monkeypatch, capsys):
+        # refused by the input budget before any work; these ended in an
+        # OverflowError traceback or ran on without end
+        for name in ("adhm_class", "epoly", "motive", "make_hodge_env", "make_weil_env"):
+            monkeypatch.setattr(f"motiveforge.cli.{name}", _must_not_run)
+        assert main(argv) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "input budget" in captured.err
+        assert captured.out == ""
+
+    def test_over_budget_range_exits_invalid_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-adhm", "--g", "2..99999999999999999999", "--r", "1"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "input budget" in capsys.readouterr().err
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_argv_keeps_the_exit_code_contract(self, data):
+        # each flag takes a cheap valid value or a small, huge or malformed
+        # one; verify-adhm runs one weil trial per cell, in-process
+        valid = {"--g": ["2", "3"], "--r": ["1", "2", "3"], "--d": ["1", "2"],
+                 "--p": ["1", "2"], "--dL": ["-3", "-6"], "--seed": ["0", "5"],
+                 "--format": ["json", "csv", "latex"], "--realization": ["hodge", "weil"]}
+        edge = st.one_of(st.integers(-3, 4).map(str), st.sampled_from(
+            ["0", "99999999999999999999", "-99999999999999999999", "x", "",
+             "2..3", "3..2", "1,2", "2..99999999999999999999"]))
+        command = data.draw(st.sampled_from(["motive", "epoly", "betti", "verify-adhm"]))
+        optional = {"motive": ["--d", "--p", "--dL", "--realization", "--seed"],
+                    "epoly": ["--d", "--p", "--dL", "--format"],
+                    "betti": ["--d", "--p", "--dL", "--format"],
+                    "verify-adhm": ["--g", "--r", "--d", "--p", "--seed"]}[command]
+        flags = [] if command == "verify-adhm" else ["--g", "--r"]
+        flags += data.draw(st.lists(st.sampled_from(optional), unique=True, max_size=3))
+        argv = [command]
+        for flag in flags:
+            argv += [flag, data.draw(st.one_of(st.sampled_from(valid[flag]), edge))]
+        if command == "verify-adhm":
+            argv += ["--trials", "1", "--hodge", "off", "--threads", "1"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_PASS, EXIT_IDENTITY_FAILURE, EXIT_INVALID_INPUT,
+                        EXIT_ARITHMETIC_ERROR), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
 
     def test_threads_env_var_is_ignored(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MOTIVE_FORGE_THREADS", "x")

@@ -50,6 +50,15 @@ class TestEnvironments:
             assert h1_poly(env, 0) == 1
             assert h1_poly(env, 1) == jacobian_class(env)
 
+    @given(st.integers(min_value=2, max_value=5), seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_h1_poly_is_the_atom_product(self, g, seed):
+        for env, arg in ((make_hodge_env(g), UV * U), (make_weil_env(g, seed), Fraction(seed, 7))):
+            expected = 1
+            for b in env.betas:
+                expected = expected * (1 + b * arg)
+            assert h1_poly(env, arg) == expected
+
     def test_invalid_genus(self):
         with pytest.raises(InvalidGenus):
             make_hodge_env(1)

@@ -10,6 +10,7 @@ from motiveforge import moduli_formulas
 from motiveforge.base_rings import UV, UVLaurent, exact_divide
 from motiveforge.curve_ring import h1_series, jacobian_class, make_hodge_env, make_weil_env
 from motiveforge.moduli_formulas import (
+    INPUT_BUDGET,
     EmptyStratum,
     InvalidSpec,
     ModuliSpec,
@@ -46,6 +47,17 @@ class TestModuliSpec:
             ModuliSpec(g=2, r=2, d=1, dL=-2).validate()
         with pytest.raises(InvalidSpec):
             ModuliSpec(g=2, r=4, d=1, dL=-3).validate()
+
+    def test_input_budget(self):
+        # dim M = 1 - r^2 dL exceeds g, p and |dL|, so it alone is bounded
+        at_budget = ModuliSpec(g=2, r=1, d=1, dL=1 - INPUT_BUDGET)
+        assert dimension(at_budget) == INPUT_BUDGET
+        for spec in (ModuliSpec(g=2, r=1, d=1, dL=-INPUT_BUDGET),
+                     ModuliSpec(g=2, r=3, d=1, dL=-(INPUT_BUDGET // 9 + 1)),
+                     ModuliSpec.from_p(10 ** 20, 2, 1, 1),
+                     ModuliSpec.from_p(2, 2, 1, 10 ** 20)):
+            with pytest.raises(InvalidSpec, match="input budget"):
+                spec.validate()
 
     def test_dimension_examples(self):
         assert dimension(ModuliSpec(g=2, r=2, d=1, dL=-3)) == 13

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collections import Counter
 
-from motiveforge.base_rings import UV, UVLaurent
+from motiveforge.base_rings import UV, DContext, UVLaurent
 from motiveforge.series_engine import (
     BadConstantTerm,
     BiSeries,
@@ -100,6 +100,8 @@ t_polynomials = st.one_of(
 ).map(_nonzero_terms)
 units = st.one_of(nonzero_rationals, uv_monomials)
 factors = st.tuples(units, st.integers(1, 4))
+rational_t_polynomials = st.dictionaries(st.integers(-5, 5), rationals, max_size=6).map(_nonzero_terms)
+rational_factors = st.tuples(nonzero_rationals, st.integers(1, 4))
 
 
 def _divide_by_reconstruction(a, c, m):
@@ -208,6 +210,36 @@ class TestTRational:
         assert prod.den == ((1, 1),)
         assert prod == 1
 
+    @given(rational_t_polynomials, st.lists(rational_factors, max_size=3),
+           rational_t_polynomials, st.lists(rational_factors, max_size=2), nonzero_rationals)
+    @example({0: 1}, [(Fraction(1, 2), 1), (Fraction(1, 3), 1)], {}, [], Fraction(1))
+    @settings(max_examples=60, deadline=None)
+    def test_dfraction_coefficients_agree(self, pa, da, pb, db, s):
+        # the same functions over DFraction scalars (D = 6 covers every
+        # denominator drawn): sums, products, scaling and the reduced form
+        # equal the Fraction ones, factor for factor in the same order, and
+        # so do their values at t = 1
+        ctx = DContext(6)
+
+        def lifted(x):
+            return TRational({e: ctx.lift(c) for e, c in x.num.items()},
+                             [(ctx.lift(c), m) for c, m in x.den], reduce=False)
+
+        a, b = TRational(pa, da, reduce=False), TRational(pb, db, reduce=False)
+        da_, db_ = lifted(a), lifted(b)
+        for got, want in ((da_ + db_, a + b), (da_ * db_, a * b),
+                          (da_ * ctx.lift(s), a * s), (ctx.lift(s) * da_, s * a),
+                          (TRational(da_.num, da_.den), TRational(a.num, a.den))):
+            assert [(c.fraction(), m) for c, m in got.den] == list(want.den)
+            assert {e: c.fraction() for e, c in got.num.items()} == want.num
+            try:
+                value = eval_at_one(want)
+            except PoleAtOne:
+                with pytest.raises(PoleAtOne):
+                    eval_at_one(got)
+            else:
+                assert eval_at_one(got) == value
+
     def test_equality_cross_multiplication(self):
         # t/(1-t)^2 equals (t - t^2)/((1-t)^3)
         a = tr({1: 1}, [(1, 1), (1, 1)])
@@ -258,7 +290,7 @@ class TestBiSeries:
                 assert c == 0 or i + j > prod.level_cap
 
     def test_geometric_embedding(self):
-        gx = BiSeries.geometric_x(UV, 3)
+        gx = BiSeries.from_monomials({(k, 0): UV ** k for k in range(4)}, 3)
         assert gx.coeff(2, 0) == UV ** 2
 
     def test_cap_propagation(self):
