@@ -12,8 +12,9 @@ Usage:
 import argparse
 import sys
 
-from motiveforge.cli import _parse_range
-from motiveforge.moduli_formulas import ModuliSpec, dimension, epoly, poincare
+from motiveforge.cli import EXIT_INVALID_INPUT, _parse_range
+from motiveforge.moduli_formulas import (
+    INPUT_BUDGET, InvalidSpec, ModuliSpec, dimension, epoly, poincare)
 
 
 def euler_characteristic(e):
@@ -23,28 +24,42 @@ def euler_characteristic(e):
     return total
 
 
+def betti_count(text: str) -> int:
+    """0 .. 2 * INPUT_BUDGET + 1: a valid space has dim M <= INPUT_BUDGET,
+    so at most the Betti numbers b_0 .. b_(2 dim M)."""
+    value = int(text)
+    if not 0 <= value <= 2 * INPUT_BUDGET + 1:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and {2 * INPUT_BUDGET + 1}, got {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--g", type=_parse_range, default=[2, 3])
     ap.add_argument("--r", type=_parse_range, default=[1, 2, 3])
     ap.add_argument("--p", type=_parse_range, default=[1, 2])
-    ap.add_argument("--betti-head", type=int, default=6,
+    ap.add_argument("--betti-head", type=betti_count, default=6,
                     help="how many Betti numbers to tabulate")
     ap.add_argument("--format", choices=("latex", "csv"), default="csv")
     args = ap.parse_args()
 
+    specs = [ModuliSpec.from_p(g, r, 1, p) for g in args.g for r in args.r for p in args.p]
+    try:
+        for spec in specs:
+            spec.validate()
+    except InvalidSpec as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     rows = []
-    for g in args.g:
-        for r in args.r:
-            for p in args.p:
-                spec = ModuliSpec.from_p(g, r, 1, p)
-                e = epoly(spec)
-                betti = poincare(e)
-                head = betti[: args.betti_head]
-                head += [0] * (args.betti_head - len(head))
-                rows.append((g, r, p, dimension(spec), len(list(e.items())),
-                             euler_characteristic(e), head))
+    for spec in specs:
+        e = epoly(spec)
+        betti = poincare(e)
+        head = betti[: args.betti_head]
+        head += [0] * (args.betti_head - len(head))
+        rows.append((spec.g, spec.r, spec.p, dimension(spec), len(list(e.items())),
+                     euler_characteristic(e), head))
 
     k = args.betti_head
     if args.format == "csv":

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .base_rings import DContext, DFraction
-from .curve_ring import AtomEnvironment, frobenius, h1_lambda_values
+from .curve_ring import AtomEnvironment, frobenius
 from .series_engine import (
     PoleAtOne,
     TRational,
@@ -143,7 +143,7 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
     g = env.genus
     L = env.lefschetz
     sign = (-1) ** p
-    e = h1_lambda_values(env)
+    e = env.lambda_values
     total = TRational.from_scalar(0)
     for lam in partitions(n):
         num: Dict[int, object] = {0: 1}
@@ -197,7 +197,7 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
         coeffs: List[object] = [1] + [zero] * r
         for n in range(1, r // j + 1):
             coeffs[j * n] = substitute_t_power(partition_sum(fenv, n, p), j)
-        logs = series_log(TruncatedSeries(coeffs, shift=0, order=r, var="T"))
+        logs = series_log(TruncatedSeries(coeffs, order=r))
         weight = Fraction(mu, j)
         for m in range(1, r + 1):
             term = logs.coeff(m)

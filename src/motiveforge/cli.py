@@ -28,12 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import export
 from .adhm import adhm_class
 from .base_rings import NotDivisible
-from .curve_ring import (
-    AtomEnvironment,
-    h1_lambda_values,
-    make_hodge_env,
-    make_weil_env,
-)
+from .curve_ring import AtomEnvironment, make_hodge_env, make_weil_env
 from .moduli_formulas import (
     INPUT_BUDGET,
     InvalidSpec,
@@ -163,14 +158,18 @@ def run_adhm_grid(
     threads: int = 1,
 ) -> Tuple[List[VerificationReport], List[Dict]]:
     """Run the ADHM identity over a grid.  Cells with gcd(r, d) != 1 are
-    recorded as skipped rather than failed.  Every other cell, the trial
-    count and the thread count are validated before any cell runs
-    (InvalidSpec).  With ``threads > 1`` the cells go to a process pool of
-    at most one worker per cell."""
+    recorded as skipped rather than failed.  The grid size (at most
+    INPUT_BUDGET cells), every other cell, the trial count and the thread
+    count are validated before any cell runs (InvalidSpec).  With
+    ``threads > 1`` the cells go to a process pool of at most one worker
+    per cell."""
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise InvalidSpec(f"threads must be >= 1, got {threads}")
+    size = len(gs) * len(rs) * len(ds) * len(ps)
+    if size > INPUT_BUDGET:
+        raise InvalidSpec(f"grid of {size} cells exceeds the input budget {INPUT_BUDGET}")
     cells = []
     skipped = []
     for g in gs:
@@ -201,8 +200,8 @@ def _parse_range(text: str) -> List[int]:
     """'2..4' -> [2, 3, 4]; '3' -> [3]; '1,2' -> [1, 2].
 
     A reversed range such as '3..2' is an error, not an empty grid that
-    would pass vacuously, and so is a range of more than INPUT_BUDGET
-    values.
+    would pass vacuously, and so is a list of more than INPUT_BUDGET
+    values in all.
     """
     out: List[int] = []
     for piece in text.split(","):
@@ -211,12 +210,12 @@ def _parse_range(text: str) -> List[int]:
             lo, hi = (int(x) for x in piece.split(".."))
             if lo > hi:
                 raise argparse.ArgumentTypeError(f"reversed range {piece!r}: {lo} > {hi}")
-            if hi - lo >= INPUT_BUDGET:
-                raise argparse.ArgumentTypeError(
-                    f"range {piece!r} has more than the input budget of {INPUT_BUDGET} values")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(int(piece))
+            lo = hi = int(piece)
+        if len(out) + hi - lo >= INPUT_BUDGET:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} has more than the input budget of {INPUT_BUDGET} values")
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -344,7 +343,7 @@ def _cmd_motive(args) -> int:
     env = make_weil_env(spec.g, args.seed)
     value = motive(env, spec)
     if args.format == "latex":
-        lines = export.weil_env_latex(env, h1_lambda_values(env))
+        lines = export.weil_env_latex(env)
         lines.append(r"[\mathcal{M}] = %s" % export._frac_latex(value))
         _emit("\n".join(lines) + "\n", args.out)
     elif args.format == "csv":

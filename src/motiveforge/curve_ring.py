@@ -17,6 +17,10 @@ series is 1/(1 - l*x)) or finite (series 1 + l*x).  Every class appearing
 in the moduli formulas ([X], [X] + L^2, [X]*L + 1) is of this shape, so the
 general plethysm machinery of special lambda-rings is never needed.
 
+The elementary symmetric values e_0 .. e_2g of the atoms, the coefficients
+of h1(x) = prod_k (1 + b_k x), are computed once per environment
+(:attr:`AtomEnvironment.lambda_values`); every expansion of h1 reads them.
+
 Adams operators act on this model by raising atoms to j-th powers
 (:func:`frobenius`); the accompanying substitution t -> t^j on series is
 applied by callers, because once an expression has been evaluated to a ring
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -60,6 +65,16 @@ class AtomEnvironment:
             raise InvalidGenus(f"genus {self.genus} < 2")
         if len(self.betas) != 2 * self.genus:
             raise ValueError("need exactly 2g atoms")
+
+    @cached_property
+    def lambda_values(self) -> Tuple[object, ...]:
+        """Elementary symmetric values e_0 .. e_2g of the atoms, computed on
+        first use; e_i is the i-th lambda class of the weight-one part."""
+        e: List[object] = [1] + [0] * len(self.betas)
+        for n, b in enumerate(self.betas, 1):
+            for i in range(n, 0, -1):
+                e[i] = e[i] + e[i - 1] * b
+        return tuple(e)
 
 
 def make_hodge_env(g: int) -> AtomEnvironment:
@@ -167,7 +182,7 @@ def h1_poly(env: AtomEnvironment, arg):
     """prod_k (1 + b_k * arg) = sum_i e_i * arg^i: the generating value of
     the exterior powers of the weight-one part, evaluated at a ring element."""
     out = 0
-    for e_i in reversed(h1_lambda_values(env)):
+    for e_i in reversed(env.lambda_values):
         out = out * arg + e_i
     return out
 
@@ -175,18 +190,6 @@ def h1_poly(env: AtomEnvironment, arg):
 def jacobian_class(env: AtomEnvironment):
     """[Jac(X)] = prod_k (1 + b_k)."""
     return h1_poly(env, 1)
-
-
-def h1_lambda_values(env: AtomEnvironment) -> List[object]:
-    """Elementary symmetric values e_0 .. e_2g of the atoms.
-
-    e_i is the i-th lambda class of the weight-one part in this realization.
-    """
-    e: List[object] = [1] + [0] * len(env.betas)
-    for n, b in enumerate(env.betas, 1):
-        for i in range(n, 0, -1):
-            e[i] = e[i] + e[i - 1] * b
-    return e
 
 
 def h1_power_sums(env: AtomEnvironment, upto: int) -> List[object]:
@@ -208,12 +211,12 @@ def lambda_series(env: AtomEnvironment, c: SplitClass, order: int) -> TruncatedS
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = TruncatedSeries.constant(1, order)
+    out = TruncatedSeries([1], order=order)
     for a, kind in c.atoms:
         if kind == GEOMETRIC:
             out = out * TruncatedSeries.geometric(a, 1, order)
         elif kind == FINITE:
-            out = out * TruncatedSeries.from_poly({0: 1, 1: a}, order)
+            out = out * TruncatedSeries([1, a], order=order)
         else:
             raise ValueError(f"unknown atom kind {kind!r}")
     return out
@@ -226,6 +229,7 @@ def sym_power_class(env: AtomEnvironment, c: SplitClass, n: int):
     return lambda_series(env, c, n).coeff(n)
 
 
-def h1_series(env: AtomEnvironment, order: int, var: str = "x") -> TruncatedSeries:
-    """Series of prod_k (1 + b_k x); the numerator of the zeta function."""
-    return TruncatedSeries(h1_lambda_values(env), order=order, var=var)
+def h1_series(env: AtomEnvironment, order: int) -> TruncatedSeries:
+    """Series of prod_k (1 + b_k x), the numerator of the zeta function,
+    from the environment's cached e_i."""
+    return TruncatedSeries(env.lambda_values, order=order)

@@ -57,19 +57,12 @@ def poly_to_latex(e: UVLaurent) -> str:
     return "".join(parts).strip()
 
 
-def lambda_class_latex(i: int) -> str:
-    """The i-th lambda class of the weight-one part of the curve."""
-    return r"\lambda^{%d}(h^1)" % i
-
-
-def weil_env_latex(env, lambda_values: Sequence) -> List[str]:
+def weil_env_latex(env) -> List[str]:
     """LaTeX lines describing a numeric environment: the Lefschetz value and
-    the lambda classes of h^1 it realizes."""
+    the lambda classes lambda^i(h^1), i >= 1, it realizes."""
     lines = [r"\mathbb{L} = %s" % _frac_latex(env.lefschetz)]
-    for i, value in enumerate(lambda_values):
-        if i == 0:
-            continue
-        lines.append(lambda_class_latex(i) + " = " + _frac_latex(value))
+    for i, value in enumerate(env.lambda_values[1:], 1):
+        lines.append(r"\lambda^{%d}(h^1) = %s" % (i, _frac_latex(value)))
     return lines
 
 

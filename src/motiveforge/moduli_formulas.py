@@ -396,18 +396,13 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
 # E-polynomials via coefficient extraction (closed forms)
 # ---------------------------------------------------------------------------
 
-def _extract_x0(factors: List[Tuple[int, "object"]], n: int) -> UVLaurent:
-    """Coefficient of x^n in a product of series factors.
-
-    Each factor is given as (shift, builder); the builder receives the
-    absolute order the factor must be expanded to.  Orders are chosen so the
-    product is complete up to n.
-    """
-    total_shift = sum(s for s, _ in factors)
-    built = []
-    for s, builder in factors:
-        built.append(builder(n - (total_shift - s)))
-    return series_product(built).coeff(n)
+def _zeta_series(env: AtomEnvironment, order: int) -> TruncatedSeries:
+    """A(x) = h1(x) / ((1 - x)(1 - L x)) = sum_i X_i x^i to x^order, the
+    series every closed-form extraction reads (L = uv in the hodge
+    environment)."""
+    geom = TruncatedSeries.geometric
+    return series_product([h1_series(env, order), geom(1, 1, order),
+                           geom(env.lefschetz, 1, order)])
 
 
 def epoly_rank1(spec: ModuliSpec) -> UVLaurent:
@@ -426,53 +421,27 @@ def epoly_rank2(spec: ModuliSpec) -> UVLaurent:
     env = make_hodge_env(g)
     jac = jacobian_class(env)
     em2 = bundle_moduli_class(env, 2, 1)
-
-    def znum(order):
-        return h1_series(env, order)
-
-    extraction = _extract_x0(
-        [
-            (dL + 1, lambda o: TruncatedSeries.monomial(1, dL + 1, o)),
-            (0, znum),
-            (0, lambda o: TruncatedSeries.geometric(1, 2, o)),
-            (0, lambda o: TruncatedSeries.geometric(1, 1, o)),
-            (0, lambda o: TruncatedSeries.geometric(UV, 1, o)),
-        ],
-        0,
-    )
+    # coeff_{x^0} of x^(dL+1) A(x) / (1 - x^2)
+    n = -(dL + 1)
+    extraction = (_zeta_series(env, n) * TruncatedSeries.geometric(1, 2, n)).coeff(n)
     return UV ** (-4 * dL + 4 - 4 * g) * em2 + UV ** (-3 * dL + 2 - 2 * g) * jac * extraction
 
 
 def _rank3_single_extractions(env: AtomEnvironment, dL: int) -> Tuple[UVLaurent, UVLaurent, UVLaurent, UVLaurent]:
-    uv2 = UV * UV
-
-    def znum(order):
-        return h1_series(env, order)
-
-    def shifted(shift):
-        return (shift, lambda o: TruncatedSeries.monomial(1, shift, o))
-
+    """coeff_{x^0} of x^(dL+2) and x^(dL+1) times A(x) over the "plus" and
+    the "twist" denominators: s1, s3 from the first product at x^(n-1) and
+    x^n, s2, s4 from the second, with n = -(dL + 1)."""
+    n = -(dL + 1)
     geom = TruncatedSeries.geometric
-    plus_dens = [
-        (0, lambda o: geom(1, 1, o)),
-        (0, lambda o: geom(UV, 1, o)),
-        (0, lambda o: geom(uv2, 1, o)),
-        (0, lambda o: geom(UV, 2, o)),
-    ]
+    uv2 = UV * UV
+    a = _zeta_series(env, n)
+    plus = series_product([a, geom(uv2, 1, n), geom(UV, 2, n)])
     # 1/(uv - x) = (uv)^-1 / (1 - x/uv); 1/((uv)^2 - x^2) likewise in x^2
     inv_uv = UV ** (-1)
     inv_uv2 = uv2 ** (-1)
-    twist_dens = [
-        (0, lambda o: geom(1, 1, o)),
-        (0, lambda o: geom(UV, 1, o)),
-        (0, lambda o: geom(inv_uv, 1, o).scale(inv_uv)),
-        (0, lambda o: geom(inv_uv2, 2, o).scale(inv_uv2)),
-    ]
-    s1 = _extract_x0([shifted(dL + 2), (0, znum)] + plus_dens, 0)
-    s2 = _extract_x0([shifted(dL + 2), (0, znum)] + twist_dens, 0)
-    s3 = _extract_x0([shifted(dL + 1), (0, znum)] + plus_dens, 0)
-    s4 = _extract_x0([shifted(dL + 1), (0, znum)] + twist_dens, 0)
-    return s1, s2, s3, s4
+    twist = series_product([a, geom(inv_uv, 1, n).scale(inv_uv),
+                            geom(inv_uv2, 2, n).scale(inv_uv2)])
+    return plus.coeff(n - 1), twist.coeff(n - 1), plus.coeff(n), twist.coeff(n)
 
 
 def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
@@ -505,8 +474,7 @@ def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
               * BiSeries.inv_x_minus_y2(caps[1])
               * BiSeries.inv_y_minus_x2(caps[2]))
     cap = -total_min
-    geom = TruncatedSeries.geometric
-    xs = h1_series(env, cap) * geom(1, 1, cap) * geom(UV, 1, cap)
+    xs = _zeta_series(env, cap)
     total = 0
     for j in range(cap + 1):
         inner = 0

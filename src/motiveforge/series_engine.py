@@ -9,8 +9,9 @@ feeds them ``DFraction`` scalars, n / D^k over one integer D, which need
 no gcd; a canonical ``Fraction`` appears only in a denominator factor's
 sort key and in the scalar division that ends :func:`eval_at_one`:
 
-* :class:`TruncatedSeries` - univariate truncated series with an explicit
-  Laurent shift, used for every single-variable coefficient extraction.
+* :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order
+  (no Laurent shift), used for every single-variable coefficient extraction
+  and for the lambda series of split classes.
 * :class:`TRational` - exact rational function in ``t``: a Laurent numerator
   polynomial over a *factored* denominator, a multiset of terms
   ``(1 - c*t^m)``.  Denominators are never expanded, so no polynomial GCD is
@@ -53,43 +54,28 @@ def _is_scalar(x) -> bool:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    """Truncated Laurent series sum_{n=shift..order} c_n x^n.
+    """Truncated power series sum_{n=0..order} c_n x^n, with no Laurent shift.
 
     ``order`` is the largest exponent whose coefficient is known; arithmetic
-    never consults coefficients beyond it and propagates the truncation
-    bound through products the standard way.
+    never consults coefficients beyond it, and a product is known to the
+    smaller of its factors' orders.
     """
 
-    __slots__ = ("shift", "order", "coeffs", "var")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence, shift: int = 0, order: int | None = None, var: str = "x"):
+    def __init__(self, coeffs: Sequence, order: int):
         coeffs = list(coeffs)
-        if order is None:
-            order = shift + len(coeffs) - 1
-        want = order - shift + 1
-        if want < 0:
-            raise ValueError("order below shift")
-        if len(coeffs) < want:
-            coeffs = coeffs + [0] * (want - len(coeffs))
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if len(coeffs) <= order:
+            coeffs = coeffs + [0] * (order + 1 - len(coeffs))
         else:
-            coeffs = coeffs[:want]
+            coeffs = coeffs[:order + 1]
         self.coeffs = coeffs
-        self.shift = shift
         self.order = order
-        self.var = var
-
-    # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int, var: str = "x") -> "TruncatedSeries":
-        return cls([value], shift=0, order=order, var=var)
-
-    @classmethod
-    def monomial(cls, coeff, exponent: int, order: int, var: str = "x") -> "TruncatedSeries":
-        return cls([coeff], shift=exponent, order=order, var=var)
-
-    @classmethod
-    def geometric(cls, c, m: int, order: int, var: str = "x") -> "TruncatedSeries":
+    def geometric(cls, c, m: int, order: int) -> "TruncatedSeries":
         """The expansion of 1 / (1 - c*x^m) to the requested order."""
         if m < 1:
             raise ValueError("geometric step must be >= 1")
@@ -100,63 +86,31 @@ class TruncatedSeries:
             coeffs[k] = power
             power = power * c
             k += m
-        return cls(coeffs, shift=0, order=order, var=var)
-
-    @classmethod
-    def from_poly(cls, terms: Dict[int, object], order: int, var: str = "x") -> "TruncatedSeries":
-        """Series holding an exact (Laurent) polynomial given as exp -> coeff."""
-        if not terms:
-            return cls([], shift=0, order=order, var=var)
-        shift = min(terms)
-        coeffs: List = [0] * (order - shift + 1)
-        for e, c in terms.items():
-            if e <= order:
-                coeffs[e - shift] = c
-        return cls(coeffs, shift=shift, order=order, var=var)
-
-    # -- basics ------------------------------------------------------------
+        return cls(coeffs, order=order)
 
     def coeff(self, n: int):
         if n > self.order:
             raise InsufficientTruncation(
-                f"coefficient of {self.var}^{n} requested, series truncated at {self.order}"
+                f"coefficient of x^{n} requested, series truncated at {self.order}"
             )
-        if n < self.shift:
+        if n < 0:
             return 0
-        return self.coeffs[n - self.shift]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        shift = min(self.shift, other.shift)
-        order = min(self.order, other.order)
-        out = [0] * (order - shift + 1)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                e = src.shift + i
-                if e <= order:
-                    out[e - shift] = out[e - shift] + c
-        return TruncatedSeries(out, shift=shift, order=order, var=self.var)
+        return self.coeffs[n]
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        shift = self.shift + other.shift
-        order = min(self.order + other.shift, other.order + self.shift)
-        out = [0] * (order - shift + 1)
-        for i, a in enumerate(self.coeffs):
+        order = min(self.order, other.order)
+        out = [0] * (order + 1)
+        for i, a in enumerate(self.coeffs[:order + 1]):
             if isinstance(a, int) and a == 0:
                 continue
-            ea = self.shift + i
-            top = order - ea
-            for j, b in enumerate(other.coeffs):
-                eb = other.shift + j
-                if eb > top:
-                    break
+            for j, b in enumerate(other.coeffs[:order + 1 - i]):
                 if isinstance(b, int) and b == 0:
                     continue
-                out[ea + eb - shift] = out[ea + eb - shift] + a * b
-        return TruncatedSeries(out, shift=shift, order=order, var=self.var)
+                out[i + j] = out[i + j] + a * b
+        return TruncatedSeries(out, order=order)
 
     def scale(self, factor) -> "TruncatedSeries":
-        return TruncatedSeries([c * factor for c in self.coeffs], shift=self.shift,
-                               order=self.order, var=self.var)
+        return TruncatedSeries([c * factor for c in self.coeffs], order=self.order)
 
 
 def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -172,11 +126,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     Uses the standard recurrence l_n = a_n - (1/n) * sum_{k<n} k * l_k * a_{n-k}
     so only exact scalar divisions by integers occur.
     """
-    if s.shift > 0:
-        raise BadConstantTerm("constant term is not 1")
-    if any(not _eq_scalar(s.coeff(n), 0) for n in range(s.shift, 0)):
-        raise BadConstantTerm("series has terms below x^0")
-    if not _eq_scalar(s.coeff(0), 1):
+    if s.coeff(0) != 1:
         raise BadConstantTerm("constant term is not 1")
     order = s.order
     a = [s.coeff(n) for n in range(order + 1)]
@@ -187,12 +137,12 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
             term = log_coeffs[k] * a[n - k]
             acc = acc - term * Fraction(k, n)
         log_coeffs[n] = acc
-    return TruncatedSeries(log_coeffs, shift=0, order=order, var=s.var)
+    return TruncatedSeries(log_coeffs, order=order)
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """Formal exponential of a series with zero constant term."""
-    if not _eq_scalar(s.coeff(0), 0):
+    if s.coeff(0) != 0:
         raise BadConstantTerm("series_exp needs zero constant term")
     order = s.order
     a = [s.coeff(n) for n in range(order + 1)]
@@ -202,14 +152,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
         for k in range(1, n + 1):
             acc = acc + (a[k] * e[n - k]) * Fraction(k, n)
         e[n] = acc
-    return TruncatedSeries(e, shift=0, order=order, var=s.var)
-
-
-def _eq_scalar(value, scalar) -> bool:
-    try:
-        return value == scalar
-    except TypeError:
-        return False
+    return TruncatedSeries(e, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +408,7 @@ def eval_at_one(a: TRational):
     pole_orders = []
     other: List = []
     for c, m in a.den:
-        if _eq_scalar(c, 1):
+        if c == 1:
             pole_orders.append(m)
         else:
             other.append((c, m))

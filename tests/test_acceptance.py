@@ -13,7 +13,6 @@ from motiveforge.curve_ring import (
     SplitClass,
     curve_class,
     frobenius,
-    h1_lambda_values,
     h1_power_sums,
     jacobian_class,
     lambda_series,
@@ -183,7 +182,7 @@ def test_criterion_7_property_suites():
     for env in [make_hodge_env(2), make_hodge_env(3)] + \
             [make_weil_env(2, 8000 + s) for s in range(5)]:
         g = env.genus
-        e = h1_lambda_values(env)
+        e = env.lambda_values
         for n in range(2 * g + 1):
             assert e[n] == env.lefschetz ** (n - g) * e[2 * g - n]
 
@@ -198,7 +197,7 @@ def test_criterion_7_property_suites():
     # Newton identities between elementary and power-sum values
     for seed in range(5):
         env = make_weil_env(3, 9100 + seed)
-        e = h1_lambda_values(env)
+        e = env.lambda_values
         p = h1_power_sums(env, 2 * env.genus)
         for n in range(1, 2 * env.genus + 1):
             rhs = sum((-1) ** (m - 1) * e[n - m] * p[m] for m in range(1, n + 1))

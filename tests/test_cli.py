@@ -25,7 +25,7 @@ from motiveforge.cli import (
     main,
 )
 from motiveforge.curve_ring import jacobian_class
-from motiveforge.moduli_formulas import ModuliSpec, motive
+from motiveforge.moduli_formulas import INPUT_BUDGET, InvalidSpec, ModuliSpec, motive
 
 
 def _must_not_run(*args, **kwargs):
@@ -307,6 +307,34 @@ class TestCommands:
             main(["verify-adhm", "--g", "2..99999999999999999999", "--r", "1"])
         assert exc.value.code == EXIT_INVALID_INPUT
         assert "input budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [
+        ",".join(str(2 + i % 5) for i in range(5000)),
+        ",".join(["1..999"] * 10),
+    ])
+    def test_over_budget_list_exits_invalid_input(self, values, monkeypatch, capsys):
+        # every value of a list counts against the budget, not each range alone
+        monkeypatch.setattr("motiveforge.cli._adhm_cell", _must_not_run)
+        with pytest.raises(argparse.ArgumentTypeError, match="input budget"):
+            _parse_range(values)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-adhm", "--p", values, "--r", "1"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "input budget" in capsys.readouterr().err
+        assert len(_parse_range(",".join(["1..500"] * 2))) == INPUT_BUDGET
+
+    def test_over_budget_grid_exits_invalid_input(self, monkeypatch, capsys):
+        # each range is within the budget, the 897,000 cells are not
+        from motiveforge import cli
+
+        monkeypatch.setattr(cli, "_adhm_cell", _must_not_run)
+        monkeypatch.setattr(cli, "ModuliSpec", _must_not_run)
+        argv = ["verify-adhm", "--g", "2..300", "--r", "1", "--p", "1..300", "--d", "1..10"]
+        assert main(argv) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "input budget" in captured.err and captured.out == ""
+        with pytest.raises(InvalidSpec, match="input budget"):
+            cli.run_adhm_grid([2] * 11, [1] * 10, [1] * 10, [1], trials=1, seed=0)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)

@@ -1,12 +1,15 @@
 """Atom environments, split classes and lambda operations."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motiveforge import adhm
 from motiveforge.base_rings import U, UV, V
 from motiveforge.cli import main
 from motiveforge.curve_ring import (
@@ -16,7 +19,6 @@ from motiveforge.curve_ring import (
     SplitClass,
     curve_class,
     frobenius,
-    h1_lambda_values,
     h1_poly,
     h1_power_sums,
     jacobian_class,
@@ -49,6 +51,24 @@ class TestEnvironments:
         for env in (make_hodge_env(2), make_weil_env(2, 9)):
             assert h1_poly(env, 0) == 1
             assert h1_poly(env, 1) == jacobian_class(env)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_each_environment_has_its_own_lambda_values(self, g):
+        # frobenius and adhm._over_one_base build new environments from one
+        # whose values are already cached; each must compute its own
+        for env in (make_hodge_env(g), make_weil_env(g, 100 + g)):
+            assert env.lambda_values is env.lambda_values
+            derived = [env] + [frobenius(env, j) for j in (2, 3)]
+            if env.base == "weil":
+                derived += [adhm._over_one_base(env, r) for r in (1, 2, 3)]
+            for e in derived:
+                # e_i as the sum over i-subsets of the atoms
+                expected = tuple(sum((math.prod(s) for s in itertools.combinations(e.betas, i)), 0)
+                                 for i in range(len(e.betas) + 1))
+                assert e.lambda_values == expected
+                # a lifted environment holding its parent's Fraction values
+                # would compare equal, so the types are checked too
+                assert [type(x) for x in e.lambda_values] == [type(x) for x in expected]
 
     @given(st.integers(min_value=2, max_value=5), seeds)
     @settings(max_examples=20, deadline=None)
@@ -144,7 +164,7 @@ class TestLambdaOperations:
             order = 6
             s = lambda_series(env, curve_class(env), order)
             L = env.lefschetz
-            e = h1_lambda_values(env)
+            e = env.lambda_values
             # brute-force zeta coefficients: lambda^n([X]) = sum over
             # i + j + k = n of e_i L^j (from 1/(1-Lx)) * 1 (from 1/(1-x))
             for n in range(order + 1):
@@ -200,14 +220,14 @@ class TestSymmetricFunctionConsistency:
         env = make_weil_env(2, seed)
         g = env.genus
         L = env.lefschetz
-        e = h1_lambda_values(env)
+        e = env.lambda_values
         for n in range(2 * g + 1):
             assert e[n] == L ** (n - g) * e[2 * g - n]
 
     def test_functional_equation_hodge(self):
         for g in (2, 3):
             env = make_hodge_env(g)
-            e = h1_lambda_values(env)
+            e = env.lambda_values
             L = env.lefschetz
             for n in range(2 * g + 1):
                 assert e[n] == L ** (n - g) * e[2 * g - n]
@@ -217,7 +237,7 @@ class TestSymmetricFunctionConsistency:
     def test_newton_identities(self, seed):
         # n e_n = sum_{m=1..n} (-1)^(m-1) e_{n-m} p_m
         env = make_weil_env(3, seed)
-        e = h1_lambda_values(env)
+        e = env.lambda_values
         p = h1_power_sums(env, 2 * env.genus)
         for n in range(1, 2 * env.genus + 1):
             rhs = 0

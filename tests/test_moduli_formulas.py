@@ -27,7 +27,7 @@ from motiveforge.moduli_formulas import (
     triple_stratum_degrees,
     vhs_class,
 )
-from motiveforge.series_engine import BiSeries, TruncatedSeries
+from motiveforge.series_engine import BiSeries, TruncatedSeries, series_product
 
 U2V = UVLaurent.monomial(2, 1)
 UV2 = UVLaurent.monomial(1, 2)
@@ -315,6 +315,45 @@ class TestRank3DoubleExtraction:
         got = [epoly(spec) for spec in specs]
         monkeypatch.setattr(moduli_formulas, "_rank3_double_extraction", _five_window_product)
         assert got == [epoly(spec) for spec in specs]
+
+
+def _extract_x0(shift, builders):
+    """coeff_{x^0} of x^shift times a product of series factors, each built
+    by its own closure to order -shift; the closed forms' construction
+    before they shared one A(x) series, kept as the reference."""
+    n = -shift
+    return series_product([build(n) for build in builders]).coeff(n)
+
+
+class TestClosedFormExtractions:
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_match_per_factor_products(self, g, p):
+        env = make_hodge_env(g)
+        dL = -(2 * g - 2 + p)
+        geom = TruncatedSeries.geometric
+
+        def znum(order):
+            return h1_series(env, order)
+
+        uv2 = UV * UV
+        inv_uv, inv_uv2 = UV ** (-1), uv2 ** (-1)
+        plus_dens = [lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o),
+                     lambda o: geom(uv2, 1, o), lambda o: geom(UV, 2, o)]
+        twist_dens = [lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o),
+                      lambda o: geom(inv_uv, 1, o).scale(inv_uv),
+                      lambda o: geom(inv_uv2, 2, o).scale(inv_uv2)]
+        expected = (_extract_x0(dL + 2, [znum] + plus_dens),
+                    _extract_x0(dL + 2, [znum] + twist_dens),
+                    _extract_x0(dL + 1, [znum] + plus_dens),
+                    _extract_x0(dL + 1, [znum] + twist_dens))
+        assert moduli_formulas._rank3_single_extractions(env, dL) == expected
+        # rank 2 reads one coefficient inside epoly_rank2
+        extraction = _extract_x0(dL + 1, [znum, lambda o: geom(1, 2, o),
+                                          lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o)])
+        rank2 = (UV ** (-4 * dL + 4 - 4 * g) * bundle_moduli_class(env, 2, 1)
+                 + UV ** (-3 * dL + 2 - 2 * g) * jacobian_class(env) * extraction)
+        assert epoly(ModuliSpec.from_p(g, 2, 1, p)) == rank2
 
 
 class TestEpolyProperties:

@@ -31,15 +31,11 @@ class TestTruncatedSeries:
         s = TruncatedSeries.geometric(1, 1, 5)
         assert [s.coeff(n) for n in range(6)] == [1] * 6
 
-    def test_shifted_extraction(self):
-        # coeff of x^0 in x^-2 * (1 + a x + b x^2 + ...) is b
-        a, b = Fraction(3), Fraction(7, 2)
-        s = TruncatedSeries.monomial(1, -2, 4) * TruncatedSeries([1, a, b, 0, 0], order=4)
-        assert s.coeff(0) == b
-
     def test_coeff_below_shift_is_zero(self):
-        s = TruncatedSeries.monomial(1, 3, 6)
-        assert s.coeff(0) == 0
+        # a power series has no terms below x^0; a negative index must not
+        # wrap around to the top coefficients
+        s = TruncatedSeries.geometric(2, 1, 6)
+        assert s.coeff(-1) == 0
 
     def test_insufficient_truncation(self):
         s = TruncatedSeries.geometric(1, 1, 3)
@@ -48,11 +44,11 @@ class TestTruncatedSeries:
 
     def test_product_truncation_rule(self):
         # unknown tail of b (beyond x^2) meets a's x^0 term at x^3, so the
-        # product is complete only through x^2
+        # product is complete only through x^2, the smaller of the orders
         a = TruncatedSeries.geometric(1, 1, 4)
-        b = TruncatedSeries.monomial(1, -1, 2)
-        assert (a * b).order == 2
-        assert (a * b).shift == -1
+        b = TruncatedSeries([1, 2], order=2)
+        assert (a * b).order == (b * a).order == 2
+        assert [(a * b).coeff(n) for n in range(3)] == [1, 3, 3]
 
     def test_log_examples(self):
         # log(1 + T) = T - T^2/2 + T^3/3 - ...

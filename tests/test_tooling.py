@@ -57,3 +57,23 @@ def test_motive_route_stays_on_fraction():
             found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
                       for name in names & banned]
     assert not found, found
+
+
+def test_closed_form_and_strata_routes_share_no_series():
+    # the closed-form extractions read h1 through A(x) = _zeta_series; the
+    # stratification route builds its own lambda series from split classes
+    path = next(p for p in SOURCES if p.name == "moduli_formulas.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    strata = ["motive", "_lambda_tables", "_vhs_class", "vhs_class"]
+    closed = ["epoly_rank2", "_zeta_series"] + [n for n in bodies if n.startswith("_rank3_")]
+    rules = [(strata, {"_zeta_series", "h1_series"}),
+             (closed, {"lambda_series", "_lambda_tables", "curve_class"})]
+    found = []
+    for names, banned in rules:
+        for name in names:
+            used = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(bodies[name])
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+            found += [f"{name} names {b}" for b in sorted(used & banned)]
+    assert len(closed) == 4 and not found, found
