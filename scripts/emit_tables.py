@@ -45,8 +45,11 @@ def main() -> int:
     ap.add_argument("--format", choices=("latex", "csv"), default="csv")
     args = ap.parse_args()
 
-    specs = [ModuliSpec.from_p(g, r, 1, p) for g in args.g for r in args.r for p in args.p]
     try:
+        size = len(args.g) * len(args.r) * len(args.p)
+        if size > INPUT_BUDGET:
+            raise InvalidSpec(f"grid of {size} cells exceeds the input budget {INPUT_BUDGET}")
+        specs = [ModuliSpec.from_p(g, r, 1, p) for g in args.g for r in args.r for p in args.p]
         for spec in specs:
             spec.validate()
     except InvalidSpec as exc:

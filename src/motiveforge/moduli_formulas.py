@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .base_rings import UV, UVLaurent, exact_divide
 from .curve_ring import (
@@ -319,31 +319,36 @@ def _lambda_tables(env: AtomEnvironment,
 
 
 def _vhs_class(env: AtomEnvironment, t: VHSType, dL: int,
-               tables: Dict[str, TruncatedSeries], jac):
-    """Class of a stratum, its lambda-powers read from ``tables`` (built by
-    :func:`_lambda_tables` for at least this stratum's reads) and ``jac``
-    the class of the Jacobian."""
+               tables: Dict[str, TruncatedSeries]) -> Tuple[int, Optional[Tuple[str, int]], object]:
+    """Class of a stratum as (k, first, c), meaning jac^k * lambda_first * c:
+    ``first`` is the (split class, index) read kept out of ``c``, or None.
+    Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`)."""
     if len(t.ranks) == 1:
-        return bundle_moduli_class(env, t.ranks[0], t.total_deg)
-    lam = [tables[name].coeff(n) for name, n in _lambda_reads(t, dL)]
+        return 0, None, bundle_moduli_class(env, t.ranks[0], t.total_deg)
+    reads = _lambda_reads(t, dL)
+    lam = [tables[name].coeff(n) for name, n in reads]
     if t.ranks == (1, 1):
-        return lam[0] * jac
+        return 1, None, lam[0]
     if t.ranks == (1, 1, 1):
-        return lam[0] * lam[1] * jac
+        return 1, reads[0], lam[1]
     d1, dd = _vhs12_degrees(t)
     L = env.lefschetz
     lead = L ** (2 * (dd // 3) - dd + d1 + env.genus + 1)
-    return exact_divide((lead * lam[0] - lam[1]) * jac * jac, L - 1)
+    # Dividing this cofactor, not cofactor * jac^2, fails in the same cases:
+    # hodge L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
+    # jac = (1-u)^g (1-v)^g; weil L != 1 is a scalar.
+    return 2, None, exact_divide(lead * lam[0] - lam[1], L - 1)
 
 
 def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
-    """Class of a variation-of-Hodge-structure stratum in the realization.
-
-    Builds the lambda series of the split classes this one stratum reads;
-    :func:`motive` builds them once for all of its strata instead.
-    """
-    return _vhs_class(env, t, dL, _lambda_tables(env, _lambda_reads(t, dL)),
-                      jacobian_class(env))
+    """Class of a variation-of-Hodge-structure stratum in the realization:
+    the factored form of :func:`_vhs_class` multiplied out, from lambda
+    series built for this one stratum."""
+    tables = _lambda_tables(env, _lambda_reads(t, dL))
+    k, first, c = _vhs_class(env, t, dL, tables)
+    if first is not None:
+        c = tables[first[0]].coeff(first[1]) * c
+    return jacobian_class(env) ** k * c
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +379,28 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
 def motive(env: AtomEnvironment, spec: ModuliSpec):
     """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
 
-    The lambda series of each split class the strata read ([X], [X] + L^2,
-    [X]*L + 1) is built once per call, to the largest index any stratum
-    needs, and every stratum class reads its coefficients from it.
+    One lambda series per split class read is built per call.  With each
+    stratum class jac^k * lambda_first * c (:func:`_vhs_class`), the sums of
+    L^(N+) * c are kept per (k, first read); each group is multiplied once
+    by its lambda factor, and the total is S_0 + jac * (S_1 + jac * S_2).
     """
     spec.validate()
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
     strata = strata_for(spec)
     tables = _lambda_tables(env, [read for t in strata for read in _lambda_reads(t, spec.dL)])
-    jac = jacobian_class(env)
     L = env.lefschetz
-    total = 0
+    groups: Dict[tuple, object] = {}
     for t in strata:
-        exponent = bb_exponent(t, spec)
-        total = total + L ** exponent * _vhs_class(env, t, spec.dL, tables, jac)
-    return total
+        k, first, c = _vhs_class(env, t, spec.dL, tables)
+        groups[k, first] = groups.get((k, first), 0) + L ** bb_exponent(t, spec) * c
+    sums = [0, 0, 0]
+    for (k, first), s in groups.items():
+        if first is not None:
+            s = tables[first[0]].coeff(first[1]) * s
+        sums[k] = sums[k] + s
+    jac = jacobian_class(env)
+    return sums[0] + jac * (sums[1] + jac * sums[2])
 
 
 # ---------------------------------------------------------------------------

@@ -256,14 +256,15 @@ class TRational:
     denominator factors that divide the numerator exactly (unless called
     with ``reduce=False``); addition and multiplication keep every factor of
     their operands, so a caller reduces once, at the end, by constructing
-    ``TRational(x.num, x.den)``.
+    ``TRational(x.num, x.den)``.  Zero carries no denominator, so a sum with
+    zero keeps the other operand's.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Dict[int, object], den: Sequence[Tuple[object, int]] = (), reduce: bool = True):
         self.num = {e: c for e, c in num.items() if not _is_zero(c)}
-        self.den = tuple(sorted(den, key=lambda f: (f[1], _den_sort_key(f[0]))))
+        self.den = tuple(sorted(den, key=lambda f: (f[1], _den_sort_key(f[0])))) if self.num else ()
         if reduce:
             self._reduce()
 

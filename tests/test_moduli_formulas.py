@@ -258,6 +258,15 @@ class TestMotiveEpolyConsistency:
             motive(env, ModuliSpec.from_p(2, 2, 1, 1))
 
 
+def _stratum_sum(env, spec):
+    """sum over strata of L^(N+) * vhs_class, each stratum on its own."""
+    L = env.lefschetz
+    total = 0
+    for t in strata_for(spec):
+        total = total + L ** bb_exponent(t, spec) * vhs_class(env, t, spec.dL)
+    return total
+
+
 class TestSharedLambdaTables:
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=3),
            st.integers(min_value=1, max_value=3), st.integers(min_value=-4, max_value=4),
@@ -269,11 +278,33 @@ class TestSharedLambdaTables:
         assume(math.gcd(r, d) == 1)
         spec = ModuliSpec.from_p(g, r, d, p)
         env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
-        L = env.lefschetz
-        expected = 0
-        for t in strata_for(spec):
-            expected = expected + L ** bb_exponent(t, spec) * vhs_class(env, t, spec.dL)
-        assert motive(env, spec) == expected
+        assert motive(env, spec) == _stratum_sum(env, spec)
+
+    @pytest.mark.parametrize("seed", [None, 11])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grouped_sum_at_the_largest_benchmark_cell(self, d, seed):
+        # g=6, r=3, p=4: 120 strata, 105 of them (1,1,1) in 21 groups
+        env = make_hodge_env(6) if seed is None else make_weil_env(6, seed)
+        spec = ModuliSpec.from_p(6, 3, d, 4)
+        assert motive(env, spec) == _stratum_sum(env, spec)
+
+    def test_hodge_motive_makes_few_large_products(self, monkeypatch):
+        # jac and each first lambda read of a (1,1,1) stratum multiply once
+        # per group of strata; multiplying out every stratum makes 231
+        env = make_hodge_env(6)
+        spec = ModuliSpec.from_p(6, 3, 1, 4)
+        mul = UVLaurent.__mul__
+        large = []
+
+        def counting_mul(a, b):
+            if isinstance(b, UVLaurent) and len(list(a.items())) > 1 and len(list(b.items())) > 1:
+                large.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(UVLaurent, "__mul__", counting_mul)
+        monkeypatch.setattr(UVLaurent, "__rmul__", counting_mul)
+        motive(env, spec)
+        assert 0 < len(large) <= 30
 
 
 def _five_window_product(env, dL):

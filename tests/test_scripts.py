@@ -44,3 +44,11 @@ def test_emit_tables_invalid_input_exits_2(flags, message):
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_emit_tables_refuses_a_grid_over_the_budget():
+    # each list is within the budget; their product (2,997,000 cells) is not
+    done = _emit_tables("--g", "2..1000", "--r", "1..3", "--p", "1..1000")
+    assert done.returncode == 2
+    assert "invalid input: grid of 2997000 cells exceeds the input budget" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

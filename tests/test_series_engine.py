@@ -152,6 +152,14 @@ class TestTRational:
         b = a * a
         assert b.den == ((1, 1), (1, 1))
 
+    def test_zero_carries_no_denominator(self):
+        assert TRational({}, [(2, 1)]).den == ()
+        assert (tr({0: 1}, [(1, 1)]) * 0).den == ()
+        x = TRational({0: 1, 1: 1}, [(3, 1)], reduce=False)
+        zero = TRational({0: 0}, [(2, 1), (3, 1)], reduce=False)
+        assert (x + zero).den == x.den == ((3, 1),)
+        assert (zero + x).den == x.den
+
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
     @settings(max_examples=20, deadline=None)
     def test_substitution_composes(self, m, n):
@@ -185,11 +193,12 @@ class TestTRational:
     def test_sum_and_product_cancel_nothing(self, pa, da, pb, db):
         a = TRational(pa, da, reduce=False)
         b = TRational(pb, db, reduce=False)
+        # a nonzero result keeps every factor of its operands; zero keeps none
         s = a + b
-        assert Counter(s.den) == Counter(a.den) | Counter(b.den)
+        assert Counter(s.den) == (Counter(a.den) | Counter(b.den) if s.num else Counter())
         assert s == TRational(s.num, s.den)
         prod = a * b
-        assert Counter(prod.den) == Counter(a.den) + Counter(b.den)
+        assert Counter(prod.den) == (Counter(a.den) + Counter(b.den) if prod.num else Counter())
         assert prod == TRational(prod.num, prod.den)
 
     def test_sum_keeps_a_cancelling_factor(self):
