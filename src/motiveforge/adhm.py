@@ -16,13 +16,18 @@ poles at t = 1 (checked at construction time).
 The plethystic logarithm with Moebius weights and Adams operators turns the
 T-series of these terms into the "connected" coefficients H_1(t) .. H_r(t).
 Adams operators are realized by :func:`motiveforge.curve_ring.frobenius`
-(atoms to j-th powers) combined with t -> t^j on the assembled rational
-function; the double sum is truncated at T-order r, so only j <= r and
-k <= r contribute.  The final class is
+(atoms to j-th powers) combined with t -> t^j on the assembled term; the
+double sum is truncated at T-order r, so only j <= r and k <= r
+contribute.  The final class is
 
-    (-1)^(p r) L^(r^2 (g-1) + p r (r+1) / 2) H_r(1),
+    (-1)^(p r) L^(r^2 (g-1) + p r (r+1) / 2) H_r(1).
 
-evaluated exactly with :func:`motiveforge.series_engine.eval_at_one`.
+Two carriers run the same double sum.  A hodge environment builds each term
+as a TRational in t (:func:`partition_sum`, :func:`plog_series`) and
+evaluates H_r with :func:`motiveforge.series_engine.eval_at_one`.  A weil
+environment needs only the number H_r(1), so it expands every term as a
+Laurent series in s = t - 1 with r coefficients (:func:`_h_r_at_one`,
+whose docstring shows why r suffice) and reads off the s^0 coefficient.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .base_rings import DContext, DFraction
+from .base_rings import DContext
 from .curve_ring import AtomEnvironment, frobenius
 from .series_engine import (
+    LaurentSeries,
     PoleAtOne,
     TRational,
     TruncatedSeries,
@@ -176,19 +182,16 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
     return total
 
 
-def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
-    """H_1(t) .. H_r(t): plethystic-log coefficients cleared by (1-t)(1-Lt).
+def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
+    """The Moebius / Adams double sum sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n),
+    truncated at T-order r: its T^1 .. T^r coefficients.
 
-    Implements the fully expanded Moebius / Adams double sum, truncated at
-    T-order r.  Rational scalars mu(j)/(j k) are carried exactly.  TRational
-    sums and products cancel nothing, so each H_n is reduced once, by one
-    explicit TRational construction after clearing (1-t)(1-Lt); for honest
-    inputs that leaves an actual Laurent polynomial in t.
+    ``charge(fenv, n, j)`` is psi_j of the charge-n term F_n, built from the
+    j-th Frobenius environment ``fenv``; ``zero`` is the carrier's zero.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
-    zero = TRational.from_scalar(0)
-    acc: List[TRational] = [zero] * (r + 1)
+    acc = [zero] * (r + 1)
     for j in range(1, r + 1):
         mu = mobius(j)
         if mu == 0:
@@ -196,33 +199,122 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
         fenv = frobenius(env, j)
         coeffs: List[object] = [1] + [zero] * r
         for n in range(1, r // j + 1):
-            coeffs[j * n] = substitute_t_power(partition_sum(fenv, n, p), j)
+            coeffs[j * n] = charge(fenv, n, j)
         logs = series_log(TruncatedSeries(coeffs, order=r))
         weight = Fraction(mu, j)
         for m in range(1, r + 1):
-            term = logs.coeff(m)
-            if isinstance(term, TRational):
-                acc[m] = acc[m] + term * weight
-            elif term != 0:
-                acc[m] = acc[m] + TRational.from_scalar(term * weight)
+            acc[m] = acc[m] + logs.coeff(m) * weight
+    return acc[1:]
+
+
+def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
+    """H_1(t) .. H_r(t): plethystic-log coefficients cleared by (1-t)(1-Lt).
+
+    Rational scalars mu(j)/(j k) are carried exactly.  TRational sums and
+    products cancel nothing, so each H_n is reduced once, by one explicit
+    TRational construction after clearing (1-t)(1-Lt); for honest inputs
+    that leaves an actual Laurent polynomial in t.
+    """
     L = env.lefschetz
     out: List[TRational] = []
-    for m in range(1, r + 1):
-        h = acc[m].mul_poly_factor(1, 1).mul_poly_factor(L, 1)
-        h = TRational(h.num, h.den)  # the one reduction of the pipeline
-        out.append(h)
+    for acc in _connected(env, r, lambda fenv, n, j: substitute_t_power(
+            partition_sum(fenv, n, p), j), TRational.from_scalar(0)):
+        h = acc.mul_poly_factor(1, 1).mul_poly_factor(L, 1)
+        out.append(TRational(h.num, h.den))  # the one reduction of the pipeline
     return out
 
 
-def _over_one_base(env: AtomEnvironment, r: int) -> AtomEnvironment:
-    """The weil environment with every atom a DFraction over one base D.
+def _binomials(e: int, count: int) -> List[int]:
+    """C(e, 0) .. C(e, count - 1) for any integer e: (1 + s)^e to s^(count-1)."""
+    out = [1]
+    for k in range(1, count):
+        out.append(out[-1] * (e - k + 1) // k)
+    return out
 
-    D is the lcm of the atom denominators times r!, so that the Moebius
-    weights mu(j)/j and series_log's k/n, j, n <= r, are DFractions too.
+
+def _charge_at_one(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> LaurentSeries:
+    """psi_j of the charge-n term expanded at t = 1 + s, from the j-th
+    Frobenius environment of a DFraction one: ``terms`` coefficients per
+    partition, from s^(-poles) on.
+
+    psi_j is t -> t^j on top of the Frobenius environment, which only scales
+    every t-exponent by j.  A cell's numerator sum_i w_i t^(j E_i) is
+    sum_k (sum_i w_i C(j E_i, k)) s^k, and a denominator factor
+    1 - c t^(j h) is (1 - c) - c sum_k C(j h, k) s^k, divided by s when
+    c == 1.  A partition's numerators and denominators are multiplied over
+    DFraction; its one series inverse and product run over Fraction.
     """
+    g = env.genus
+    L = env.lefschetz
+    sign = (-1) ** p
+    e = env.lambda_values
+    total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))
+    for lam in partitions(n):
+        num = den = TruncatedSeries([1], order=terms - 1)
+        poles = zero_arm_cells = 0
+        for a, l, h in lam.cell_data():
+            la = L ** a
+            base_exp = p * (a - l) + (1 - g) * (2 * l + 1)
+            coeff = sign * la ** p
+            cell = [0] * terms
+            for i, e_i in enumerate(e):
+                w = coeff * e_i
+                coeff = coeff * la
+                if w:
+                    for k, b in enumerate(_binomials(j * (base_exp + h * i), terms)):
+                        cell[k] = w * b + cell[k]
+            num = num * TruncatedSeries(cell, order=terms - 1)
+            b = _binomials(j * h, terms + 1)
+            for c in (la, la * L):
+                pole = c == 1
+                factor = [-c * x for x in b[1:]] if pole else [1 - c] + [-c * x for x in b[1:terms]]
+                den = den * TruncatedSeries(factor, order=terms - 1)
+                poles += pole
+            zero_arm_cells += a == 0
+        if poles != zero_arm_cells:
+            raise PoleAtOne(
+                f"charge {n}, partition {lam.parts}, Adams index j={j}: {poles} "
+                f"denominator factors vanish at t = 1, but only its "
+                f"{zero_arm_cells} zero-arm cells may"
+            )
+        num, den = (TruncatedSeries([x.fraction() for x in f.coeffs], order=terms - 1)
+                    for f in (num, den))
+        total = total + LaurentSeries(-poles, num * den.inverse())
+    return total
+
+
+def _h_r_at_one(env: AtomEnvironment, r: int, p: int) -> Fraction:
+    """H_r(1) for a weil environment, by Laurent series in s = t - 1.
+
+    Every series carries r coefficients from its valuation bound on, and
+    that is enough.  A charge-n term has a pole of order at most n at t = 1,
+    one per part of each partition (one zero-arm cell per row, checked in
+    :func:`_charge_at_one`), and t -> t^j keeps the order.  So the T^m
+    coefficient of each logarithm, a sum of products of charge terms whose
+    charges add up to at most m, has valuation >= -m and is known through
+    s^(r-1-m); acc_r is known through s^-1, and H_r = acc_r (1-t)(1-Lt),
+    with (1-t)(1-Lt) = s ((L-1) + L s), through s^0.  H_r is a Laurent
+    polynomial in t, so its coefficients below s^0 must vanish (PoleAtOne
+    otherwise), and its value at t = 1 is the s^0 coefficient.  A read
+    past the known coefficients raises InsufficientTruncation.
+    """
+    work = _over_one_base(env)
+    acc = _connected(work, r, lambda fenv, n, j: _charge_at_one(fenv, n, p, j, r),
+                     LaurentSeries(0, TruncatedSeries([], order=r - 1)))[r - 1]
+    L = env.lefschetz
+    h = acc * LaurentSeries(1, TruncatedSeries([L - 1, L], order=r - 1))
+    for k in range(h.val, 0):
+        if h.coeff(k):
+            raise PoleAtOne(f"H_{r} has a nonzero s^{k} coefficient at t = 1 + s")
+    return h.coeff(0)
+
+
+def _over_one_base(env: AtomEnvironment) -> AtomEnvironment:
+    """The weil environment with every atom a DFraction over one base D, the
+    lcm of the atom denominators, so that cell numerators and denominator
+    factors are summed and multiplied without a gcd."""
     atoms = (env.lefschetz,) + env.betas
-    den = math.lcm(*(a.denominator for a in atoms))
-    ctx = DContext(den * math.factorial(r))
+    ctx = DContext(math.lcm(*(a.denominator for a in atoms)))
     return replace(env, lefschetz=ctx.lift(env.lefschetz),
                    betas=tuple(ctx.lift(b) for b in env.betas))
 
@@ -231,14 +323,18 @@ def adhm_class(env: AtomEnvironment, r: int, p: int):
     """Conjectural class of the twisted moduli space of rank r, any coprime
     degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1).
 
-    A weil environment is evaluated with DFraction scalars over one base D
-    and its value returned as a Fraction.
+    A weil environment takes the Laurent expansion at t = 1
+    (:func:`_h_r_at_one`) and returns a Fraction; a hodge one evaluates the
+    TRational H_r with eval_at_one, since 1/(1 - (uv)^a) has no expansion
+    over Laurent polynomials in u, v.
     """
+    if r < 1 or p < 1:
+        raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
-    work = _over_one_base(env, r) if env.base == "weil" else env
-    value = eval_at_one(plog_series(work, r, p)[r - 1])
-    if isinstance(value, DFraction):
-        value = value.fraction()
+    if env.base == "weil":
+        value = _h_r_at_one(env, r, p)
+    else:
+        value = eval_at_one(plog_series(env, r, p)[r - 1])
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

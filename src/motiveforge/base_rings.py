@@ -380,10 +380,6 @@ class DFraction:
         return f"DFraction({self.n}, {self.k})"
 
 
-def _as_fraction(x) -> Fraction:
-    return x.fraction() if type(x) is DFraction else Fraction(x)
-
-
 def exact_divide(num: Union[UVLaurent, Rat],
                  den: Union[UVLaurent, Rat]) -> Union[UVLaurent, Rat]:
     """Exact quotient q with q * den == num, else raise NotDivisible.
@@ -409,7 +405,7 @@ def exact_divide(num: Union[UVLaurent, Rat],
         if den == 0:
             raise ZeroDivisionError("division by zero scalar")
         if not isinstance(num, UVLaurent):
-            return _norm(_as_fraction(num) / _as_fraction(den))
+            return _norm(Fraction(num) / Fraction(den))
         den = UVLaurent.const(den)
     elif den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")

@@ -23,6 +23,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import export
@@ -38,7 +39,7 @@ from .moduli_formulas import (
     motive,
     poincare,
 )
-from .series_engine import PoleAtOne
+from .series_engine import InsufficientTruncation, PoleAtOne
 
 EXIT_PASS = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -76,6 +77,19 @@ def _trial_seed(seed: int, g: int, r: int, d: int, p: int, trial: int) -> int:
     return x
 
 
+_ARITHMETIC_ERRORS = (NotDivisible, PoleAtOne, InsufficientTruncation, ZeroDivisionError)
+
+
+def _tagged(builder: Callable[[AtomEnvironment], object], env: AtomEnvironment, where: str):
+    """builder(env), with an arithmetic error re-raised naming the route
+    (the function the builder calls) and the environment."""
+    try:
+        return builder(env)
+    except _ARITHMETIC_ERRORS as exc:
+        route = getattr(builder, "func", builder).__name__
+        raise type(exc)(f"{exc} [{route} route, {where}]") from exc
+
+
 def identity_test(
     lhs: Callable[[AtomEnvironment], object],
     rhs: Callable[[AtomEnvironment], object],
@@ -95,8 +109,9 @@ def identity_test(
     b_{g+i} = L / b_i.  No false-pass bound is stated.  For g up to 3 (or
     when forced by ``hodge=True``) an exact polynomial comparison in the
     hodge environment runs as well, and decides the identity in the Hodge
-    realization.  Arithmetic errors from a builder are re-raised tagged
-    with the failing environment's seed.
+    realization.  Arithmetic errors from a builder are re-raised naming its
+    route (the name of the function it calls) and the failing environment's
+    seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -106,21 +121,15 @@ def identity_test(
     for trial in range(trials):
         tseed = _trial_seed(seed, cg, cr, cd, cp, trial)
         env = make_weil_env(g, tseed)
-        try:
-            left = lhs(env)
-            right = rhs(env)
-        except (NotDivisible, PoleAtOne, ZeroDivisionError) as exc:
-            raise type(exc)(f"{exc} [weil seed {tseed}]") from exc
-        if left != right:
+        where = f"weil seed {tseed}"
+        if _tagged(lhs, env, where) != _tagged(rhs, env, where):
             failures += 1
     hodge_equal: Optional[bool] = None
     run_hodge = hodge if hodge is not None else g <= _HODGE_GENUS_CUTOFF
     if run_hodge:
         env = make_hodge_env(g)
-        try:
-            hodge_equal = lhs(env) == rhs(env)
-        except (NotDivisible, PoleAtOne, ZeroDivisionError) as exc:
-            raise type(exc)(f"{exc} [hodge environment, g={g}]") from exc
+        where = f"hodge environment, g={g}"
+        hodge_equal = _tagged(lhs, env, where) == _tagged(rhs, env, where)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return VerificationReport(
         g=cg or g, r=cr, d=cd, p=cp,
@@ -136,8 +145,8 @@ def _adhm_cell(args: Tuple[int, int, int, int, int, int, Optional[bool]]) -> Ver
     g, r, d, p, trials, seed, hodge = args
     spec = ModuliSpec.from_p(g, r, d, p)
     report = identity_test(
-        lambda env: adhm_class(env, r, p),
-        lambda env: motive(env, spec),
+        partial(adhm_class, r=r, p=p),
+        partial(motive, spec=spec),
         g,
         trials=trials,
         seed=seed,
@@ -418,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidSpec as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except (NotDivisible, PoleAtOne, NegativeBetti, ZeroDivisionError) as exc:
+    except _ARITHMETIC_ERRORS + (NegativeBetti,) as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC_ERROR
 

@@ -1,17 +1,17 @@
 """Truncated power series and exact rational functions in a formal parameter.
 
-Three carriers live here, all generic over the coefficient ring (plain
+Four carriers live here, all generic over the coefficient ring (plain
 rationals in the numeric realization, ``UVLaurent`` in the Hodge one; any
 ring element supporting ``+``, ``-``, ``*``, comparison with the scalar
 literals 0 and 1, and ``bool()`` false exactly at zero works; a
-``UVLaurent`` is tested with ``is_zero()`` instead).  The weil ADHM route
-feeds them ``DFraction`` scalars, n / D^k over one integer D, which need
-no gcd; a canonical ``Fraction`` appears only in a denominator factor's
-sort key and in the scalar division that ends :func:`eval_at_one`:
+``UVLaurent`` is tested with ``is_zero()`` instead):
 
 * :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order
   (no Laurent shift), used for every single-variable coefficient extraction
   and for the lambda series of split classes.
+* :class:`LaurentSeries` - s^val times a :class:`TruncatedSeries`.  The weil
+  ADHM route expands every term at t = 1 + s with ``Fraction`` coefficients
+  and reads the value at t = 1 off the s^0 coefficient.
 * :class:`TRational` - exact rational function in ``t``: a Laurent numerator
   polynomial over a *factored* denominator, a multiset of terms
   ``(1 - c*t^m)``.  Denominators are never expanded, so no polynomial GCD is
@@ -19,6 +19,7 @@ sort key and in the scalar division that ends :func:`eval_at_one`:
   ``t = 1`` and are tracked explicitly for :func:`eval_at_one`.  Sums and
   products keep every denominator factor; only the constructor cancels
   factors against the numerator, so a pipeline reduces once, at its end.
+  The hodge ADHM route uses it, with ``UVLaurent`` coefficients.
 * :class:`BiSeries` - a bivariate Laurent window truncated by total degree.
   It builds the integer kernel of the one double coefficient extraction in
   the rank-3 E-polynomial; the ring-valued series are convolved against
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .base_rings import DFraction, UVLaurent, _as_fraction, exact_divide
+from .base_rings import UVLaurent, exact_divide
 
 
 class InsufficientTruncation(ValueError):
@@ -46,7 +47,7 @@ class PoleAtOne(ArithmeticError):
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction, DFraction))
+    return isinstance(x, (int, Fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,62 @@ class TruncatedSeries:
 
     def scale(self, factor) -> "TruncatedSeries":
         return TruncatedSeries([c * factor for c in self.coeffs], order=self.order)
+
+    def inverse(self) -> "TruncatedSeries":
+        """1 / self to the same order; the constant term must be a nonzero
+        scalar, and its reciprocal is the only division."""
+        a = self.coeffs
+        lead = Fraction(1) / a[0]
+        q = [lead]
+        for n in range(1, self.order + 1):
+            acc = 0
+            for k in range(1, n + 1):
+                acc = acc + a[k] * q[n - k]
+            q.append(-acc * lead)
+        return TruncatedSeries(q, order=self.order)
+
+
+class LaurentSeries:
+    """s^val times a TruncatedSeries: a Laurent series in s known through
+    s^(val + series.order).
+
+    ``val`` bounds the valuation from below and is never raised by
+    stripping leading zeros, since that would claim a coefficient beyond
+    the known ones.  A product adds valuations and multiplies the power
+    series (known to the smaller relative order); a sum starts at the
+    smaller valuation and is known as far as both operands are.
+    :meth:`coeff` raises :class:`InsufficientTruncation` beyond that.
+    """
+
+    __slots__ = ("val", "series")
+
+    def __init__(self, val: int, series: TruncatedSeries):
+        self.val = val
+        self.series = series
+
+    def coeff(self, k: int):
+        top = self.val + self.series.order
+        if k > top:
+            raise InsufficientTruncation(
+                f"coefficient of s^{k} requested, series known through s^{top}")
+        return self.series.coeff(k - self.val)
+
+    def __mul__(self, other):
+        if isinstance(other, LaurentSeries):
+            return LaurentSeries(self.val + other.val, self.series * other.series)
+        return LaurentSeries(self.val, self.series.scale(other))
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        lo = min(self.val, other.val)
+        top = min(self.val + self.series.order, other.val + other.series.order)
+        return LaurentSeries(lo, TruncatedSeries(
+            [self.coeff(k) + other.coeff(k) for k in range(lo, top + 1)], order=top - lo))
+
+    def __neg__(self) -> "LaurentSeries":
+        return self * -1
+
+    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self + (-other)
 
 
 def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -243,7 +300,7 @@ def _tp_subst_power(a: Dict[int, object], j: int) -> Dict[int, object]:
 def _den_sort_key(c):
     if isinstance(c, UVLaurent):
         return (1, c.sort_key())
-    f = _as_fraction(c)
+    f = Fraction(c)
     return (0, (f.numerator, f.denominator))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motiveforge.adhm as adhm
 from motiveforge.adhm import (
     Partition,
     adhm_class,
@@ -23,6 +24,7 @@ from motiveforge.curve_ring import (
 )
 from motiveforge.moduli_formulas import ModuliSpec, motive
 from motiveforge.series_engine import (
+    InsufficientTruncation,
     PoleAtOne,
     TRational,
     _tp_mul,
@@ -239,3 +241,36 @@ class TestAdhmClass:
         for r in (1, 2, 3):
             for h in plog_series(env, r, 2):
                 eval_at_one(h)
+
+
+class TestLaurentRoute:
+    """The weil route's own checks, each on an input that reaches it."""
+
+    def test_extra_pole_factor_names_charge_partition_and_j(self):
+        # L = 1: the factor (1 - L t) of the one cell also vanishes at t = 1
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4, base="weil")
+        with pytest.raises(PoleAtOne, match=r"charge 1, partition \(1,\), Adams index j=1: 2 "):
+            adhm_class(env, 1, 1)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_pole_left_in_h_r_raises(self, monkeypatch, r):
+        # without the logarithm, the order-r pole of the charge-r term at
+        # t = 1 survives the (1-t)(1-Lt) clearing
+        monkeypatch.setattr(adhm, "series_log", lambda s: s)
+        with pytest.raises(PoleAtOne, match=rf"H_{r} has a nonzero s\^-{r - 1} coefficient"):
+            adhm_class(make_weil_env(2, 5), r, 1)
+
+    @pytest.mark.parametrize("r,p", [(0, 1), (1, 0)])
+    def test_rank_and_twist_below_one_are_refused(self, r, p):
+        for env in (make_hodge_env(2), make_weil_env(2, 5)):
+            with pytest.raises(ValueError, match="r, p >= 1"):
+                adhm_class(env, r, p)
+
+    def test_read_past_the_known_terms_raises(self, monkeypatch):
+        # one term fewer per charge term than the precision argument needs:
+        # H_2 is then known through s^-1 only, and reading s^0 must fail
+        charge = adhm._charge_at_one
+        monkeypatch.setattr(adhm, "_charge_at_one",
+                            lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
+        with pytest.raises(InsufficientTruncation, match=r"s\^0 requested, series known through s\^-1"):
+            adhm_class(make_weil_env(2, 5), 2, 1)

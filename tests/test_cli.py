@@ -230,6 +230,33 @@ class TestErrorPaths:
         code = main(["epoly", "--g", "2", "--r", "2", "--d", "1", "--p", "1"])
         assert code == EXIT_ARITHMETIC_ERROR
 
+    def test_adhm_route_error_is_named_and_exits_3(self, monkeypatch, capsys):
+        import motiveforge.adhm as adhm
+
+        # charge terms one term short: reading H_2 at s^0 is past what is known
+        charge = adhm._charge_at_one
+        monkeypatch.setattr(adhm, "_charge_at_one",
+                            lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
+        code = main(["verify-adhm", "--g", "2", "--r", "2", "--trials", "1", "--hodge", "off"])
+        assert code == EXIT_ARITHMETIC_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("arithmetic error: coefficient of s^0 requested")
+        seed = _trial_seed(0, 2, 2, 1, 1, 0)
+        assert f"[adhm_class route, weil seed {seed}]" in err and "Traceback" not in err
+
+    def test_motive_route_error_is_named_and_exits_3(self, monkeypatch, capsys):
+        import motiveforge.moduli_formulas as formulas
+        from motiveforge.base_rings import NotDivisible
+
+        def refuse(num, den):
+            raise NotDivisible("synthetic")
+
+        monkeypatch.setattr(formulas, "exact_divide", refuse)
+        code = main(["verify-adhm", "--g", "2", "--r", "2", "--trials", "1", "--hodge", "off"])
+        assert code == EXIT_ARITHMETIC_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("arithmetic error: synthetic [motive route, weil seed ")
+
 
 class TestCommands:
     def test_verify_adhm_pass_and_schema(self, tmp_path, capsys):

@@ -3,16 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collections import Counter
 
-from motiveforge.base_rings import UV, DContext, UVLaurent
+from motiveforge.base_rings import UV, UVLaurent
 from motiveforge.series_engine import (
     BadConstantTerm,
     BiSeries,
     InsufficientTruncation,
+    LaurentSeries,
     PoleAtOne,
     TRational,
     TruncatedSeries,
@@ -74,6 +75,37 @@ class TestTruncatedSeries:
         assert [back.coeff(n) for n in range(len(tail) + 1)] == \
             [s.coeff(n) for n in range(len(tail) + 1)]
 
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda x: x != 0),
+           st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse(self, lead, tail):
+        s = TruncatedSeries([lead] + tail, order=len(tail))
+        prod = s * s.inverse()
+        assert prod.order == len(tail)
+        assert [prod.coeff(n) for n in range(len(tail) + 1)] == [1] + [0] * len(tail)
+
+
+class TestLaurentSeries:
+    def test_sum_is_known_as_far_as_both_operands(self):
+        a = LaurentSeries(-2, TruncatedSeries([1, 2, 3], order=2))  # s^-2 .. s^0
+        b = LaurentSeries(0, TruncatedSeries([5, 7, 11], order=2))  # s^0 .. s^2
+        for c in (a + b, b + a):
+            assert (c.val, c.series.order) == (-2, 2)
+            assert [c.coeff(k) for k in range(-3, 1)] == [0, 1, 2, 8]
+            with pytest.raises(InsufficientTruncation, match=r"s\^1 requested, series known through s\^0"):
+                c.coeff(1)
+        assert [(a - a).coeff(k) for k in range(-2, 1)] == [0, 0, 0]
+
+    def test_product_adds_valuations(self):
+        # 1 - t = -s at t = 1 + s, and t / (1 - t) = -1/s - 1
+        minus_s = LaurentSeries(1, TruncatedSeries([-1], order=2))
+        inv = LaurentSeries(-1, minus_s.series.inverse())
+        t = LaurentSeries(0, TruncatedSeries([1, 1], order=2))
+        q = t * inv
+        assert q.val == -1 and [q.coeff(k) for k in (-1, 0, 1)] == [-1, -1, 0]
+        assert [(q * minus_s).coeff(k) for k in range(0, 3)] == [1, 1, 0]
+        assert [(q * Fraction(1, 2)).coeff(k) for k in (-1, 0)] == [Fraction(-1, 2)] * 2
+
 
 def tr(num, den=()):
     return TRational(num, den)
@@ -96,8 +128,6 @@ t_polynomials = st.one_of(
 ).map(_nonzero_terms)
 units = st.one_of(nonzero_rationals, uv_monomials)
 factors = st.tuples(units, st.integers(1, 4))
-rational_t_polynomials = st.dictionaries(st.integers(-5, 5), rationals, max_size=6).map(_nonzero_terms)
-rational_factors = st.tuples(nonzero_rationals, st.integers(1, 4))
 
 
 def _divide_by_reconstruction(a, c, m):
@@ -214,36 +244,6 @@ class TestTRational:
         prod = tr({0: 1, 1: -1}) * tr({0: 1}, [(1, 1)])
         assert prod.den == ((1, 1),)
         assert prod == 1
-
-    @given(rational_t_polynomials, st.lists(rational_factors, max_size=3),
-           rational_t_polynomials, st.lists(rational_factors, max_size=2), nonzero_rationals)
-    @example({0: 1}, [(Fraction(1, 2), 1), (Fraction(1, 3), 1)], {}, [], Fraction(1))
-    @settings(max_examples=60, deadline=None)
-    def test_dfraction_coefficients_agree(self, pa, da, pb, db, s):
-        # the same functions over DFraction scalars (D = 6 covers every
-        # denominator drawn): sums, products, scaling and the reduced form
-        # equal the Fraction ones, factor for factor in the same order, and
-        # so do their values at t = 1
-        ctx = DContext(6)
-
-        def lifted(x):
-            return TRational({e: ctx.lift(c) for e, c in x.num.items()},
-                             [(ctx.lift(c), m) for c, m in x.den], reduce=False)
-
-        a, b = TRational(pa, da, reduce=False), TRational(pb, db, reduce=False)
-        da_, db_ = lifted(a), lifted(b)
-        for got, want in ((da_ + db_, a + b), (da_ * db_, a * b),
-                          (da_ * ctx.lift(s), a * s), (ctx.lift(s) * da_, s * a),
-                          (TRational(da_.num, da_.den), TRational(a.num, a.den))):
-            assert [(c.fraction(), m) for c, m in got.den] == list(want.den)
-            assert {e: c.fraction() for e, c in got.num.items()} == want.num
-            try:
-                value = eval_at_one(want)
-            except PoleAtOne:
-                with pytest.raises(PoleAtOne):
-                    eval_at_one(got)
-            else:
-                assert eval_at_one(got) == value
 
     def test_equality_cross_multiplication(self):
         # t/(1-t)^2 equals (t - t^2)/((1-t)^3)

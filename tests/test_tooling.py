@@ -1,11 +1,15 @@
 """Source-level invariants of the package."""
 
 import ast
+from fractions import Fraction
 import importlib
 import importlib.util
 from pathlib import Path
 
 import motiveforge
+from motiveforge.adhm import adhm_class
+from motiveforge.curve_ring import make_weil_env
+from motiveforge.series_engine import TRational
 
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -77,3 +81,14 @@ def test_closed_form_and_strata_routes_share_no_series():
                     if isinstance(node, (ast.Name, ast.Attribute))}
             found += [f"{name} names {b}" for b in sorted(used & banned)]
     assert len(closed) == 4 and not found, found
+
+
+def test_weil_adhm_builds_no_trational(monkeypatch):
+    # the weil route expands at t = 1 + s; TRational is the hodge route's
+    # carrier and the weil reference in tests/test_adhm.py only
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("weil adhm_class built a TRational")
+
+    monkeypatch.setattr(TRational, "__init__", refuse)
+    for r in (1, 2, 3):
+        assert type(adhm_class(make_weil_env(3, 17), r, 2)) is Fraction
