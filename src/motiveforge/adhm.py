@@ -28,6 +28,10 @@ evaluates H_r with :func:`motiveforge.series_engine.eval_at_one`.  A weil
 environment needs only the number H_r(1), so it expands every term as a
 Laurent series in s = t - 1 with r coefficients (:func:`_h_r_at_one`,
 whose docstring shows why r suffice) and reads off the s^0 coefficient.
+Both take a term's cells and denominator factors from one builder,
+:func:`_partition_terms`, which also runs the pole check; the weil carrier
+asks for them scaled by powers of D, the lcm of the atom denominators, so a
+partition's products run on ints and become Fractions once.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .base_rings import DContext
 from .curve_ring import AtomEnvironment, frobenius
 from .series_engine import (
     LaurentSeries,
@@ -140,45 +143,77 @@ def mobius(j: int) -> int:
     return out
 
 
-def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
-    """Charge-n generating term: the hook-weighted zeta sum over partitions."""
+def _partition_terms(env: AtomEnvironment, n: int, p: int, D: int = 1, j=None):
+    """Per partition of n, after its pole check: its cells' terms and
+    denominator factors over the scale D, as ``(cells, den, kn, kd)``.
+
+    Over D, l = D L and E_i = D^i e_i.  A cell of arm a, leg l and hook h
+    gives the dict {x + h i: sign (l^a)^(p+i) E_i D^((a+1)(2g-i))}, x its
+    base t-exponent, so each weight is D^(a p + (a+1) 2g) times its value.
+    Its denominator factors u - c t^h, as triples (u, c, h), are
+    D^a (1 - L^a t^h) and D^(a+1) (1 - L^(a+1) t^h).  kn and kd count the
+    powers of D in a partition's numerator and denominator products.
+    D = 1 keeps the environment's values (hodge, and the test reference);
+    a larger D must clear every atom denominator, and then l, the atoms
+    D b_k, their lambda values E_i and every value above are ints.
+
+    Only the zero-arm cells' factors with u = c = 1 may vanish at t = 1;
+    any other raises PoleAtOne, naming the Adams index j when one is given.
+    """
     if n < 1:
         raise ValueError("charge must be >= 1")
     if p < 1:
         raise ValueError("p must be >= 1")
+    if D != 1:
+        env = replace(env, lefschetz=env.lefschetz.numerator * (D // env.lefschetz.denominator),
+                      betas=tuple(b.numerator * (D // b.denominator) for b in env.betas))
     g = env.genus
-    L = env.lefschetz
     sign = (-1) ** p
     e = env.lambda_values
-    total = TRational.from_scalar(0)
+    top = len(e) - 1
+    ell = env.lefschetz
+    aligned = [e] * n if D == 1 else [
+        [E_i * D ** ((a + 1) * (top - i)) for i, E_i in enumerate(e)] for a in range(n)]
     for lam in partitions(n):
-        num: Dict[int, object] = {0: 1}
-        den: List[Tuple[object, int]] = []
-        zero_arm_cells = 0
+        cells: List[Dict[int, object]] = []
+        den: List[Tuple[object, object, int]] = []
+        kn = kd = poles = zero_arm_cells = 0
         for a, l, h in lam.cell_data():
-            la = L ** a
+            la = ell ** a
             base_exp = p * (a - l) + (1 - g) * (2 * l + 1)
             # the cell coefficient times the zeta numerator
             # prod_k (1 + b_k L^a t^h) = sum_i e_i (L^a)^i t^(h i)
             coeff = sign * la ** p
-            cell_num: Dict[int, object] = {}
-            for i, e_i in enumerate(e):
-                c = coeff * e_i
-                if not _is_zero(c):
-                    cell_num[base_exp + h * i] = c
+            cell: Dict[int, object] = {}
+            for i, E_i in enumerate(aligned[a]):
+                w = coeff * E_i
+                if not _is_zero(w):
+                    cell[base_exp + h * i] = w
                 coeff = coeff * la
-            num = _tp_mul(num, cell_num)
-            den.append((la, h))
-            den.append((la * L, h))
-            if a == 0:
-                zero_arm_cells += 1
-        pole_factors = sum(1 for c, _ in den if c == 1)
-        if pole_factors != zero_arm_cells:
+            cells.append(cell)
+            for u, c in ((D ** a, la), (D ** (a + 1), la * ell)):
+                den.append((u, c, h))
+                poles += c == u
+            kn += a * p + (a + 1) * top
+            kd += 2 * a + 1
+            zero_arm_cells += a == 0
+        if poles != zero_arm_cells:
+            adams = "" if j is None else f", Adams index j={j}"
             raise PoleAtOne(
-                f"partition {lam.parts}: {pole_factors} denominator factors vanish "
-                f"at t = 1, but only its {zero_arm_cells} zero-arm cells may"
+                f"charge {n}, partition {lam.parts}{adams}: {poles} denominator factors "
+                f"vanish at t = 1, but only its {zero_arm_cells} zero-arm cells may"
             )
-        total = total + TRational(num, den, reduce=False)
+        yield cells, den, kn, kd
+
+
+def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
+    """Charge-n generating term: the hook-weighted zeta sum over partitions."""
+    total = TRational.from_scalar(0)
+    for cells, den, _, _ in _partition_terms(env, n, p):
+        num: Dict[int, object] = {0: 1}
+        for cell in cells:
+            num = _tp_mul(num, cell)
+        total = total + TRational(num, [(c, h) for _, c, h in den], reduce=False)
     return total
 
 
@@ -234,52 +269,38 @@ def _binomials(e: int, count: int) -> List[int]:
 
 def _charge_at_one(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> LaurentSeries:
     """psi_j of the charge-n term expanded at t = 1 + s, from the j-th
-    Frobenius environment of a DFraction one: ``terms`` coefficients per
-    partition, from s^(-poles) on.
+    Frobenius environment: ``terms`` coefficients per partition, from
+    s^(-poles) on.
 
     psi_j is t -> t^j on top of the Frobenius environment, which only scales
-    every t-exponent by j.  A cell's numerator sum_i w_i t^(j E_i) is
-    sum_k (sum_i w_i C(j E_i, k)) s^k, and a denominator factor
-    1 - c t^(j h) is (1 - c) - c sum_k C(j h, k) s^k, divided by s when
-    c == 1.  A partition's numerators and denominators are multiplied over
-    DFraction; its one series inverse and product run over Fraction.
+    every t-exponent by j.  A cell's numerator sum_i w_i t^(j x_i) is
+    sum_k (sum_i w_i C(j x_i, k)) s^k, and a denominator factor
+    u - c t^(j h) is (u - c) - c sum_k C(j h, k) s^k, divided by s when
+    c == u.  The terms come from :func:`_partition_terms` over D, the lcm of
+    the atom denominators, so a partition's numerators and denominators are
+    multiplied over ints; they become Fractions once, divided by D^kn and
+    D^kd, and the one series inverse and product run over Fraction.
     """
-    g = env.genus
-    L = env.lefschetz
-    sign = (-1) ** p
-    e = env.lambda_values
+    D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas))
     total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))
-    for lam in partitions(n):
-        num = den = TruncatedSeries([1], order=terms - 1)
-        poles = zero_arm_cells = 0
-        for a, l, h in lam.cell_data():
-            la = L ** a
-            base_exp = p * (a - l) + (1 - g) * (2 * l + 1)
-            coeff = sign * la ** p
-            cell = [0] * terms
-            for i, e_i in enumerate(e):
-                w = coeff * e_i
-                coeff = coeff * la
-                if w:
-                    for k, b in enumerate(_binomials(j * (base_exp + h * i), terms)):
-                        cell[k] = w * b + cell[k]
-            num = num * TruncatedSeries(cell, order=terms - 1)
+    for cells, den, kn, kd in _partition_terms(env, n, p, D, j):
+        num = dens = TruncatedSeries([1], order=terms - 1)
+        for cell in cells:
+            series = [0] * terms
+            for x, w in cell.items():
+                for k, b in enumerate(_binomials(j * x, terms)):
+                    series[k] = w * b + series[k]
+            num = num * TruncatedSeries(series, order=terms - 1)
+        poles = 0
+        for u, c, h in den:
             b = _binomials(j * h, terms + 1)
-            for c in (la, la * L):
-                pole = c == 1
-                factor = [-c * x for x in b[1:]] if pole else [1 - c] + [-c * x for x in b[1:terms]]
-                den = den * TruncatedSeries(factor, order=terms - 1)
-                poles += pole
-            zero_arm_cells += a == 0
-        if poles != zero_arm_cells:
-            raise PoleAtOne(
-                f"charge {n}, partition {lam.parts}, Adams index j={j}: {poles} "
-                f"denominator factors vanish at t = 1, but only its "
-                f"{zero_arm_cells} zero-arm cells may"
-            )
-        num, den = (TruncatedSeries([x.fraction() for x in f.coeffs], order=terms - 1)
-                    for f in (num, den))
-        total = total + LaurentSeries(-poles, num * den.inverse())
+            pole = c == u
+            factor = [-c * x for x in b[1:]] if pole else [u - c] + [-c * x for x in b[1:terms]]
+            dens = dens * TruncatedSeries(factor, order=terms - 1)
+            poles += pole
+        num, dens = (TruncatedSeries([Fraction(x, D ** k) for x in f.coeffs], order=terms - 1)
+                     for f, k in ((num, kn), (dens, kd)))
+        total = total + LaurentSeries(-poles, num * dens.inverse())
     return total
 
 
@@ -298,8 +319,7 @@ def _h_r_at_one(env: AtomEnvironment, r: int, p: int) -> Fraction:
     otherwise), and its value at t = 1 is the s^0 coefficient.  A read
     past the known coefficients raises InsufficientTruncation.
     """
-    work = _over_one_base(env)
-    acc = _connected(work, r, lambda fenv, n, j: _charge_at_one(fenv, n, p, j, r),
+    acc = _connected(env, r, lambda fenv, n, j: _charge_at_one(fenv, n, p, j, r),
                      LaurentSeries(0, TruncatedSeries([], order=r - 1)))[r - 1]
     L = env.lefschetz
     h = acc * LaurentSeries(1, TruncatedSeries([L - 1, L], order=r - 1))
@@ -307,16 +327,6 @@ def _h_r_at_one(env: AtomEnvironment, r: int, p: int) -> Fraction:
         if h.coeff(k):
             raise PoleAtOne(f"H_{r} has a nonzero s^{k} coefficient at t = 1 + s")
     return h.coeff(0)
-
-
-def _over_one_base(env: AtomEnvironment) -> AtomEnvironment:
-    """The weil environment with every atom a DFraction over one base D, the
-    lcm of the atom denominators, so that cell numerators and denominator
-    factors are summed and multiplied without a gcd."""
-    atoms = (env.lefschetz,) + env.betas
-    ctx = DContext(math.lcm(*(a.denominator for a in atoms)))
-    return replace(env, lefschetz=ctx.lift(env.lefschetz),
-                   betas=tuple(ctx.lift(b) for b in env.betas))
 
 
 def adhm_class(env: AtomEnvironment, r: int, p: int):

@@ -5,8 +5,7 @@ Everything in this package is computed over one of two coefficient domains:
 * the Hodge realization, whose values are Laurent polynomials in the Hodge
   variables ``u`` and ``v`` with rational coefficients (``UVLaurent``), and
 * the Weil-style numeric realization, whose values are plain rationals
-  (``int`` or ``fractions.Fraction``; inside the ADHM pipeline,
-  :class:`DFraction`, an integer over a power of one shared integer D).
+  (``int`` or ``fractions.Fraction``).
 
 All arithmetic is exact; nothing is ever rounded.  Polynomial division is
 only available through :func:`exact_divide`, which insists on a zero
@@ -20,7 +19,6 @@ instead of returning an approximation.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Tuple, Union
 
@@ -247,137 +245,6 @@ U = UVLaurent.monomial(1, 0)
 V = UVLaurent.monomial(0, 1)
 UV = UVLaurent.monomial(1, 1)
 ONE = UVLaurent.const(1)
-
-
-_HASH_MODULUS = sys.hash_info.modulus
-
-
-class DContext:
-    """The common denominator base D of a family of :class:`DFraction`
-    values, with its cached powers and the inverse of D modulo the hash
-    modulus."""
-
-    __slots__ = ("D", "pw", "inv")
-
-    def __init__(self, D: int):
-        if D < 1:
-            raise ValueError(f"denominator base {D} < 1")
-        self.D = D
-        self.pw = [1, D]
-        # raises ValueError if D is a multiple of the (prime) modulus
-        self.inv = pow(D, -1, _HASH_MODULUS)
-
-    def power(self, k: int) -> int:
-        pw = self.pw
-        while len(pw) <= k:
-            pw.append(pw[-1] * self.D)
-        return pw[k]
-
-    def lift(self, x: Rat) -> "DFraction":
-        """x over this base: an int as n / D^0, a Fraction whose
-        denominator divides D as n / D^1; any other value is refused."""
-        if type(x) is int:
-            return DFraction(x, 0, self)
-        den = x.denominator
-        if den == 1:
-            return DFraction(x.numerator, 0, self)
-        if self.D % den:
-            raise NotDivisible(f"denominator {den} does not divide the base D")
-        return DFraction(x.numerator * (self.D // den), 1, self)
-
-
-class DFraction:
-    """The rational n / D^k, for one D shared through a :class:`DContext`.
-
-    Sums align k with the cached powers of D and products add k, so
-    arithmetic runs on plain ints with no gcd: ``== 0`` is ``n == 0`` and
-    ``== 1`` is ``n == D^k``.  ``int`` operands, and ``Fraction`` operands
-    whose denominator divides D, mix in on either side.  The representation
-    is not canonical (n / D^k equals nD / D^(k+1)); equality and the hash,
-    which is ``hash(Fraction(n, D^k))`` computed as n * D^-k modulo the
-    hash modulus, compare values.  :meth:`fraction` gives the canonical
-    ``Fraction``.
-    """
-
-    __slots__ = ("n", "k", "ctx")
-
-    def __init__(self, n: int, k: int, ctx: DContext):
-        self.n = n
-        self.k = k
-        self.ctx = ctx
-
-    def _coerce(self, other) -> "DFraction":
-        if type(other) is DFraction:
-            if other.ctx is not self.ctx:
-                raise ValueError("DFraction operands over different bases D")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.lift(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.n, self.ctx.power(self.k))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        k, j, ctx = self.k, o.k, self.ctx
-        if k == j:
-            return DFraction(self.n + o.n, k, ctx)
-        if k > j:
-            return DFraction(self.n + o.n * ctx.power(k - j), k, ctx)
-        return DFraction(self.n * ctx.power(j - k) + o.n, j, ctx)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DFraction(-self.n, self.k, self.ctx)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return DFraction(self.n * other, self.k, self.ctx)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return DFraction(self.n * o.n, self.k + o.k, self.ctx)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if type(e) is not int or e < 0:
-            return NotImplemented
-        return DFraction(self.n ** e, self.k * e, self.ctx)
-
-    def __bool__(self) -> bool:
-        return self.n != 0
-
-    def __eq__(self, other):
-        if type(other) is int:
-            return self.n == other * self.ctx.power(self.k)
-        if isinstance(other, Fraction):
-            return self.n * other.denominator == other.numerator * self.ctx.power(self.k)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        k, j = self.k, o.k
-        if k >= j:
-            return self.n == o.n * self.ctx.power(k - j)
-        return self.n * self.ctx.power(j - k) == o.n
-
-    def __hash__(self):
-        h = abs(self.n) % _HASH_MODULUS * pow(self.ctx.inv, self.k, _HASH_MODULUS) % _HASH_MODULUS
-        h = h if self.n >= 0 else -h
-        return -2 if h == -1 else h
-
-    def __repr__(self) -> str:
-        return f"DFraction({self.n}, {self.k})"
 
 
 def exact_divide(num: Union[UVLaurent, Rat],

@@ -168,12 +168,15 @@ def run_adhm_grid(
 ) -> Tuple[List[VerificationReport], List[Dict]]:
     """Run the ADHM identity over a grid.  Cells with gcd(r, d) != 1 are
     recorded as skipped rather than failed.  The grid size (at most
-    INPUT_BUDGET cells), every other cell, the trial count and the thread
-    count are validated before any cell runs (InvalidSpec).  With
+    INPUT_BUDGET cells), every other cell, the trial count (at most
+    INPUT_BUDGET) and the thread count are validated before any cell runs
+    (InvalidSpec).  With
     ``threads > 1`` the cells go to a process pool of at most one worker
     per cell."""
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
+    if trials > INPUT_BUDGET:
+        raise InvalidSpec(f"{trials} trials exceed the input budget {INPUT_BUDGET}")
     if threads < 1:
         raise InvalidSpec(f"threads must be >= 1, got {threads}")
     size = len(gs) * len(rs) * len(ds) * len(ps)

@@ -25,8 +25,10 @@ from motiveforge.curve_ring import (
 from motiveforge.moduli_formulas import ModuliSpec, motive
 from motiveforge.series_engine import (
     InsufficientTruncation,
+    LaurentSeries,
     PoleAtOne,
     TRational,
+    TruncatedSeries,
     _tp_mul,
     _tp_mul_factor,
     eval_at_one,
@@ -206,8 +208,9 @@ class TestAdhmClass:
            st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=20, deadline=None)
     def test_weil_value_matches_fraction_pipeline(self, g, p, r, seed):
-        # adhm_class computes over DFraction scalars; the reference runs the
-        # same pipeline on the environment's plain Fraction atoms
+        # adhm_class expands at t = 1 + s, with a partition's products run on
+        # ints scaled by powers of D; the reference is the TRational pipeline
+        # on the environment's plain Fraction atoms
         env = make_weil_env(g, seed)
         value = eval_at_one(plog_series(env, r, p)[r - 1])
         prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
@@ -274,3 +277,48 @@ class TestLaurentRoute:
                             lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
         with pytest.raises(InsufficientTruncation, match=r"s\^0 requested, series known through s\^-1"):
             adhm_class(make_weil_env(2, 5), 2, 1)
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_charge_term_matches_fraction_reference(self, g, n, p, j, seed):
+        # every s-coefficient of the charge term built over ints scaled by
+        # powers of D equals the one built on the plain Fraction atoms
+        env = frobenius(make_weil_env(g, seed), j)
+        got = adhm._charge_at_one(env, n, p, j, 3)
+        want = _charge_at_one_over_fractions(env, n, p, j, 3)
+        assert (got.val, got.series.order) == (want.val, want.series.order)
+        for k in range(want.val, want.val + want.series.order + 1):
+            assert type(got.coeff(k)) is Fraction and got.coeff(k) == want.coeff(k)
+
+
+def _charge_at_one_over_fractions(env, n, p, j, terms):
+    """psi_j of the charge-n term at t = 1 + s, each cell numerator and
+    denominator factor built and multiplied on the environment's own
+    Fraction values: the expansion of adhm._charge_at_one without the
+    scale D."""
+    g, L = env.genus, env.lefschetz
+    total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))
+    for lam in partitions(n):
+        num = den = TruncatedSeries([1], order=terms - 1)
+        poles = 0
+        for a, l, h in lam.cell_data():
+            la = L ** a
+            base_exp = p * (a - l) + (1 - g) * (2 * l + 1)
+            coeff = (-1) ** p * la ** p
+            cell = [0] * terms
+            for i, e_i in enumerate(env.lambda_values):
+                w = coeff * e_i
+                coeff = coeff * la
+                for k, b in enumerate(adhm._binomials(j * (base_exp + h * i), terms)):
+                    cell[k] = w * b + cell[k]
+            num = num * TruncatedSeries(cell, order=terms - 1)
+            b = adhm._binomials(j * h, terms + 1)
+            for c in (la, la * L):
+                pole = c == 1
+                factor = [-c * x for x in b[1:]] if pole else [1 - c] + [-c * x for x in b[1:terms]]
+                den = den * TruncatedSeries(factor, order=terms - 1)
+                poles += pole
+        total = total + LaurentSeries(-poles, num * den.inverse())
+    return total

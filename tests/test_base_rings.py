@@ -1,6 +1,5 @@
 """Exact arithmetic in the coefficient rings."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,6 @@ from motiveforge.base_rings import (
     U,
     UV,
     V,
-    DContext,
-    DFraction,
     NotDivisible,
     UVLaurent,
     ZeroPolynomial,
@@ -237,73 +234,3 @@ class TestBigRational:
         q = Fraction(6, -4)
         assert q.denominator > 0
         assert q == Fraction(-3, 2)
-
-
-# atoms as make_weil_env draws them: numerators and denominators up to 10^4
-weil_rationals = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 10 ** 4))
-
-
-@st.composite
-def dfraction_cases(draw):
-    """Two DFractions over one base (the lcm of a few weil atoms'
-    denominators times r!), at different powers of D, with their values;
-    and a Fraction whose denominator divides D: an atom or k/n, n <= r."""
-    atoms = draw(st.lists(weil_rationals, min_size=3, max_size=5))
-    r = draw(st.integers(1, 3))
-    ctx = DContext(math.lcm(*(a.denominator for a in atoms)) * math.factorial(r))
-    index = st.integers(0, len(atoms) - 1)
-
-    def value():
-        i, j, e = draw(index), draw(index), draw(st.integers(0, 3))
-        return ctx.lift(atoms[i]) ** e * ctx.lift(atoms[j]), atoms[i] ** e * atoms[j]
-
-    q = draw(st.one_of(st.sampled_from(atoms),
-                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, r))))
-    return value(), value(), q
-
-
-class TestDFraction:
-    @given(dfraction_cases(), st.integers(-10 ** 4, 10 ** 4), st.integers(0, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_agrees_with_fraction(self, case, i, e):
-        (x, fx), (y, fy), q = case
-        results = [
-            (x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx), (x ** e, fx ** e),
-            (x + i, fx + i), (i + x, i + fx), (x - i, fx - i), (i - x, i - fx),
-            (x * i, fx * i), (i * x, i * fx),
-            (x + q, fx + q), (q + x, q + fx), (x - q, fx - q), (q - x, q - fx),
-            (x * q, fx * q), (q * x, q * fx),
-        ]
-        for d, f in results:
-            assert type(d) is DFraction
-            assert d.fraction() == f
-            assert d == f and f == d
-            assert hash(d) == hash(f)
-            assert (d == 1) == (f == 1) and (d == 0) == (f == 0) and bool(d) == bool(f)
-        assert (x == y) == (fx == fy)
-        assert (x == i) == (fx == i) and (i == x) == (i == fx)
-        assert (x == q) == (fx == q) and (q == x) == (q == fx)
-
-    @given(dfraction_cases())
-    @settings(max_examples=50, deadline=None)
-    def test_one_value_many_representations(self, case):
-        (x, fx), _, _ = case
-        ctx = x.ctx
-        shifted = DFraction(x.n * ctx.D, x.k + 1, ctx)
-        assert shifted == x and x == shifted and hash(shifted) == hash(x) == hash(fx)
-        for k in (0, 1, x.k, x.k + 2):
-            one, zero = DFraction(ctx.power(k), k, ctx), DFraction(0, k, ctx)
-            assert one == 1 and 1 == one and hash(one) == hash(1)
-            assert zero == 0 and not zero and hash(zero) == 0
-        assert x - x == 0
-
-    def test_outside_the_base(self):
-        ctx = DContext(6)
-        x = DFraction(1, 1, ctx)
-        assert x == Fraction(1, 6) and x != Fraction(1, 5)
-        with pytest.raises(NotDivisible):
-            x + Fraction(1, 5)
-        with pytest.raises(TypeError):
-            x ** -1
-        with pytest.raises(ValueError):
-            x + DFraction(1, 1, DContext(6))

@@ -363,6 +363,25 @@ class TestCommands:
         with pytest.raises(InvalidSpec, match="input budget"):
             cli.run_adhm_grid([2] * 11, [1] * 10, [1] * 10, [1], trials=1, seed=0)
 
+    def test_over_budget_trials_exit_invalid_input(self, monkeypatch, capsys):
+        # a trial count above the budget ran until killed
+        from motiveforge import cli
+
+        monkeypatch.setattr(cli, "_adhm_cell", _must_not_run)
+        argv = ["verify-adhm", "--g", "2", "--r", "1", "--trials", "99999999999999999999"]
+        assert main(argv) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "input budget" in captured.err and captured.out == ""
+        with pytest.raises(InvalidSpec, match="input budget"):
+            cli.run_adhm_grid([2], [1], [1], [1], trials=INPUT_BUDGET + 1, seed=0)
+        # the budget itself is accepted: the cell is reached
+        def reached(cell):
+            raise RuntimeError(f"a cell ran with {cell[4]} trials")
+
+        monkeypatch.setattr(cli, "_adhm_cell", reached)
+        with pytest.raises(RuntimeError, match=f"a cell ran with {INPUT_BUDGET} trials"):
+            cli.run_adhm_grid([2], [1], [1], [1], trials=INPUT_BUDGET, seed=0)
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_any_argv_keeps_the_exit_code_contract(self, data):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motiveforge import adhm
 from motiveforge.base_rings import U, UV, V
 from motiveforge.cli import main
 from motiveforge.curve_ring import (
@@ -54,20 +53,16 @@ class TestEnvironments:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_each_environment_has_its_own_lambda_values(self, g):
-        # frobenius and adhm._over_one_base build new environments from one
-        # whose values are already cached; each must compute its own
+        # frobenius builds new environments from one whose values are
+        # already cached; each must compute its own
         for env in (make_hodge_env(g), make_weil_env(g, 100 + g)):
             assert env.lambda_values is env.lambda_values
-            derived = [env] + [frobenius(env, j) for j in (2, 3)]
-            if env.base == "weil":
-                derived.append(adhm._over_one_base(env))
-            for e in derived:
+            for e in [env] + [frobenius(env, j) for j in (2, 3)]:
                 # e_i as the sum over i-subsets of the atoms
                 expected = tuple(sum((math.prod(s) for s in itertools.combinations(e.betas, i)), 0)
                                  for i in range(len(e.betas) + 1))
                 assert e.lambda_values == expected
-                # a lifted environment holding its parent's Fraction values
-                # would compare equal, so the types are checked too
+                # the values keep the atoms' ring: Fraction or UVLaurent
                 assert [type(x) for x in e.lambda_values] == [type(x) for x in expected]
 
     @given(st.integers(min_value=2, max_value=5), seeds)

@@ -43,26 +43,6 @@ def test_benchmark_traced_layers_exist():
     assert spans.LAYER_FUNCTIONS and spans.LAYER_OPERATORS and not missing, missing
 
 
-def test_motive_route_stays_on_fraction():
-    # the weil ADHM route computes over DFraction scalars; the stratification
-    # route (moduli_formulas, curve_ring) must not use them, so the two
-    # routes the identity test compares stay independent
-    banned = {"DFraction", "DContext"}
-    found = []
-    for path in SOURCES:
-        if path.name not in ("moduli_formulas.py", "curve_ring.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            names = ({node.id} if isinstance(node, ast.Name)
-                     else {node.attr} if isinstance(node, ast.Attribute)
-                     else {node.name, node.asname} if isinstance(node, ast.alias)
-                     else set())
-            found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
-                      for name in names & banned]
-    assert not found, found
-
-
 def test_closed_form_and_strata_routes_share_no_series():
     # the closed-form extractions read h1 through A(x) = _zeta_series; the
     # stratification route builds its own lambda series from split classes
