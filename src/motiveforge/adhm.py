@@ -79,19 +79,6 @@ class Partition:
             out.append(sum(1 for p in self.parts if p >= j))
         return tuple(out)
 
-    def cells(self) -> List[Tuple[int, int]]:
-        """All cells (i, j), 1-based, with 1 <= j <= parts[i-1]."""
-        return [(i + 1, j + 1) for i, p in enumerate(self.parts) for j in range(p)]
-
-    def arm(self, i: int, j: int) -> int:
-        return self.parts[i - 1] - j
-
-    def leg(self, i: int, j: int) -> int:
-        return self.conjugate_parts()[j - 1] - i
-
-    def hook(self, i: int, j: int) -> int:
-        return self.arm(i, j) + self.leg(i, j) + 1
-
     def cell_data(self) -> List[Tuple[int, int, int]]:
         """(arm, leg, hook) for every cell."""
         conj = self.conjugate_parts()

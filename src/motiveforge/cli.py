@@ -172,7 +172,7 @@ def run_adhm_grid(
     INPUT_BUDGET) and the thread count are validated before any cell runs
     (InvalidSpec).  With
     ``threads > 1`` the cells go to a process pool of at most one worker
-    per cell."""
+    per cell and per CPU (``os.cpu_count()``)."""
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     if trials > INPUT_BUDGET:
@@ -194,9 +194,10 @@ def run_adhm_grid(
                         continue
                     ModuliSpec.from_p(g, r, d, p).validate()
                     cells.append((g, r, d, p, trials, seed, hodge))
-    if threads > 1 and len(cells) > 1:
+    workers = min(threads, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         # the fork start method starts every worker when the pool starts
-        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_adhm_cell, cells))
     else:
         reports = [_adhm_cell(c) for c in cells]

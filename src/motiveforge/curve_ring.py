@@ -1,4 +1,4 @@
-"""Atom environments and split-class lambda operations for a genus-g curve.
+"""Atom environments and lambda operations for a genus-g curve.
 
 The class of the curve splits as [X] = 1 + h1 + L where L is the Lefschetz
 class and h1 is the weight-one part.  Both realizations implemented here
@@ -11,11 +11,9 @@ b_i * b_{g+i} = L:
   Evaluating a class here is a Schwartz-Zippel style specialization used for
   randomized identity testing.
 
-Lambda operations are only defined on :class:`SplitClass` values, i.e. on
-multisets of monomial line elements, each tagged geometric (its lambda
-series is 1/(1 - l*x)) or finite (series 1 + l*x).  Every class appearing
-in the moduli formulas ([X], [X] + L^2, [X]*L + 1) is of this shape, so the
-general plethysm machinery of special lambda-rings is never needed.
+Every class whose lambda-powers the moduli formulas read ([X], [X] + L^2,
+[X]*L + 1) is ell*h1 plus monomials with geometric lambda series, ell = 1
+or L, so :func:`lambda_series` needs no general plethysm machinery.
 
 The elementary symmetric values e_0 .. e_2g of the atoms, the coefficients
 of h1(x) = prod_k (1 + b_k x), are computed once per environment
@@ -37,9 +35,6 @@ from typing import List, Tuple
 
 from .base_rings import UV, U, V
 from .series_engine import TruncatedSeries
-
-GEOMETRIC = "geometric"
-FINITE = "finite"
 
 
 class InvalidGenus(ValueError):
@@ -142,42 +137,6 @@ def frobenius(env: AtomEnvironment, j: int) -> AtomEnvironment:
     )
 
 
-# ---------------------------------------------------------------------------
-# split classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitClass:
-    """Multiset of monomial line elements with their lambda-series type."""
-
-    atoms: Tuple[Tuple[object, str], ...]
-
-    def value(self):
-        """The class itself: the sum of its atom values."""
-        total = 0
-        for a, _ in self.atoms:
-            total = total + a
-        return total
-
-    def union(self, other: "SplitClass") -> "SplitClass":
-        return SplitClass(self.atoms + other.atoms)
-
-    def scale(self, monomial) -> "SplitClass":
-        """Tensor every line element by a fixed monomial, kinds preserved."""
-        return SplitClass(tuple((a * monomial, kind) for a, kind in self.atoms))
-
-    def plus_geometric(self, value) -> "SplitClass":
-        return SplitClass(self.atoms + ((value, GEOMETRIC),))
-
-
-def curve_class(env: AtomEnvironment) -> SplitClass:
-    """[X] = 1 + h1 + L as a split class: {1 geom, atoms finite, L geom}."""
-    atoms: List[Tuple[object, str]] = [(1, GEOMETRIC)]
-    atoms.extend((b, FINITE) for b in env.betas)
-    atoms.append((env.lefschetz, GEOMETRIC))
-    return SplitClass(tuple(atoms))
-
-
 def h1_poly(env: AtomEnvironment, arg):
     """prod_k (1 + b_k * arg) = sum_i e_i * arg^i: the generating value of
     the exterior powers of the weight-one part, evaluated at a ring element."""
@@ -192,41 +151,30 @@ def jacobian_class(env: AtomEnvironment):
     return h1_poly(env, 1)
 
 
-def h1_power_sums(env: AtomEnvironment, upto: int) -> List[object]:
-    """Power sums p_1 .. p_upto of the atoms (index 0 unused)."""
-    out: List[object] = [None]
-    for j in range(1, upto + 1):
-        s = 0
-        for b in env.betas:
-            s = s + b ** j
-        out.append(s)
-    return out
-
-
-def lambda_series(env: AtomEnvironment, c: SplitClass, order: int) -> TruncatedSeries:
-    """Truncated series whose x^n coefficient is lambda^n of the split class.
-
-    The series is the product over atoms of 1/(1 - l*x) for geometric atoms
-    and (1 + l*x) for finite ones, truncated at the requested order.
-    """
+def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> TruncatedSeries:
+    """The lambda series of ell*h1 + sum(geometric) to x^order:
+    sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x), Macdonald's
+    formula (with ell = 1, geometric = (1, L) the zeta function of X).
+    Each geometric factor is the recurrence c_k += c*c_(k-1), k rising."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = TruncatedSeries([1], order=order)
-    for a, kind in c.atoms:
-        if kind == GEOMETRIC:
-            out = out * TruncatedSeries.geometric(a, 1, order)
-        elif kind == FINITE:
-            out = out * TruncatedSeries([1, a], order=order)
-        else:
-            raise ValueError(f"unknown atom kind {kind!r}")
-    return out
+    e = env.lambda_values
+    coeffs: List[object] = [0] * (order + 1)
+    power = 1
+    for i in range(min(order, len(e) - 1) + 1):
+        coeffs[i] = e[i] * power
+        power = power * ell
+    for c in geometric:
+        for k in range(1, order + 1):
+            coeffs[k] = coeffs[k] + c * coeffs[k - 1]
+    return TruncatedSeries(coeffs, order=order)
 
 
-def sym_power_class(env: AtomEnvironment, c: SplitClass, n: int):
-    """lambda^n of a split class: coefficient of x^n in its lambda series."""
+def sym_power_class(env: AtomEnvironment, ell, geometric, n: int):
+    """lambda^n of ell*h1 + sum(geometric): x^n in :func:`lambda_series`."""
     if n < 0:
         raise ValueError("lambda index must be >= 0")
-    return lambda_series(env, c, n).coeff(n)
+    return lambda_series(env, ell, geometric, n).coeff(n)
 
 
 def h1_series(env: AtomEnvironment, order: int) -> TruncatedSeries:

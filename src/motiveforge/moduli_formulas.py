@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 from .base_rings import UV, UVLaurent, exact_divide
 from .curve_ring import (
     AtomEnvironment,
-    curve_class,
     h1_poly,
     h1_series,
     jacobian_class,
@@ -253,7 +252,7 @@ def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
     raise InvalidSpec(f"rank {r} not supported")
 
 
-# The split classes whose lambda-powers the stratum classes read.
+# The classes whose lambda-powers the stratum classes read.
 _CURVE = "[X]"
 _PLUS = "[X] + L^2"
 _TWIST = "[X]*L + 1"
@@ -270,7 +269,7 @@ def _vhs12_degrees(t: VHSType) -> Tuple[int, int]:
 
 
 def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
-    """(split class, lambda index) pairs the class of a stratum reads.
+    """(class, lambda index) pairs the class of a stratum reads.
 
     A bundle stratum (one part) reads none.  Raises :class:`EmptyStratum`
     for an empty stratum and :class:`InvalidSpec` for an unsupported shape.
@@ -304,24 +303,24 @@ def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
 
 def _lambda_tables(env: AtomEnvironment,
                    reads: List[Tuple[str, int]]) -> Dict[str, TruncatedSeries]:
-    """One lambda series per split class read, to the largest index read."""
+    """One lambda series per class read, to the largest index read; each
+    class is ell*h1 + sum(geometric) (:func:`lambda_series`)."""
     top: Dict[str, int] = {}
     for name, n in reads:
         top[name] = max(top.get(name, 0), n)
     L = env.lefschetz
-    cx = curve_class(env)
-    classes = {
-        _CURVE: cx,
-        _PLUS: cx.plus_geometric(L * L),
-        _TWIST: cx.scale(L).plus_geometric(1),
+    shapes = {
+        _CURVE: (1, (1, L)),
+        _PLUS: (1, (1, L, L * L)),
+        _TWIST: (L, (1, L, L * L)),
     }
-    return {name: lambda_series(env, classes[name], n) for name, n in top.items()}
+    return {name: lambda_series(env, *shapes[name], n) for name, n in top.items()}
 
 
 def _vhs_class(env: AtomEnvironment, t: VHSType, dL: int,
                tables: Dict[str, TruncatedSeries]) -> Tuple[int, Optional[Tuple[str, int]], object]:
     """Class of a stratum as (k, first, c), meaning jac^k * lambda_first * c:
-    ``first`` is the (split class, index) read kept out of ``c``, or None.
+    ``first`` is the (class, index) read kept out of ``c``, or None.
     Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`)."""
     if len(t.ranks) == 1:
         return 0, None, bundle_moduli_class(env, t.ranks[0], t.total_deg)
@@ -379,7 +378,7 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
 def motive(env: AtomEnvironment, spec: ModuliSpec):
     """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
 
-    One lambda series per split class read is built per call.  With each
+    One lambda series per class read is built per call.  With each
     stratum class jac^k * lambda_first * c (:func:`_vhs_class`), the sums of
     L^(N+) * c are kept per (k, first read); each group is multiplied once
     by its lambda factor, and the total is S_0 + jac * (S_1 + jac * S_2).

@@ -8,7 +8,7 @@ literals 0 and 1, and ``bool()`` false exactly at zero works; a
 
 * :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order
   (no Laurent shift), used for every single-variable coefficient extraction
-  and for the lambda series of split classes.
+  and for the stratification route's lambda series.
 * :class:`LaurentSeries` - s^val times a :class:`TruncatedSeries`.  The weil
   ADHM route expands every term at t = 1 + s with ``Fraction`` coefficients
   and reads the value at t = 1 off the s^0 coefficient.
@@ -195,21 +195,6 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
             acc = acc - term * Fraction(k, n)
         log_coeffs[n] = acc
     return TruncatedSeries(log_coeffs, order=order)
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """Formal exponential of a series with zero constant term."""
-    if s.coeff(0) != 0:
-        raise BadConstantTerm("series_exp needs zero constant term")
-    order = s.order
-    a = [s.coeff(n) for n in range(order + 1)]
-    e: List = [1] + [0] * order
-    for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            acc = acc + (a[k] * e[n - k]) * Fraction(k, n)
-        e[n] = acc
-    return TruncatedSeries(e, order=order)
 
 
 # ---------------------------------------------------------------------------

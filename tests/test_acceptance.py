@@ -8,12 +8,7 @@ equality; there are no numeric tolerances anywhere.
 from motiveforge.adhm import adhm_class, plog_series
 from motiveforge.cli import identity_test
 from motiveforge.curve_ring import (
-    FINITE,
-    GEOMETRIC,
-    SplitClass,
-    curve_class,
     frobenius,
-    h1_power_sums,
     jacobian_class,
     lambda_series,
     make_hodge_env,
@@ -166,17 +161,19 @@ def test_criterion_7_property_suites():
     for j in (2, 3, 6):
         fenv = frobenius(heenv, j)
         assert jacobian_class(fenv) == jacobian_class(heenv).power_substitute(j)
-        assert sym_power_class(fenv, curve_class(fenv), 2) == \
-            sym_power_class(heenv, curve_class(heenv), 2).power_substitute(j)
+        assert sym_power_class(fenv, 1, (1, fenv.lefschetz), 2) == \
+            sym_power_class(heenv, 1, (1, heenv.lefschetz), 2).power_substitute(j)
 
-    # lambda-series convolution on randomized split classes
+    # lambda-series convolution of randomized geometric sets: the ell = 0
+    # series of b is prod_b 1/(1 - b x)
     for seed in range(5):
         env = make_weil_env(2, 7000 + seed)
-        a = SplitClass(((env.betas[0], FINITE), (env.lefschetz, GEOMETRIC)))
-        b = SplitClass(((1, GEOMETRIC), (env.betas[1], FINITE)))
-        lhs = lambda_series(env, a.union(b), 6)
-        rhs = lambda_series(env, a, 6) * lambda_series(env, b, 6)
-        assert [lhs.coeff(k) for k in range(7)] == [rhs.coeff(k) for k in range(7)]
+        for ell in (1, env.lefschetz):
+            a = (env.betas[0], env.lefschetz)
+            b = (1, env.betas[1])
+            lhs = lambda_series(env, ell, a + b, 6)
+            rhs = lambda_series(env, ell, a, 6) * lambda_series(env, 0, b, 6)
+            assert [lhs.coeff(k) for k in range(7)] == [rhs.coeff(k) for k in range(7)]
 
     # functional equation e_n = L^(n-g) e_{2g-n}
     for env in [make_hodge_env(2), make_hodge_env(3)] + \
@@ -190,15 +187,14 @@ def test_criterion_7_property_suites():
     for env in (make_hodge_env(2), make_weil_env(2, 9001)):
         jac = jacobian_class(env)
         L = env.lefschetz
-        cx = curve_class(env)
         for n in (3, 4, 5, 6):
-            assert sym_power_class(env, cx, n) * (L - 1) == jac * (L ** (n - 1) - 1)
+            assert sym_power_class(env, 1, (1, L), n) * (L - 1) == jac * (L ** (n - 1) - 1)
 
     # Newton identities between elementary and power-sum values
     for seed in range(5):
         env = make_weil_env(3, 9100 + seed)
         e = env.lambda_values
-        p = h1_power_sums(env, 2 * env.genus)
+        p = [None] + [sum(b ** m for b in env.betas) for m in range(1, 2 * env.genus + 1)]
         for n in range(1, 2 * env.genus + 1):
             rhs = sum((-1) ** (m - 1) * e[n - m] * p[m] for m in range(1, n + 1))
             assert n * e[n] == rhs

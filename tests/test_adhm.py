@@ -36,6 +36,23 @@ from motiveforge.series_engine import (
 )
 
 
+def cells(lam: Partition):
+    """All cells (i, j), 1-based, with 1 <= j <= parts[i-1]."""
+    return [(i + 1, j + 1) for i, p in enumerate(lam.parts) for j in range(p)]
+
+
+def arm(lam: Partition, i: int, j: int) -> int:
+    return lam.parts[i - 1] - j
+
+
+def leg(lam: Partition, i: int, j: int) -> int:
+    return lam.conjugate_parts()[j - 1] - i
+
+
+def hook(lam: Partition, i: int, j: int) -> int:
+    return arm(lam, i, j) + leg(lam, i, j) + 1
+
+
 class TestPartitions:
     def test_counts(self):
         assert [len(partitions(n)) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
@@ -46,19 +63,19 @@ class TestPartitions:
 
     def test_hooks_of_21(self):
         lam = Partition((2, 1))
-        data = {(i, j): (lam.arm(i, j), lam.leg(i, j), lam.hook(i, j))
-                for i, j in lam.cells()}
+        data = {(i, j): (arm(lam, i, j), leg(lam, i, j), hook(lam, i, j))
+                for i, j in cells(lam)}
         assert data == {(1, 1): (1, 1, 3), (1, 2): (0, 0, 1), (2, 1): (0, 0, 1)}
 
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=20, deadline=None)
     def test_cell_data_consistency(self, n):
         for lam in partitions(n):
-            cells = lam.cells()
-            assert len(cells) == lam.size == n
+            box = cells(lam)
+            assert len(box) == lam.size == n
             listed = lam.cell_data()
-            direct = [(lam.arm(i, j), lam.leg(i, j), lam.hook(i, j))
-                      for i, j in cells]
+            direct = [(arm(lam, i, j), leg(lam, i, j), hook(lam, i, j))
+                      for i, j in box]
             assert listed == direct
             assert all(h == a + l + 1 >= 1 for a, l, h in listed)
 

@@ -1,9 +1,11 @@
-"""Atom environments, split classes and lambda operations."""
+"""Atom environments, lambda operations and their per-atom reference."""
 
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,20 +14,83 @@ from hypothesis import strategies as st
 from motiveforge.base_rings import U, UV, V
 from motiveforge.cli import main
 from motiveforge.curve_ring import (
-    FINITE,
-    GEOMETRIC,
+    AtomEnvironment,
     InvalidGenus,
-    SplitClass,
-    curve_class,
     frobenius,
     h1_poly,
-    h1_power_sums,
     jacobian_class,
     lambda_series,
     make_hodge_env,
     make_weil_env,
     sym_power_class,
 )
+from motiveforge.series_engine import TruncatedSeries
+
+GEOMETRIC = "geometric"
+FINITE = "finite"
+
+
+@dataclass(frozen=True)
+class SplitClass:
+    """Reference model: a multiset of monomial line elements, each with the
+    lambda series 1/(1 - l*x) (geometric) or 1 + l*x (finite)."""
+
+    atoms: Tuple[Tuple[object, str], ...]
+
+    def value(self):
+        """The class itself: the sum of its atom values."""
+        total = 0
+        for a, _ in self.atoms:
+            total = total + a
+        return total
+
+    def union(self, other: "SplitClass") -> "SplitClass":
+        return SplitClass(self.atoms + other.atoms)
+
+    def scale(self, monomial) -> "SplitClass":
+        """Tensor every line element by a fixed monomial, kinds preserved."""
+        return SplitClass(tuple((a * monomial, kind) for a, kind in self.atoms))
+
+    def plus_geometric(self, value) -> "SplitClass":
+        return SplitClass(self.atoms + ((value, GEOMETRIC),))
+
+
+def curve_class(env: AtomEnvironment) -> SplitClass:
+    """[X] = 1 + h1 + L as a split class: {1 geom, atoms finite, L geom}."""
+    return SplitClass(((1, GEOMETRIC),) + tuple((b, FINITE) for b in env.betas)
+                      + ((env.lefschetz, GEOMETRIC),))
+
+
+def reference_lambda_series(c: SplitClass, order: int) -> TruncatedSeries:
+    """The per-atom product: one truncated series factor per atom."""
+    out = TruncatedSeries([1], order=order)
+    for a, kind in c.atoms:
+        if kind == GEOMETRIC:
+            out = out * TruncatedSeries.geometric(a, 1, order)
+        elif kind == FINITE:
+            out = out * TruncatedSeries([1, a], order=order)
+        else:
+            raise ValueError(f"unknown atom kind {kind!r}")
+    return out
+
+
+def class_shapes(env: AtomEnvironment):
+    """The three classes the strata read, as (split class, ell, geometric)."""
+    L = env.lefschetz
+    cx = curve_class(env)
+    return [(cx, 1, (1, L)),
+            (cx.plus_geometric(L * L), 1, (1, L, L * L)),
+            (cx.scale(L).plus_geometric(1), L, (1, L, L * L))]
+
+
+def h1_power_sums(env: AtomEnvironment, upto: int):
+    """Power sums p_1 .. p_upto of the atoms (index 0 unused)."""
+    return [None] + [sum((b ** j for b in env.betas), 0) for j in range(1, upto + 1)]
+
+
+def coeffs(s: TruncatedSeries):
+    return [s.coeff(n) for n in range(s.order + 1)]
+
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -34,6 +99,7 @@ class TestEnvironments:
     def test_hodge_g2_curve_class(self):
         env = make_hodge_env(2)
         assert curve_class(env).value() == 1 - 2 * U - 2 * V + UV
+        assert sym_power_class(env, 1, (1, UV), 1) == 1 - 2 * U - 2 * V + UV
 
     def test_hodge_jacobian(self):
         for g in (2, 3, 4):
@@ -128,7 +194,7 @@ class TestFrobenius:
         for j in (2, 3):
             fenv = frobenius(env, j)
             for value_of in (jacobian_class, lambda e: h1_poly(e, e.lefschetz),
-                             lambda e: sym_power_class(e, curve_class(e), 3)):
+                             lambda e: sym_power_class(e, 1, (1, e.lefschetz), 3)):
                 assert value_of(fenv) == value_of(env).power_substitute(j)
 
     @given(seeds, st.integers(min_value=1, max_value=3))
@@ -147,18 +213,30 @@ class TestFrobenius:
 
 
 class TestLambdaOperations:
+    @given(st.integers(min_value=2, max_value=5), st.sampled_from(["hodge", "weil"]),
+           seeds, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_builder_matches_per_atom_product(self, g, base, seed, data):
+        # orders below and above 2g, where the e_i run out
+        env = make_hodge_env(g) if base == "hodge" else make_weil_env(g, seed)
+        order = data.draw(st.integers(min_value=0, max_value=2 * g + 3), label="order")
+        ref, ell, geometric = data.draw(st.sampled_from(class_shapes(env)), label="shape")
+        s = lambda_series(env, ell, geometric, order)
+        assert s.order == order
+        assert coeffs(s) == coeffs(reference_lambda_series(ref, order))
+
     def test_point_series(self):
-        env = make_hodge_env(2)
-        c = SplitClass(((1, GEOMETRIC),))
-        s = lambda_series(env, c, 5)
-        assert [s.coeff(n) for n in range(6)] == [1] * 6
+        # ell = 0 leaves e_0 = 1 alone, so one geometric 1 is the point
+        for env in (make_hodge_env(2), make_weil_env(2, 11)):
+            s = lambda_series(env, 0, (1,), 5)
+            assert coeffs(s) == [1] * 6
 
     def test_curve_series_is_zeta(self):
         # coefficients of Z(x) = P(x) / ((1-x)(1-Lx)) match the series
         for env in (make_hodge_env(2), make_weil_env(2, 11)):
             order = 6
-            s = lambda_series(env, curve_class(env), order)
             L = env.lefschetz
+            s = lambda_series(env, 1, (1, L), order)
             e = env.lambda_values
             # brute-force zeta coefficients: lambda^n([X]) = sum over
             # i + j + k = n of e_i L^j (from 1/(1-Lx)) * 1 (from 1/(1-x))
@@ -169,22 +247,29 @@ class TestLambdaOperations:
                         expected = expected + e[i] * L ** jj
                 assert s.coeff(n) == expected
 
-    @given(seeds, st.integers(min_value=0, max_value=5))
+    @given(seeds, st.integers(min_value=0, max_value=5), st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_union_convolution(self, seed, order):
+    def test_union_convolution(self, seed, order, twist):
+        # geometric sets convolve: A + B gives the A series times the
+        # ell = 0 series of B, which is prod_B 1/(1 - b x)
         env = make_weil_env(2, seed)
-        a = SplitClass(((env.betas[0], FINITE), (1, GEOMETRIC)))
-        b = SplitClass(((env.lefschetz, GEOMETRIC), (env.betas[1], FINITE)))
-        combined = lambda_series(env, a.union(b), order)
-        product = lambda_series(env, a, order) * lambda_series(env, b, order)
-        assert [combined.coeff(n) for n in range(order + 1)] == \
-            [product.coeff(n) for n in range(order + 1)]
+        ell = env.lefschetz if twist else 1
+        a = (env.betas[0], 1)
+        b = (env.lefschetz, env.betas[1])
+        combined = lambda_series(env, ell, a + b, order)
+        product = lambda_series(env, ell, a, order) * lambda_series(env, 0, b, order)
+        assert coeffs(combined) == coeffs(product)
+        # the reference's finite and geometric atoms convolve the same way
+        x = SplitClass(((env.betas[0], FINITE), (1, GEOMETRIC)))
+        y = SplitClass(((env.lefschetz, GEOMETRIC), (env.betas[1], FINITE)))
+        assert coeffs(reference_lambda_series(x.union(y), order)) == \
+            coeffs(reference_lambda_series(x, order) * reference_lambda_series(y, order))
 
     def test_sym_power_basics(self):
         env = make_weil_env(2, 3)
-        cx = curve_class(env)
-        assert sym_power_class(env, cx, 0) == 1
-        assert sym_power_class(env, cx, 1) == cx.value()
+        for ref, ell, geometric in class_shapes(env):
+            assert sym_power_class(env, ell, geometric, 0) == 1
+            assert sym_power_class(env, ell, geometric, 1) == ref.value()
 
     def test_sym_power_abel_jacobi_oracle(self):
         # [Sym^n X] = [Jac] (L^(n-g+1) - 1)/(L - 1) for n >= 2g - 1,
@@ -193,9 +278,8 @@ class TestLambdaOperations:
             g = env.genus
             L = env.lefschetz
             jac = jacobian_class(env)
-            cx = curve_class(env)
             for n in range(2 * g - 1, 2 * g + 3):
-                lhs = sym_power_class(env, cx, n) * (L - 1)
+                lhs = sym_power_class(env, 1, (1, L), n) * (L - 1)
                 assert lhs == jac * (L ** (n - g + 1) - 1)
 
     def test_scale_and_plus_geometric(self):

@@ -273,7 +273,7 @@ class TestSharedLambdaTables:
            st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
     @settings(max_examples=30, deadline=None)
     def test_motive_is_the_sum_of_public_stratum_classes(self, g, r, p, d, seed):
-        # motive reads every stratum from one lambda series per split class;
+        # motive reads every stratum from one lambda series per class read;
         # vhs_class builds its own for its single stratum
         assume(math.gcd(r, d) == 1)
         spec = ModuliSpec.from_p(g, r, d, p)

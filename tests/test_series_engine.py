@@ -21,10 +21,25 @@ from motiveforge.series_engine import (
     _tp_mul,
     _tp_mul_factor,
     eval_at_one,
-    series_exp,
     series_log,
     substitute_t_power,
 )
+
+
+def series_exp(s: TruncatedSeries) -> TruncatedSeries:
+    """Formal exponential of a series with zero constant term: the inverse
+    that checks series_log."""
+    if s.coeff(0) != 0:
+        raise BadConstantTerm("series_exp needs zero constant term")
+    order = s.order
+    a = [s.coeff(n) for n in range(order + 1)]
+    e = [1] + [0] * order
+    for n in range(1, order + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            acc = acc + (a[k] * e[n - k]) * Fraction(k, n)
+        e[n] = acc
+    return TruncatedSeries(e, order=order)
 
 
 class TestTruncatedSeries:

@@ -45,7 +45,7 @@ def test_benchmark_traced_layers_exist():
 
 def test_closed_form_and_strata_routes_share_no_series():
     # the closed-form extractions read h1 through A(x) = _zeta_series; the
-    # stratification route builds its own lambda series from split classes
+    # stratification route builds its own lambda series from the cached e_i
     path = next(p for p in SOURCES if p.name == "moduli_formulas.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
