@@ -22,16 +22,19 @@ contribute.  The final class is
 
     (-1)^(p r) L^(r^2 (g-1) + p r (r+1) / 2) H_r(1).
 
-Two carriers run the same double sum.  A hodge environment builds each term
-as a TRational in t (:func:`partition_sum`, :func:`plog_series`) and
-evaluates H_r with :func:`motiveforge.series_engine.eval_at_one`.  A weil
-environment needs only the number H_r(1), so it expands every term as a
-Laurent series in s = t - 1 with r coefficients (:func:`_h_r_at_one`,
-whose docstring shows why r suffice) and reads off the s^0 coefficient.
-Both take a term's cells and denominator factors from one builder,
-:func:`_partition_terms`, which also runs the pole check; the weil carrier
-asks for them scaled by powers of D, the lcm of the atom denominators, so a
-partition's products run on ints and become Fractions once.
+One carrier runs the double sum for both realizations: H_r(1) is all
+that is needed, so every term is expanded as a Laurent series in s = t - 1
+with r coefficients (:func:`partition_sum`, :func:`plog_series`, whose
+docstring shows why r suffice), and
+:func:`motiveforge.series_engine.eval_at_one` reads off the s^0
+coefficient.  The terms' cells and denominator factors come from one
+builder, :func:`_partition_terms`, which also runs the pole check.  The
+realizations differ only in how a partition's denominator series is
+inverted: weil scales by powers of D, the lcm of the atom denominators, so
+the products run on ints and become Fractions once; hodge keeps the
+constant term's factors (1 - L^k) unexpanded in a
+:class:`motiveforge.series_engine.TRational` and divides by their product
+once, at t = 1.
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ from .series_engine import (
     TRational,
     TruncatedSeries,
     _is_zero,
-    _tp_mul,
     eval_at_one,
     series_log,
-    substitute_t_power,
 )
 
 
@@ -66,10 +67,6 @@ class Partition:
             raise ValueError("partition parts must be positive")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError("partition parts must be decreasing")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
 
     def conjugate_parts(self) -> Tuple[int, ...]:
         if not self.parts:
@@ -193,17 +190,6 @@ def _partition_terms(env: AtomEnvironment, n: int, p: int, D: int = 1, j=None):
         yield cells, den, kn, kd
 
 
-def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
-    """Charge-n generating term: the hook-weighted zeta sum over partitions."""
-    total = TRational.from_scalar(0)
-    for cells, den, _, _ in _partition_terms(env, n, p):
-        num: Dict[int, object] = {0: 1}
-        for cell in cells:
-            num = _tp_mul(num, cell)
-        total = total + TRational(num, [(c, h) for _, c, h in den], reduce=False)
-    return total
-
-
 def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
     """The Moebius / Adams double sum sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n),
     truncated at T-order r: its T^1 .. T^r coefficients.
@@ -229,23 +215,6 @@ def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
     return acc[1:]
 
 
-def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
-    """H_1(t) .. H_r(t): plethystic-log coefficients cleared by (1-t)(1-Lt).
-
-    Rational scalars mu(j)/(j k) are carried exactly.  TRational sums and
-    products cancel nothing, so each H_n is reduced once, by one explicit
-    TRational construction after clearing (1-t)(1-Lt); for honest inputs
-    that leaves an actual Laurent polynomial in t.
-    """
-    L = env.lefschetz
-    out: List[TRational] = []
-    for acc in _connected(env, r, lambda fenv, n, j: substitute_t_power(
-            partition_sum(fenv, n, p), j), TRational.from_scalar(0)):
-        h = acc.mul_poly_factor(1, 1).mul_poly_factor(L, 1)
-        out.append(TRational(h.num, h.den))  # the one reduction of the pipeline
-    return out
-
-
 def _binomials(e: int, count: int) -> List[int]:
     """C(e, 0) .. C(e, count - 1) for any integer e: (1 + s)^e to s^(count-1)."""
     out = [1]
@@ -254,7 +223,7 @@ def _binomials(e: int, count: int) -> List[int]:
     return out
 
 
-def _charge_at_one(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> LaurentSeries:
+def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> LaurentSeries:
     """psi_j of the charge-n term expanded at t = 1 + s, from the j-th
     Frobenius environment: ``terms`` coefficients per partition, from
     s^(-poles) on.
@@ -263,12 +232,20 @@ def _charge_at_one(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> 
     every t-exponent by j.  A cell's numerator sum_i w_i t^(j x_i) is
     sum_k (sum_i w_i C(j x_i, k)) s^k, and a denominator factor
     u - c t^(j h) is (u - c) - c sum_k C(j h, k) s^k, divided by s when
-    c == u.  The terms come from :func:`_partition_terms` over D, the lcm of
-    the atom denominators, so a partition's numerators and denominators are
-    multiplied over ints; they become Fractions once, divided by D^kn and
-    D^kd, and the one series inverse and product run over Fraction.
+    c == u.  A partition's denominator series P(s) is inverted from the
+    reciprocal of its constant term P_0 = prod (u - c) prod_poles (-c j h),
+    the one step that differs between realizations:
+
+    * weil: the terms come from :func:`_partition_terms` over D, the lcm of
+      the atom denominators, so the products run on ints; they become
+      Fractions once, divided by D^kn and D^kd, and 1/P_0 is a Fraction;
+    * hodge: D = 1, u = 1 and every c of a factor without a pole is a power
+      of L, so 1/P_0 is the :class:`TRational` 1/prod_poles(-j h) over
+      prod (1 - c), and so are the coefficients of 1/P(s), Q_k / P_0^(k+1)
+      with polynomial Q_k.
     """
-    D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas))
+    weil = env.base == "weil"
+    D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas)) if weil else 1
     total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))
     for cells, den, kn, kd in _partition_terms(env, n, p, D, j):
         num = dens = TruncatedSeries([1], order=terms - 1)
@@ -278,60 +255,60 @@ def _charge_at_one(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> 
                 for k, b in enumerate(_binomials(j * x, terms)):
                     series[k] = w * b + series[k]
             num = num * TruncatedSeries(series, order=terms - 1)
-        poles = 0
+        poles, pole_scale, constants = 0, 1, []
         for u, c, h in den:
             b = _binomials(j * h, terms + 1)
             pole = c == u
             factor = [-c * x for x in b[1:]] if pole else [u - c] + [-c * x for x in b[1:terms]]
             dens = dens * TruncatedSeries(factor, order=terms - 1)
-            poles += pole
-        num, dens = (TruncatedSeries([Fraction(x, D ** k) for x in f.coeffs], order=terms - 1)
-                     for f, k in ((num, kn), (dens, kd)))
-        total = total + LaurentSeries(-poles, num * dens.inverse())
+            if pole:
+                poles += 1
+                pole_scale *= -j * h
+            else:
+                constants.append(c)
+        if weil:
+            num, dens = (TruncatedSeries([Fraction(x, D ** k) for x in f.coeffs], order=terms - 1)
+                         for f, k in ((num, kn), (dens, kd)))
+            inverse = dens.inverse()
+        else:
+            inverse = dens.inverse(TRational(Fraction(1, pole_scale), constants))
+        total = total + LaurentSeries(-poles, num * inverse)
     return total
 
 
-def _h_r_at_one(env: AtomEnvironment, r: int, p: int) -> Fraction:
-    """H_r(1) for a weil environment, by Laurent series in s = t - 1.
+def plog_series(env: AtomEnvironment, r: int, p: int) -> List[LaurentSeries]:
+    """H_1 .. H_r, the plethystic-log coefficients cleared by (1-t)(1-Lt),
+    as Laurent series in s = t - 1 known through s^0.
 
     Every series carries r coefficients from its valuation bound on, and
     that is enough.  A charge-n term has a pole of order at most n at t = 1,
     one per part of each partition (one zero-arm cell per row, checked in
-    :func:`_charge_at_one`), and t -> t^j keeps the order.  So the T^m
+    :func:`_partition_terms`), and t -> t^j keeps the order.  So the T^m
     coefficient of each logarithm, a sum of products of charge terms whose
     charges add up to at most m, has valuation >= -m and is known through
-    s^(r-1-m); acc_r is known through s^-1, and H_r = acc_r (1-t)(1-Lt),
-    with (1-t)(1-Lt) = s ((L-1) + L s), through s^0.  H_r is a Laurent
-    polynomial in t, so its coefficients below s^0 must vanish (PoleAtOne
-    otherwise), and its value at t = 1 is the s^0 coefficient.  A read
-    past the known coefficients raises InsufficientTruncation.
+    s^(r-1-m); acc_m is known through s^(r-1-m), and H_m = acc_m (1-t)(1-Lt),
+    with (1-t)(1-Lt) = s ((L-1) + L s), through s^(r-m), for every m <= r.
     """
-    acc = _connected(env, r, lambda fenv, n, j: _charge_at_one(fenv, n, p, j, r),
-                     LaurentSeries(0, TruncatedSeries([], order=r - 1)))[r - 1]
-    L = env.lefschetz
-    h = acc * LaurentSeries(1, TruncatedSeries([L - 1, L], order=r - 1))
-    for k in range(h.val, 0):
-        if h.coeff(k):
-            raise PoleAtOne(f"H_{r} has a nonzero s^{k} coefficient at t = 1 + s")
-    return h.coeff(0)
+    clearing = LaurentSeries(1, TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1))
+    return [acc * clearing for acc in _connected(
+        env, r, lambda fenv, n, j: partition_sum(fenv, n, p, j, r),
+        LaurentSeries(0, TruncatedSeries([], order=r - 1)))]
 
 
 def adhm_class(env: AtomEnvironment, r: int, p: int):
     """Conjectural class of the twisted moduli space of rank r, any coprime
     degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1).
 
-    A weil environment takes the Laurent expansion at t = 1
-    (:func:`_h_r_at_one`) and returns a Fraction; a hodge one evaluates the
-    TRational H_r with eval_at_one, since 1/(1 - (uv)^a) has no expansion
-    over Laurent polynomials in u, v.
+    H_r(1) is :func:`eval_at_one` of the expansion at t = 1 + s from
+    :func:`plog_series`: H_r is a Laurent polynomial in t, so its
+    coefficients below s^0 vanish and its value is the s^0 coefficient.  A
+    weil environment gives a Fraction; a hodge one a UVLaurent, divided
+    once by the product of its denominator factors (1 - L^k).
     """
     if r < 1 or p < 1:
         raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
-    if env.base == "weil":
-        value = _h_r_at_one(env, r, p)
-    else:
-        value = eval_at_one(plog_series(env, r, p)[r - 1])
+    value = eval_at_one(plog_series(env, r, p)[r - 1])
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

@@ -1,4 +1,4 @@
-"""Truncated power series and exact rational functions in a formal parameter.
+"""Truncated power series, constant denominators and a bivariate window.
 
 Four carriers live here, all generic over the coefficient ring (plain
 rationals in the numeric realization, ``UVLaurent`` in the Hodge one; any
@@ -9,17 +9,13 @@ literals 0 and 1, and ``bool()`` false exactly at zero works; a
 * :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order
   (no Laurent shift), used for every single-variable coefficient extraction
   and for the stratification route's lambda series.
-* :class:`LaurentSeries` - s^val times a :class:`TruncatedSeries`.  The weil
-  ADHM route expands every term at t = 1 + s with ``Fraction`` coefficients
-  and reads the value at t = 1 off the s^0 coefficient.
-* :class:`TRational` - exact rational function in ``t``: a Laurent numerator
-  polynomial over a *factored* denominator, a multiset of terms
-  ``(1 - c*t^m)``.  Denominators are never expanded, so no polynomial GCD is
-  ever required; factors with ``c == 1`` are the only sources of poles at
-  ``t = 1`` and are tracked explicitly for :func:`eval_at_one`.  Sums and
-  products keep every denominator factor; only the constructor cancels
-  factors against the numerator, so a pipeline reduces once, at its end.
-  The hodge ADHM route uses it, with ``UVLaurent`` coefficients.
+* :class:`LaurentSeries` - s^val times a :class:`TruncatedSeries`.  The ADHM
+  route expands every term at t = 1 + s and :func:`eval_at_one` reads the
+  value at t = 1 off the s^0 coefficient.
+* :class:`TRational` - a ring element over a *factored* constant
+  denominator prod (1 - c).  The hodge ADHM route's s-coefficients are
+  these, with ``UVLaurent`` values and c a power of L: the denominator is
+  never expanded until :func:`eval_at_one` divides by it once.
 * :class:`BiSeries` - a bivariate Laurent window truncated by total degree.
   It builds the integer kernel of the one double coefficient extraction in
   the rank-3 E-polynomial; the ring-valued series are convolved against
@@ -28,6 +24,7 @@ literals 0 and 1, and ``bool()`` false exactly at zero works; a
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -43,11 +40,7 @@ class BadConstantTerm(ValueError):
 
 
 class PoleAtOne(ArithmeticError):
-    """The rational function has a genuine pole at t = 1."""
-
-
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    """A function of t that must be a Laurent polynomial has a pole at t = 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +106,13 @@ class TruncatedSeries:
     def scale(self, factor) -> "TruncatedSeries":
         return TruncatedSeries([c * factor for c in self.coeffs], order=self.order)
 
-    def inverse(self) -> "TruncatedSeries":
-        """1 / self to the same order; the constant term must be a nonzero
-        scalar, and its reciprocal is the only division."""
+    def inverse(self, lead=None) -> "TruncatedSeries":
+        """1 / self to the same order.  ``lead`` is the reciprocal of the
+        constant term; by default it is computed, which needs a nonzero
+        scalar there and is the only division."""
         a = self.coeffs
-        lead = Fraction(1) / a[0]
+        if lead is None:
+            lead = Fraction(1) / a[0]
         q = [lead]
         for n in range(1, self.order + 1):
             acc = 0
@@ -198,285 +193,85 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# rational functions in t with factored denominators
+# ring elements over a factored constant denominator
 # ---------------------------------------------------------------------------
 
-# numerator representation: dict {t_exponent: ring coefficient}
-
-def _tp_add(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if _is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
 def _is_zero(x) -> bool:
+    if isinstance(x, TRational):
+        x = x.num
     if isinstance(x, UVLaurent):
         return x.is_zero()
     return not x
 
 
-def _tp_scale(a: Dict[int, object], factor) -> Dict[int, object]:
-    if _is_zero(factor):
-        return {}
-    return {e: c * factor for e, c in a.items()}
-
-
-def _tp_mul(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
-    out: Dict[int, object] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = ea + eb
-            s = out.get(k, 0) + ca * cb
-            if _is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
-
-
-def _tp_mul_factor(a: Dict[int, object], c, m: int) -> Dict[int, object]:
-    """Multiply a t-polynomial by (1 - c*t^m)."""
-    out = dict(a)
-    for e, x in a.items():
-        k = e + m
-        s = out.get(k, 0) - x * c
-        if _is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _tp_divide_factor(a: Dict[int, object], c, m: int):
-    """Exact division of a t-polynomial by (1 - c*t^m); None if not exact.
-
-    Uses the recurrence q[e] = a[e] + c*q[e-m] from the bottom exponent up to
-    hi - m, which makes every coefficient of q*(1 - c*t^m) below hi - m + 1
-    equal to a's.  The division is exact iff the top m coefficients agree
-    too, that is a[e] + c*q[e-m] == 0 for hi - m < e <= hi.
-    """
-    if not a:
-        return {}
-    lo = min(a)
-    hi = max(a)
-    q: Dict[int, object] = {}
-    for e in range(lo, hi + 1):
-        val = a.get(e, 0)
-        prev = q.get(e - m)
-        if prev is not None:
-            val = val + prev * c
-        if _is_zero(val):
-            continue
-        if e > hi - m:
-            return None
-        q[e] = val
-    return q
-
-
-def _tp_subst_power(a: Dict[int, object], j: int) -> Dict[int, object]:
-    return {e * j: c for e, c in a.items()}
-
-
-def _den_sort_key(c):
-    if isinstance(c, UVLaurent):
-        return (1, c.sort_key())
-    f = Fraction(c)
-    return (0, (f.numerator, f.denominator))
-
-
 class TRational:
-    """Exact rational function in t: Laurent numerator over factored denominator.
+    """A ring element over a factored constant denominator: num / prod (1 - c)
+    over the multiset ``den`` of constants c.
 
-    The denominator is a multiset of pairs ``(c, m)`` standing for factors
-    ``(1 - c*t^m)``; ``c`` is a unit of the coefficient ring (a rational, or
-    a monomial in the Hodge realization).  Only the constructor cancels
-    denominator factors that divide the numerator exactly (unless called
-    with ``reduce=False``); addition and multiplication keep every factor of
-    their operands, so a caller reduces once, at the end, by constructing
-    ``TRational(x.num, x.den)``.  Zero carries no denominator, so a sum with
-    zero keeps the other operand's.
+    The hodge ADHM route carries the reciprocal of each partition's
+    denominator constant term in it, with ``UVLaurent`` values and every c a
+    power of L, so no division happens before :func:`eval_at_one`.  A sum
+    is formed over the multiset union of its operands' denominators and a
+    product over their concatenation; nothing cancels, and zero carries no
+    denominator.  The name dates from when the class was a rational function
+    in t; it is kept because the benchmark's traced runs wrap its ``__add__``
+    and ``__mul__`` and count the factors of ``den``.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Dict[int, object], den: Sequence[Tuple[object, int]] = (), reduce: bool = True):
-        self.num = {e: c for e, c in num.items() if not _is_zero(c)}
-        self.den = tuple(sorted(den, key=lambda f: (f[1], _den_sort_key(f[0])))) if self.num else ()
-        if reduce:
-            self._reduce()
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_scalar(cls, value) -> "TRational":
-        return cls({0: value} if not _is_zero(value) else {}, ())
-
-    @classmethod
-    def coerce(cls, value) -> "TRational":
-        if isinstance(value, TRational):
-            return value
-        return cls.from_scalar(value)
-
-    # -- normalization -----------------------------------------------------
-
-    def _reduce(self) -> None:
-        if not self.den or not self.num:
-            return
-        # one pass suffices: a factor that does not divide the numerator
-        # cannot divide any quotient of it either
-        kept = []
-        for c, m in self.den:
-            q = _tp_divide_factor(self.num, c, m)
-            if q is None:
-                kept.append((c, m))
-            else:
-                self.num = q
-        self.den = tuple(kept)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_polynomial(self) -> bool:
-        return not self.den
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _over_common_den(self, other):
-        """Both numerators over the multiset union of the two denominators."""
-        o = TRational.coerce(other)
-        union = _multiset_max(self.den, o.den)
-        a = self.num
-        for f in _multiset_sub(union, self.den):
-            a = _tp_mul_factor(a, f[0], f[1])
-        b = o.num
-        for f in _multiset_sub(union, o.den):
-            b = _tp_mul_factor(b, f[0], f[1])
-        return a, b, union
+    def __init__(self, num, den: Sequence = ()):
+        self.num = num
+        self.den = () if _is_zero(num) else tuple(den)
 
     def __add__(self, other):
-        a, b, union = self._over_common_den(other)
-        return TRational(_tp_add(a, b), union, reduce=False)
+        if not isinstance(other, TRational):
+            other = TRational(other)
+        mine, theirs = Counter(self.den), Counter(other.den)
+        a, b = self.num, other.num
+        for c in (theirs - mine).elements():
+            a = a - a * c
+        for c in (mine - theirs).elements():
+            b = b - b * c
+        return TRational(a + b, (mine | theirs).elements())
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TRational(_tp_scale(self.num, -1), self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-TRational.coerce(other))
-
-    def __rsub__(self, other):
-        return TRational.coerce(other) + (-self)
-
     def __mul__(self, other):
-        if _is_scalar(other) or isinstance(other, UVLaurent):
-            return TRational(_tp_scale(self.num, other), self.den, reduce=False)
-        if not isinstance(other, TRational):
-            return NotImplemented
-        return TRational(_tp_mul(self.num, other.num), self.den + other.den, reduce=False)
+        if isinstance(other, TRational):
+            return TRational(self.num * other.num, self.den + other.den)
+        return TRational(self.num * other, self.den)
 
-    def __rmul__(self, other):
-        if _is_scalar(other) or isinstance(other, UVLaurent):
-            return TRational(_tp_scale(self.num, other), self.den, reduce=False)
-        return NotImplemented
+    __rmul__ = __mul__
 
-    def mul_poly_factor(self, c, m: int) -> "TRational":
-        """Multiply by the polynomial (1 - c*t^m), cancelling against the
-        denominator when the factor is present there."""
-        den = list(self.den)
-        for i, f in enumerate(den):
-            if f[1] == m and f[0] == c:
-                del den[i]
-                return TRational(self.num, den, reduce=False)
-        return TRational(_tp_mul_factor(self.num, c, m), den, reduce=False)
-
-    def __eq__(self, other):
-        a, b, _ = self._over_common_den(other)
-        return a == b
-
-    def __hash__(self):
-        raise TypeError("TRational is not hashable")
+    def __neg__(self):
+        return self * -1
 
     def __repr__(self):
-        den = " * ".join(f"(1 - ({c})*t^{m})" for c, m in self.den) or "1"
+        den = " * ".join(f"(1 - ({c}))" for c in self.den) or "1"
         return f"TRational({self.num} / {den})"
 
 
-def _multiset_max(a: Sequence, b: Sequence) -> tuple:
-    counts: Dict = {}
-    for seq in (a, b):
-        local: Dict = {}
-        for f in seq:
-            local[f] = local.get(f, 0) + 1
-        for f, n in local.items():
-            counts[f] = max(counts.get(f, 0), n)
-    out = []
-    for f, n in counts.items():
-        out.extend([f] * n)
-    return tuple(sorted(out, key=lambda f: (f[1], _den_sort_key(f[0]))))
+def eval_at_one(h: LaurentSeries):
+    """The value at t = 1 of a Laurent polynomial in t, from its expansion h
+    at t = 1 + s: its coefficients below s^0 must vanish (PoleAtOne
+    otherwise), and the value is the s^0 coefficient; reading it past the
+    known coefficients raises InsufficientTruncation.
 
-
-def _multiset_sub(a: Sequence, b: Sequence) -> list:
-    remaining = list(a)
-    for f in b:
-        remaining.remove(f)
-    return remaining
-
-
-def substitute_t_power(a: TRational, j: int) -> TRational:
-    """t -> t^j on the numerator; each factor (1 - c*t^m) -> (1 - c*t^(j*m))."""
-    if j < 1:
-        raise ValueError("power substitution needs j >= 1")
-    if j == 1:
-        return a
-    return TRational(_tp_subst_power(a.num, j),
-                     tuple((c, m * j) for c, m in a.den), reduce=False)
-
-
-def eval_at_one(a: TRational):
-    """Exact value of the rational function at t = 1.
-
-    Factors (1 - t^m) are split as (1 - t) * (1 + t + ... + t^(m-1)); the
-    numerator must be exactly divisible by the resulting power of (1 - t)
-    (otherwise the value genuinely diverges and PoleAtOne is raised).  The
-    remaining denominator value prod (1 - c) * prod (m) is divided out
-    exactly in the coefficient ring.
+    A :class:`TRational` value is divided by its denominator prod (1 - c)
+    with one ``exact_divide``, whose NotDivisible means the value is no
+    Laurent polynomial in the coefficient ring.
     """
-    num = dict(a.num)
-    pole_orders = []
-    other: List = []
-    for c, m in a.den:
-        if c == 1:
-            pole_orders.append(m)
-        else:
-            other.append((c, m))
-    for _ in pole_orders:
-        q = _tp_divide_factor(num, 1, 1)
-        if q is None:
-            raise PoleAtOne(
-                "numerator does not vanish to sufficient order at t = 1"
-            )
-        num = q
-    value = 0
-    for c in num.values():
-        value = value + c
-    scalar = 1
-    for m in pole_orders:
-        scalar *= m
-    denom_value = None
-    for c, m in other:
-        factor = 1 - c
-        denom_value = factor if denom_value is None else denom_value * factor
-    if denom_value is not None:
-        value = exact_divide(value, denom_value)
-    if scalar != 1:
-        value = exact_divide(value, scalar)
-    return value
+    for k in range(h.val, 0):
+        if not _is_zero(h.coeff(k)):
+            raise PoleAtOne(f"nonzero s^{k} coefficient at t = 1 + s")
+    value = h.coeff(0)
+    if not isinstance(value, TRational):
+        return value
+    den = 1
+    for c in value.den:
+        den = den * (1 - c)
+    return exact_divide(value.num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Partition hook data and the plethystic-log pipeline."""
+"""Partition hook data and the plethystic-log pipeline, checked against the
+t-rational reference in t_rational.py."""
 
 from fractions import Fraction
 
@@ -7,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motiveforge.adhm as adhm
-from motiveforge.adhm import (
-    Partition,
-    adhm_class,
-    mobius,
-    partition_sum,
-    partitions,
-    plog_series,
-)
+from motiveforge import series_engine
+from motiveforge.adhm import Partition, adhm_class, mobius, partitions
 from motiveforge.curve_ring import (
     AtomEnvironment,
     frobenius,
@@ -27,13 +22,21 @@ from motiveforge.series_engine import (
     InsufficientTruncation,
     LaurentSeries,
     PoleAtOne,
-    TRational,
     TruncatedSeries,
+)
+from t_rational import (
+    TRational,
     _tp_mul,
     _tp_mul_factor,
     eval_at_one,
+    partition_sum,
+    plog_series,
     substitute_t_power,
 )
+
+
+def size(lam: Partition) -> int:
+    return sum(lam.parts)
 
 
 def cells(lam: Partition):
@@ -72,7 +75,7 @@ class TestPartitions:
     def test_cell_data_consistency(self, n):
         for lam in partitions(n):
             box = cells(lam)
-            assert len(box) == lam.size == n
+            assert len(box) == size(lam) == n
             listed = lam.cell_data()
             direct = [(arm(lam, i, j), leg(lam, i, j), hook(lam, i, j))
                       for i, j in box]
@@ -185,14 +188,6 @@ class TestPlogSeries:
         for h in plog_series(env, 3, 1):
             assert h.is_polynomial()
 
-    def test_hodge_integrality(self):
-        env = make_hodge_env(2)
-        for h in plog_series(env, 2, 1):
-            assert h.is_polynomial()
-            for coeff in h.num.values():
-                for _, c in coeff.items():
-                    assert isinstance(c, int)
-
     def test_psi_composition_through_pipeline(self):
         # building with a pre-twisted environment then substituting matches
         # the twist applied after assembly, in the Hodge realization
@@ -226,14 +221,23 @@ class TestAdhmClass:
     @settings(max_examples=20, deadline=None)
     def test_weil_value_matches_fraction_pipeline(self, g, p, r, seed):
         # adhm_class expands at t = 1 + s, with a partition's products run on
-        # ints scaled by powers of D; the reference is the TRational pipeline
-        # on the environment's plain Fraction atoms
+        # ints scaled by powers of D; the reference is the t-rational
+        # pipeline on the environment's plain Fraction atoms
         env = make_weil_env(g, seed)
-        value = eval_at_one(plog_series(env, r, p)[r - 1])
-        prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
         got = adhm_class(env, r, p)
         assert type(got) is Fraction
-        assert got == (-1) ** (p * r) * prefactor * value
+        assert got == _t_rational_adhm_class(env, r, p)
+
+    def test_hodge_value_matches_t_rational_pipeline(self):
+        # the expansion at t = 1 + s over constant denominators prod (1 - L^k)
+        # against the t-rational reference; the class has int coefficients
+        for g in (2, 3):
+            env = make_hodge_env(g)
+            for r in (1, 2, 3):
+                for p in (1, 2):
+                    got = adhm_class(env, r, p)
+                    assert got == _t_rational_adhm_class(env, r, p)
+                    assert all(type(c) is int for _, c in got.items())
 
     def test_even_rank_sign(self):
         # (-1)^(p r) = 1 for even r: flipping p must not flip the sign
@@ -257,10 +261,16 @@ class TestAdhmClass:
         assert adhm_class(env, 2, 1) == motive(env, spec)
 
     def test_eval_at_one_succeeds_on_pipeline(self):
-        env = make_weil_env(2, 41)
-        for r in (1, 2, 3):
-            for h in plog_series(env, r, 2):
-                eval_at_one(h)
+        for env in (make_weil_env(2, 41), make_hodge_env(2)):
+            for r in (1, 2, 3):
+                for h in adhm.plog_series(env, r, 2):
+                    series_engine.eval_at_one(h)
+
+
+def _t_rational_adhm_class(env, r, p):
+    """adhm_class through the t-rational reference pipeline."""
+    prefactor = env.lefschetz ** (r * r * (env.genus - 1) + p * (r * (r + 1) // 2))
+    return (-1) ** (p * r) * prefactor * eval_at_one(plog_series(env, r, p)[r - 1])
 
 
 class TestLaurentRoute:
@@ -275,10 +285,12 @@ class TestLaurentRoute:
     @pytest.mark.parametrize("r", [2, 3])
     def test_pole_left_in_h_r_raises(self, monkeypatch, r):
         # without the logarithm, the order-r pole of the charge-r term at
-        # t = 1 survives the (1-t)(1-Lt) clearing
+        # t = 1 survives the (1-t)(1-Lt) clearing; on hodge the coefficient
+        # is a TRational, whose zero test must see it
         monkeypatch.setattr(adhm, "series_log", lambda s: s)
-        with pytest.raises(PoleAtOne, match=rf"H_{r} has a nonzero s\^-{r - 1} coefficient"):
-            adhm_class(make_weil_env(2, 5), r, 1)
+        for env in (make_weil_env(2, 5), make_hodge_env(2)):
+            with pytest.raises(PoleAtOne, match=rf"nonzero s\^-{r - 1} coefficient"):
+                adhm_class(env, r, 1)
 
     @pytest.mark.parametrize("r,p", [(0, 1), (1, 0)])
     def test_rank_and_twist_below_one_are_refused(self, r, p):
@@ -289,8 +301,8 @@ class TestLaurentRoute:
     def test_read_past_the_known_terms_raises(self, monkeypatch):
         # one term fewer per charge term than the precision argument needs:
         # H_2 is then known through s^-1 only, and reading s^0 must fail
-        charge = adhm._charge_at_one
-        monkeypatch.setattr(adhm, "_charge_at_one",
+        charge = adhm.partition_sum
+        monkeypatch.setattr(adhm, "partition_sum",
                             lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
         with pytest.raises(InsufficientTruncation, match=r"s\^0 requested, series known through s\^-1"):
             adhm_class(make_weil_env(2, 5), 2, 1)
@@ -303,7 +315,7 @@ class TestLaurentRoute:
         # every s-coefficient of the charge term built over ints scaled by
         # powers of D equals the one built on the plain Fraction atoms
         env = frobenius(make_weil_env(g, seed), j)
-        got = adhm._charge_at_one(env, n, p, j, 3)
+        got = adhm.partition_sum(env, n, p, j, 3)
         want = _charge_at_one_over_fractions(env, n, p, j, 3)
         assert (got.val, got.series.order) == (want.val, want.series.order)
         for k in range(want.val, want.val + want.series.order + 1):
@@ -313,7 +325,7 @@ class TestLaurentRoute:
 def _charge_at_one_over_fractions(env, n, p, j, terms):
     """psi_j of the charge-n term at t = 1 + s, each cell numerator and
     denominator factor built and multiplied on the environment's own
-    Fraction values: the expansion of adhm._charge_at_one without the
+    Fraction values: the expansion of adhm.partition_sum without the
     scale D."""
     g, L = env.genus, env.lefschetz
     total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))

@@ -246,8 +246,8 @@ class TestErrorPaths:
         import motiveforge.adhm as adhm
 
         # charge terms one term short: reading H_2 at s^0 is past what is known
-        charge = adhm._charge_at_one
-        monkeypatch.setattr(adhm, "_charge_at_one",
+        charge = adhm.partition_sum
+        monkeypatch.setattr(adhm, "partition_sum",
                             lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
         code = main(["verify-adhm", "--g", "2", "--r", "2", "--trials", "1", "--hodge", "off"])
         assert code == EXIT_ARITHMETIC_ERROR

@@ -1,4 +1,5 @@
-"""Truncated series, rational functions in t, and coefficient extraction."""
+"""Truncated series, constant denominators, the t-rational reference and
+coefficient extraction."""
 
 from fractions import Fraction
 
@@ -8,20 +9,22 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
-from motiveforge.base_rings import UV, UVLaurent
+from motiveforge import series_engine
+from motiveforge.base_rings import UV, NotDivisible, UVLaurent
 from motiveforge.series_engine import (
     BadConstantTerm,
     BiSeries,
     InsufficientTruncation,
     LaurentSeries,
     PoleAtOne,
-    TRational,
     TruncatedSeries,
+    series_log,
+)
+from t_rational import (
+    TRational,
     _tp_divide_factor,
-    _tp_mul,
     _tp_mul_factor,
     eval_at_one,
-    series_log,
     substitute_t_power,
 )
 
@@ -289,6 +292,49 @@ class TestEvalAtOne:
         num = {0: 1, 1: -UV, 2: -1, 3: UV}
         a = TRational(num, [(1, 1)], reduce=False)
         assert eval_at_one(a) == 2 * (1 - UV)
+
+
+def _value(x):
+    """num / prod (1 - c) of a package TRational with Fraction values."""
+    out = Fraction(x.num)
+    for c in x.den:
+        out /= 1 - c
+    return out
+
+
+constant_trationals = st.builds(series_engine.TRational, rationals,
+                                st.lists(rationals.filter(lambda x: x != 1), max_size=3))
+
+
+class TestConstantDenominator:
+    """The package's TRational, a ring element over prod (1 - c), and the
+    evaluation at t = 1 of an expansion at t = 1 + s."""
+
+    @given(constant_trationals, constant_trationals, rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_value_of_sum_and_product(self, a, b, k):
+        assert _value(a + b) == _value(a) + _value(b)
+        assert _value(a * b) == _value(a) * _value(b)
+        assert _value(k + a) == k + _value(a)
+        assert _value(a * k) == _value(k * a) == k * _value(a)
+        # a sum is formed over the union of the denominators, a product over
+        # their concatenation, and zero carries none
+        s, prod = a + b, a * b
+        assert Counter(s.den) == (Counter(a.den) | Counter(b.den) if s.num else Counter())
+        assert Counter(prod.den) == (Counter(a.den) + Counter(b.den) if prod.num else Counter())
+
+    def test_eval_at_one_divides_the_denominator_once(self):
+        value = series_engine.TRational(2 * (1 - UV) * (1 - UV ** 2), (UV, UV ** 2))
+        zero = series_engine.TRational(UVLaurent(), (UV,))
+        h = LaurentSeries(-1, TruncatedSeries([zero, value], order=1))
+        assert series_engine.eval_at_one(h) == 2
+
+    def test_eval_at_one_refuses_a_pole_and_a_non_polynomial(self):
+        pole = series_engine.TRational(UV, (UV,))
+        with pytest.raises(PoleAtOne, match=r"nonzero s\^-1 coefficient"):
+            series_engine.eval_at_one(LaurentSeries(-1, TruncatedSeries([pole, 1], order=1)))
+        with pytest.raises(NotDivisible):
+            series_engine.eval_at_one(LaurentSeries(0, TruncatedSeries([pole], order=0)))
 
 
 class TestBiSeries:

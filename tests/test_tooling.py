@@ -52,7 +52,7 @@ def test_closed_form_and_strata_routes_share_no_series():
     strata = ["motive", "_lambda_tables", "_vhs_class", "vhs_class"]
     closed = ["epoly_rank2", "_zeta_series"] + [n for n in bodies if n.startswith("_rank3_")]
     rules = [(strata, {"_zeta_series", "h1_series"}),
-             (closed, {"lambda_series", "_lambda_tables", "curve_class"})]
+             (closed, {"lambda_series", "_lambda_tables", "sym_power_class"})]
     found = []
     for names, banned in rules:
         for name in names:
