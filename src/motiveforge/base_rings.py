@@ -15,11 +15,20 @@ polynomial divisor used here, and a ``Fraction`` appears only otherwise.
 A failed division means some upstream polynomiality claim is violated (or
 a formula was transcribed wrongly), so it raises :class:`NotDivisible`
 instead of returning an approximation.
+
+A product of two ``UVLaurent`` with at least 16 terms each, every
+coefficient an int, is one integer product (Kronecker substitution, Harvey,
+arXiv:0712.4046): each operand is packed into an int with one slot of
+whole bytes per exponent pair, at least bit_length(max|a| * max|b| *
+min(#a, #b)) + 2 bits wide.  Smaller products, products with a ``Fraction``
+coefficient, and sparse ones, whose exponent box has more than half a slot
+per term pair, take the schoolbook loop.  Both give the same coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterable, Iterator, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -28,10 +37,6 @@ ExponentPair = Tuple[int, int]
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division failed: no exact quotient exists."""
-
-
-class ZeroPolynomial(ValueError):
-    """An operation that requires a nonzero polynomial received zero."""
 
 
 def _norm(c: Rat) -> Rat:
@@ -43,6 +48,52 @@ def _norm(c: Rat) -> Rat:
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+#: Products whose operands both have this many terms, all ints, are packed.
+_KRONECKER_MIN_TERMS = 16
+#: ... unless their exponent box has more slots than this per term pair.
+_KRONECKER_MAX_FILL = 0.5
+
+
+def _kronecker(a: Dict[ExponentPair, int], b: Dict[ExponentPair, int]):
+    """The product of two int term maps as one integer product, or None
+    when the exponent box is too sparse to pay.
+
+    Each operand is shifted to its minimum exponents and packed with term
+    (u, v) at slot u*w + v, the v-stride w wide enough that v-sums never
+    reach the next u; positive and negative coefficients go into two byte
+    buffers, whose ints are subtracted.  Every product coefficient is below
+    max|a| * max|b| * min(#a, #b) in size, so after adding 2**(bits-1) to
+    each slot all of them are non-negative and one ``to_bytes`` reads them.
+    """
+    aus, avs = zip(*a)
+    bus, bvs = zip(*b)
+    ua, va, ub, vb = min(aus), min(avs), min(bus), min(bvs)
+    w = max(avs) - va + max(bvs) - vb + 1
+    rows = max(aus) - ua + max(bus) - ub + 1
+    n = rows * w
+    if n > _KRONECKER_MAX_FILL * len(a) * len(b):
+        return None
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    nb = (bound.bit_length() + 9) // 8
+
+    def pack(c, u0, v0):
+        pos, neg = bytearray(n * nb), bytearray(n * nb)
+        for (u, v), x in c.items():
+            i = ((u - u0) * w + v - v0) * nb
+            if x > 0:
+                pos[i:i + nb] = x.to_bytes(nb, "little")
+            else:
+                neg[i:i + nb] = (-x).to_bytes(nb, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
+    digits = (pack(a, ua, va) * pack(b, ub, vb) + bias).to_bytes(n * nb, "little")
+    slots = [int.from_bytes(digits[i:i + nb], "little") for i in range(0, n * nb, nb)]
+    box = product(range(ua + ub, ua + ub + rows), range(va + vb, va + vb + w))
+    return {k: x - half for k, x in zip(box, slots) if x != half}
 
 
 class UVLaurent:
@@ -93,12 +144,6 @@ class UVLaurent:
 
     def is_zero(self) -> bool:
         return not self._c
-
-    @property
-    def total_degree(self) -> int:
-        if not self._c:
-            raise ZeroPolynomial("total degree of the zero polynomial")
-        return max(a + b for a, b in self._c)
 
     def coeff(self, a: int, b: int) -> Rat:
         return self._c.get((a, b), 0)
@@ -151,6 +196,13 @@ class UVLaurent:
         a, b = self._c, other._c
         if len(a) > len(b):
             a, b = b, a
+        # all-int operands of _KRONECKER_MIN_TERMS terms or more are packed
+        # into one integer product unless sparse; the rest take this loop
+        if (len(a) >= _KRONECKER_MIN_TERMS and all(type(x) is int for x in a.values())
+                and all(type(x) is int for x in b.values())):
+            out = _kronecker(a, b)
+            if out is not None:
+                return UVLaurent._raw(out)
         out: Dict[ExponentPair, Rat] = {}
         for (a1, b1), x in a.items():
             for (a2, b2), y in b.items():
@@ -190,19 +242,7 @@ class UVLaurent:
     def __hash__(self):
         return hash(frozenset(self._c.items()))
 
-    # -- substitutions -----------------------------------------------------
-
-    def power_substitute(self, j: int) -> "UVLaurent":
-        """u -> u^j, v -> v^j (the realization of the j-th Adams operator)."""
-        return UVLaurent._raw({(a * j, b * j): x for (a, b), x in self._c.items()})
-
-    def swap_uv(self) -> "UVLaurent":
-        return UVLaurent._raw({(b, a): x for (a, b), x in self._c.items()})
-
     # -- canonical text ----------------------------------------------------
-
-    def sort_key(self):
-        return tuple(sorted(self._c.items()))
 
     def text(self) -> str:
         """Canonical serialization: terms sorted by (a, b) lex descending.
@@ -244,7 +284,6 @@ class UVLaurent:
 U = UVLaurent.monomial(1, 0)
 V = UVLaurent.monomial(0, 1)
 UV = UVLaurent.monomial(1, 1)
-ONE = UVLaurent.const(1)
 
 
 def exact_divide(num: Union[UVLaurent, Rat],
@@ -266,7 +305,8 @@ def exact_divide(num: Union[UVLaurent, Rat],
     is that remainder coefficient up to sign, so integer operands stay in
     int arithmetic throughout; a ``Fraction`` appears only for a non-unit
     lead coefficient or non-integral operands.  A nonzero remainder after
-    the walk means no exact quotient exists.
+    the walk means no exact quotient exists.  Dividing Kronecker-packed ints
+    instead measured slower: CPython's long division is quadratic.
     """
     if not isinstance(den, UVLaurent):
         if den == 0:

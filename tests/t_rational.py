@@ -107,7 +107,7 @@ def _tp_subst_power(a: Dict[int, object], j: int) -> Dict[int, object]:
 
 def _den_sort_key(c):
     if isinstance(c, UVLaurent):
-        return (1, c.sort_key())
+        return (1, tuple(sorted(c.items())))
     f = Fraction(c)
     return (0, (f.numerator, f.denominator))
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import motiveforge.adhm as adhm
 from motiveforge import series_engine
 from motiveforge.adhm import Partition, adhm_class, mobius, partitions
+from motiveforge.base_rings import UVLaurent
 from motiveforge.curve_ring import (
     AtomEnvironment,
     frobenius,
@@ -33,6 +34,7 @@ from t_rational import (
     plog_series,
     substitute_t_power,
 )
+from uv_reference import power_substitute
 
 
 def size(lam: Partition) -> int:
@@ -154,9 +156,9 @@ class TestPartitionSum:
             for n in (1, 2):
                 plain = partition_sum(env, n, 1)
                 substituted = TRational(
-                    {e * j: c.power_substitute(j) if hasattr(c, "power_substitute") else c
+                    {e * j: power_substitute(c, j) if isinstance(c, UVLaurent) else c
                      for e, c in plain.num.items()},
-                    [(cc.power_substitute(j) if hasattr(cc, "power_substitute") else cc, m * j)
+                    [(power_substitute(cc, j) if isinstance(cc, UVLaurent) else cc, m * j)
                      for cc, m in plain.den],
                     reduce=False,
                 )
@@ -198,8 +200,8 @@ class TestPlogSeries:
         for d, pl in zip(direct, plain):
             d_sub = substitute_t_power(d, m)
             pl_twisted = TRational(
-                {e * m: c.power_substitute(m) for e, c in pl.num.items()},
-                [(cc.power_substitute(m), mm * m) for cc, mm in pl.den],
+                {e * m: power_substitute(c, m) for e, c in pl.num.items()},
+                [(power_substitute(cc, m), mm * m) for cc, mm in pl.den],
             )
             assert d_sub == pl_twisted
 

@@ -7,15 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motiveforge.base_rings import (
-    ONE,
+    _KRONECKER_MIN_TERMS,
     U,
     UV,
     V,
     NotDivisible,
     UVLaurent,
-    ZeroPolynomial,
+    _kronecker,
     exact_divide,
 )
+from uv_reference import ZeroPolynomial, power_substitute, total_degree
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -35,6 +36,47 @@ def laurents(draw, max_terms=5, zero_ok=True):
     if not zero_ok and poly.is_zero():
         poly = poly + 1
     return poly
+
+
+def schoolbook_product(f, g):
+    """The product summed term pair by term pair, as every UVLaurent product
+    was before the packed integer path; the reference that path is checked
+    against."""
+    out = {}
+    for (a1, b1), x in f.items():
+        for (a2, b2), y in g.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + x * y
+    return UVLaurent(out)
+
+
+@st.composite
+def product_operands(draw):
+    """Operands around and above the packed path's size: dense boxes of
+    ints up to 80 bits, boxes filled with one value +-(2**k - 1) so that
+    product coefficients reach the slot bound, sparse operands spread too
+    wide to pack, Fraction boxes, and zero or a monomial."""
+    kind = draw(st.sampled_from(("dense", "extreme", "sparse", "fraction", "small")))
+    if kind == "small":
+        return draw(laurents(max_terms=1))
+    if kind == "sparse":
+        pos = st.integers(min_value=-400, max_value=400)
+        keys = sorted(draw(st.sets(st.tuples(pos, pos), min_size=_KRONECKER_MIN_TERMS,
+                                   max_size=_KRONECKER_MIN_TERMS + 8)))
+    else:
+        corner = st.integers(min_value=-30, max_value=5)
+        u0, v0 = draw(corner), draw(corner)
+        rows = draw(st.integers(min_value=1, max_value=4))
+        cols = draw(st.integers(min_value=-(-_KRONECKER_MIN_TERMS // rows), max_value=16))
+        keys = [(u0 + i, v0 + j) for i in range(rows) for j in range(cols)]
+    if kind == "extreme":
+        sign = draw(st.sampled_from((1, -1)))
+        coeffs = [sign * (2 ** draw(st.integers(min_value=1, max_value=80)) - 1)] * len(keys)
+    else:
+        bound = 2 ** draw(st.integers(min_value=1, max_value=80))
+        coef = rationals if kind == "fraction" else st.integers(min_value=-bound, max_value=bound)
+        coeffs = draw(st.lists(coef, min_size=len(keys), max_size=len(keys)))
+    return UVLaurent(dict(zip(keys, coeffs)))
 
 
 def _two_level_divide(num, den):
@@ -105,17 +147,17 @@ class TestUVLaurent:
         assert list(f.items()) == [((0, 0), 3)]
 
     def test_monomial_and_pow(self):
-        assert (UV ** 3).total_degree == 6
+        assert total_degree(UV ** 3) == 6
         assert UV ** -2 == UVLaurent.monomial(-2, -2)
         with pytest.raises(NotDivisible):
             (1 + U) ** -1
 
     def test_total_degree_examples(self):
-        assert (UV ** 3).total_degree == 6
-        assert (1 - U - V + UV).total_degree == 2
-        assert UVLaurent.monomial(-1, 1).total_degree == 0
+        assert total_degree(UV ** 3) == 6
+        assert total_degree(1 - U - V + UV) == 2
+        assert total_degree(UVLaurent.monomial(-1, 1)) == 0
         with pytest.raises(ZeroPolynomial):
-            UVLaurent().total_degree
+            total_degree(UVLaurent())
 
     def test_scalar_mixing(self):
         assert 1 + U - 1 == U
@@ -130,6 +172,23 @@ class TestUVLaurent:
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+    @given(product_operands(), product_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_schoolbook(self, a, b):
+        expected = schoolbook_product(a, b)
+        for got in (a * b, b * a):
+            assert got == expected
+            assert all(type(x) is type(expected.coeff(*k)) for k, x in got.items())
+
+    def test_packed_path_and_its_fallbacks(self):
+        dense = UVLaurent({(i, j - 3): 1 + i * j for i in range(4) for j in range(5)})
+        sparse = UVLaurent({(40 * i, -50 * i): 1 for i in range(20)})
+        terms, sparse_terms = dict(dense.items()), dict(sparse.items())
+        assert _kronecker(terms, terms) == dict(schoolbook_product(dense, dense).items())
+        assert _kronecker(sparse_terms, sparse_terms) is None
+        assert dense * sparse == schoolbook_product(dense, sparse)
+        assert dense * (dense * Fraction(1, 3)) == schoolbook_product(dense, dense) * Fraction(1, 3)
 
     @given(laurents(), laurents(zero_ok=False))
     @settings(max_examples=60, deadline=None)
@@ -150,7 +209,7 @@ class TestUVLaurent:
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            exact_divide(ONE, UVLaurent())
+            exact_divide(UVLaurent.const(1), UVLaurent())
 
     def test_exact_divide_scalars(self):
         q = exact_divide(Fraction(6), 3)
@@ -216,7 +275,7 @@ class TestUVLaurent:
 
     def test_power_substitute(self):
         f = 1 - 2 * U + 3 * UV
-        assert f.power_substitute(2) == 1 - 2 * U * U + 3 * (UV ** 2)
+        assert power_substitute(f, 2) == 1 - 2 * U * U + 3 * (UV ** 2)
 
     def test_canonical_text(self):
         f = UVLaurent({(2, -1): Fraction(-3, 2), (0, 0): 1})
