@@ -23,11 +23,14 @@ contribute.  The final class is
     (-1)^(p r) L^(r^2 (g-1) + p r (r+1) / 2) H_r(1).
 
 One carrier runs the double sum for both realizations: H_r(1) is all
-that is needed, so every term is expanded as a Laurent series in s = t - 1
-with r coefficients (:func:`partition_sum`, :func:`plog_series`, whose
-docstring shows why r suffice), and
-:func:`motiveforge.series_engine.eval_at_one` reads off the s^0
-coefficient.  The terms' cells and denominator factors come from one
+that is needed, so every term is a power series in s = t - 1 known
+through s^(r-1).  The T^n coefficient is weighted by s^n (T -> sT); the
+logarithm's T^m coefficient is weighted-homogeneous of degree m, so the
+weight carries through it.  :func:`partition_sum` gives s^(jn) psi_j F_n,
+whose pole of order at most n at t = 1 the weight absorbs;
+:func:`plog_series` gives s^(m-1) H_m; and
+:func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off its
+s^(r-1) coefficient.  The terms' cells and denominator factors come from one
 builder, :func:`_partition_terms`, which also runs the pole check.  The
 realizations differ only in how a partition's denominator series is
 inverted: weil scales by powers of D, the lcm of the atom denominators, so
@@ -45,15 +48,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .curve_ring import AtomEnvironment, frobenius
-from .series_engine import (
-    LaurentSeries,
-    PoleAtOne,
-    TRational,
-    TruncatedSeries,
-    _is_zero,
-    eval_at_one,
-    series_log,
-)
+from .series_engine import PoleAtOne, TRational, TruncatedSeries, eval_at_one, series_log
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def _partition_terms(env: AtomEnvironment, n: int, p: int, D: int = 1, j=None):
             cell: Dict[int, object] = {}
             for i, E_i in enumerate(aligned[a]):
                 w = coeff * E_i
-                if not _is_zero(w):
+                if w:
                     cell[base_exp + h * i] = w
                 coeff = coeff * la
             cells.append(cell)
@@ -223,18 +218,21 @@ def _binomials(e: int, count: int) -> List[int]:
     return out
 
 
-def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> LaurentSeries:
-    """psi_j of the charge-n term expanded at t = 1 + s, from the j-th
-    Frobenius environment: ``terms`` coefficients per partition, from
-    s^(-poles) on.
+def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> TruncatedSeries:
+    """s^(j n) psi_j F_n: psi_j of the charge-n term F_n, expanded at
+    t = 1 + s and weighted by s^(T-degree), from the j-th Frobenius
+    environment, to s^(terms - 1).
 
     psi_j is t -> t^j on top of the Frobenius environment, which only scales
     every t-exponent by j.  A cell's numerator sum_i w_i t^(j x_i) is
     sum_k (sum_i w_i C(j x_i, k)) s^k, and a denominator factor
     u - c t^(j h) is (u - c) - c sum_k C(j h, k) s^k, divided by s when
-    c == u.  A partition's denominator series P(s) is inverted from the
-    reciprocal of its constant term P_0 = prod (u - c) prod_poles (-c j h),
-    the one step that differs between realizations:
+    c == u.  A partition with ``poles`` such factors is s^(-poles) times a
+    power series, so its weighted term is that series shifted by
+    j n - poles >= 0 (at most n poles, checked in :func:`_partition_terms`).
+    Its denominator series P(s) is inverted from the reciprocal of its
+    constant term P_0 = prod (u - c) prod_poles (-c j h), the one step that
+    differs between realizations:
 
     * weil: the terms come from :func:`_partition_terms` over D, the lcm of
       the atom denominators, so the products run on ints; they become
@@ -246,7 +244,7 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> L
     """
     weil = env.base == "weil"
     D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas)) if weil else 1
-    total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))
+    total = TruncatedSeries([], order=terms - 1)
     for cells, den, kn, kd in _partition_terms(env, n, p, D, j):
         num = dens = TruncatedSeries([1], order=terms - 1)
         for cell in cells:
@@ -272,43 +270,41 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> L
             inverse = dens.inverse()
         else:
             inverse = dens.inverse(TRational(Fraction(1, pole_scale), constants))
-        total = total + LaurentSeries(-poles, num * inverse)
+        shifted = [0] * (j * n - poles) + (num * inverse).coeffs
+        total = total + TruncatedSeries(shifted, order=terms - 1)
     return total
 
 
-def plog_series(env: AtomEnvironment, r: int, p: int) -> List[LaurentSeries]:
-    """H_1 .. H_r, the plethystic-log coefficients cleared by (1-t)(1-Lt),
-    as Laurent series in s = t - 1 known through s^0.
+def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TruncatedSeries]:
+    """h_1 .. h_r, h_m = s^(m-1) H_m, with H_m the plethystic-log
+    coefficients cleared by (1-t)(1-Lt), as power series in s = t - 1.
 
-    Every series carries r coefficients from its valuation bound on, and
-    that is enough.  A charge-n term has a pole of order at most n at t = 1,
-    one per part of each partition (one zero-arm cell per row, checked in
-    :func:`_partition_terms`), and t -> t^j keeps the order.  So the T^m
-    coefficient of each logarithm, a sum of products of charge terms whose
-    charges add up to at most m, has valuation >= -m and is known through
-    s^(r-1-m); acc_m is known through s^(r-1-m), and H_m = acc_m (1-t)(1-Lt),
-    with (1-t)(1-Lt) = s ((L-1) + L s), through s^(r-m), for every m <= r.
+    The charge terms enter weighted by s^(T-degree) (:func:`partition_sum`),
+    so the Moebius sum's T^m coefficient is s^m times its value.  Clearing
+    by (1-t)(1-Lt) = s ((L-1) + L s) is then a product with (L-1) + L s.
+    Every series is known through s^(r-1).
     """
-    clearing = LaurentSeries(1, TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1))
+    clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
     return [acc * clearing for acc in _connected(
         env, r, lambda fenv, n, j: partition_sum(fenv, n, p, j, r),
-        LaurentSeries(0, TruncatedSeries([], order=r - 1)))]
+        TruncatedSeries([], order=r - 1))]
 
 
 def adhm_class(env: AtomEnvironment, r: int, p: int):
     """Conjectural class of the twisted moduli space of rank r, any coprime
     degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1).
 
-    H_r(1) is :func:`eval_at_one` of the expansion at t = 1 + s from
-    :func:`plog_series`: H_r is a Laurent polynomial in t, so its
-    coefficients below s^0 vanish and its value is the s^0 coefficient.  A
-    weil environment gives a Fraction; a hodge one a UVLaurent, divided
-    once by the product of its denominator factors (1 - L^k).
+    H_r(1) is :func:`eval_at_one` of h_r = s^(r-1) H_r from
+    :func:`plog_series`: H_r is a Laurent polynomial in t, so the
+    coefficients of h_r below s^(r-1) vanish and its value is the s^(r-1)
+    coefficient.  A weil environment gives a Fraction; a hodge one a
+    UVLaurent, divided once by the product of its denominator factors
+    (1 - L^k).
     """
     if r < 1 or p < 1:
         raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
-    value = eval_at_one(plog_series(env, r, p)[r - 1])
+    value = eval_at_one(plog_series(env, r, p)[r - 1], r - 1)
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

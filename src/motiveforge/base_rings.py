@@ -104,7 +104,8 @@ class UVLaurent:
     mutates ``self``, and hashing relies on that convention.
 
     Scalars (int / Fraction) mix freely with ``UVLaurent`` in arithmetic so
-    that generic series code can use the literals ``0`` and ``1``.
+    that generic series code can use the literals ``0`` and ``1``, and
+    ``bool()`` is false exactly at zero, as for a scalar.
     """
 
     __slots__ = ("_c",)
@@ -142,8 +143,8 @@ class UVLaurent:
     def items(self) -> Iterator[Tuple[ExponentPair, Rat]]:
         return iter(self._c.items())
 
-    def is_zero(self) -> bool:
-        return not self._c
+    def __bool__(self) -> bool:
+        return bool(self._c)
 
     def coeff(self, a: int, b: int) -> Rat:
         return self._c.get((a, b), 0)
@@ -314,11 +315,11 @@ def exact_divide(num: Union[UVLaurent, Rat],
         if not isinstance(num, UVLaurent):
             return _norm(Fraction(num) / Fraction(den))
         den = UVLaurent.const(den)
-    elif den.is_zero():
+    elif not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not isinstance(num, UVLaurent):
         num = UVLaurent.const(num)
-    if num.is_zero():
+    if not num:
         return UVLaurent._raw({})
     rem = dict(num._c)
     quot: Dict[ExponentPair, Rat] = {}

@@ -334,79 +334,68 @@ def _cmd_verify_adhm(args) -> int:
     return EXIT_PASS
 
 
+def _payload(command: str, spec: ModuliSpec, **fields) -> Dict:
+    """The json payload of a single-space command."""
+    return {
+        "schema": export.SCHEMA_VERSION,
+        "command": command,
+        "spec": {"g": spec.g, "r": spec.r, "d": spec.d, "dL": spec.dL, "p": spec.p},
+        **fields,
+    }
+
+
+def _emit_poly(args, value, payload: Dict) -> int:
+    """A u, v polynomial in ``args.format``: csv, latex, or json with the
+    polynomial added to ``payload`` under its command's name."""
+    if args.format == "csv":
+        text = export.poly_to_csv(value)
+    elif args.format == "latex":
+        text = export.poly_to_latex(value) + "\n"
+    else:
+        text = export.dump_json({**payload, payload["command"]: export.poly_to_json(value)})
+    _emit(text, args.out)
+    return EXIT_PASS
+
+
 def _cmd_motive(args) -> int:
     spec = _spec_from_args(args)
-    payload: Dict = {
-        "schema": export.SCHEMA_VERSION,
-        "command": "motive",
-        "spec": {"g": spec.g, "r": spec.r, "d": spec.d, "dL": spec.dL, "p": spec.p},
-    }
     if args.realization == "hodge":
-        env = make_hodge_env(spec.g)
-        value = motive(env, spec)
-        if args.format == "csv":
-            _emit(export.poly_to_csv(value), args.out)
-        elif args.format == "latex":
-            _emit(export.poly_to_latex(value) + "\n", args.out)
-        else:
-            payload["environment"] = {"base": "hodge", "genus": spec.g}
-            payload["motive"] = export.poly_to_json(value)
-            _emit(export.dump_json(payload), args.out)
-        return EXIT_PASS
+        value = motive(make_hodge_env(spec.g), spec)
+        return _emit_poly(args, value, _payload(
+            "motive", spec, environment={"base": "hodge", "genus": spec.g}))
     env = make_weil_env(spec.g, args.seed)
     value = motive(env, spec)
     if args.format == "latex":
-        lines = export.weil_env_latex(env)
-        lines.append(r"[\mathcal{M}] = %s" % export._frac_latex(value))
-        _emit("\n".join(lines) + "\n", args.out)
+        text = export.weil_motive_latex(env, value) + "\n"
     elif args.format == "csv":
-        _emit("seed,value\n%d,%s\n" % (args.seed, value), args.out)
+        text = "seed,value\n%d,%s\n" % (args.seed, value)
     else:
-        payload["environment"] = {
+        text = export.dump_json(_payload("motive", spec, motive=str(value), environment={
             "base": "weil",
             "genus": spec.g,
             "seed": args.seed,
             "lefschetz": str(env.lefschetz),
             "betas": [str(b) for b in env.betas],
-        }
-        payload["motive"] = str(value)
-        _emit(export.dump_json(payload), args.out)
+        }))
+    _emit(text, args.out)
     return EXIT_PASS
 
 
 def _cmd_epoly(args) -> int:
     spec = _spec_from_args(args)
-    value = epoly(spec)
-    if args.format == "csv":
-        _emit(export.poly_to_csv(value), args.out)
-    elif args.format == "latex":
-        _emit(export.poly_to_latex(value) + "\n", args.out)
-    else:
-        payload = {
-            "schema": export.SCHEMA_VERSION,
-            "command": "epoly",
-            "spec": {"g": spec.g, "r": spec.r, "d": spec.d, "dL": spec.dL, "p": spec.p},
-            "epoly": export.poly_to_json(value),
-        }
-        _emit(export.dump_json(payload), args.out)
-    return EXIT_PASS
+    return _emit_poly(args, epoly(spec), _payload("epoly", spec))
 
 
 def _cmd_betti(args) -> int:
     spec = _spec_from_args(args)
     betti = poincare(epoly(spec))
     if args.format == "csv":
-        _emit(export.betti_to_csv(betti), args.out)
+        text = export.betti_to_csv(betti)
     elif args.format == "latex":
-        _emit(export.betti_to_latex(betti) + "\n", args.out)
+        text = export.betti_to_latex(betti) + "\n"
     else:
-        payload = {
-            "schema": export.SCHEMA_VERSION,
-            "command": "betti",
-            "spec": {"g": spec.g, "r": spec.r, "d": spec.d, "dL": spec.dL, "p": spec.p},
-            "betti": betti,
-        }
-        _emit(export.dump_json(payload), args.out)
+        text = export.dump_json(_payload("betti", spec, betti=betti))
+    _emit(text, args.out)
     return EXIT_PASS
 
 

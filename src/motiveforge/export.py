@@ -57,13 +57,15 @@ def poly_to_latex(e: UVLaurent) -> str:
     return "".join(parts).strip()
 
 
-def weil_env_latex(env) -> List[str]:
-    """LaTeX lines describing a numeric environment: the Lefschetz value and
-    the lambda classes lambda^i(h^1), i >= 1, it realizes."""
+def weil_motive_latex(env, value) -> str:
+    """LaTeX lines for a class in a numeric environment: the Lefschetz
+    value, the lambda classes lambda^i(h^1), i >= 1, it realizes, and the
+    class itself."""
     lines = [r"\mathbb{L} = %s" % _frac_latex(env.lefschetz)]
-    for i, value in enumerate(env.lambda_values[1:], 1):
-        lines.append(r"\lambda^{%d}(h^1) = %s" % (i, _frac_latex(value)))
-    return lines
+    for i, e_i in enumerate(env.lambda_values[1:], 1):
+        lines.append(r"\lambda^{%d}(h^1) = %s" % (i, _frac_latex(e_i)))
+    lines.append(r"[\mathcal{M}] = %s" % _frac_latex(value))
+    return "\n".join(lines)
 
 
 def _frac_latex(x) -> str:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .base_rings import UV, UVLaurent, exact_divide
+from .base_rings import UV, NotDivisible, UVLaurent, exact_divide
 from .curve_ring import (
     AtomEnvironment,
     h1_poly,
@@ -382,6 +382,8 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     stratum class jac^k * lambda_first * c (:func:`_vhs_class`), the sums of
     L^(N+) * c are kept per (k, first read); each group is multiplied once
     by its lambda factor, and the total is S_0 + jac * (S_1 + jac * S_2).
+    A NotDivisible or ZeroDivisionError from a stratum class is re-raised
+    naming the stratum's ranks and degrees.
     """
     spec.validate()
     if env.genus != spec.g:
@@ -391,7 +393,10 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     L = env.lefschetz
     groups: Dict[tuple, object] = {}
     for t in strata:
-        k, first, c = _vhs_class(env, t, spec.dL, tables)
+        try:
+            k, first, c = _vhs_class(env, t, spec.dL, tables)
+        except (NotDivisible, ZeroDivisionError) as exc:
+            raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
         groups[k, first] = groups.get((k, first), 0) + L ** bb_exponent(t, spec) * c
     sums = [0, 0, 0]
     for (k, first), s in groups.items():
@@ -449,8 +454,7 @@ def _rank3_single_extractions(env: AtomEnvironment, dL: int) -> Tuple[UVLaurent,
     # 1/(uv - x) = (uv)^-1 / (1 - x/uv); 1/((uv)^2 - x^2) likewise in x^2
     inv_uv = UV ** (-1)
     inv_uv2 = uv2 ** (-1)
-    twist = series_product([a, geom(inv_uv, 1, n).scale(inv_uv),
-                            geom(inv_uv2, 2, n).scale(inv_uv2)])
+    twist = series_product([a, geom(inv_uv, 1, n) * inv_uv, geom(inv_uv2, 2, n) * inv_uv2])
     return plus.coeff(n - 1), twist.coeff(n - 1), plus.coeff(n), twist.coeff(n)
 
 

@@ -1,17 +1,14 @@
 """Truncated power series, constant denominators and a bivariate window.
 
-Four carriers live here, all generic over the coefficient ring (plain
+Three carriers live here, all generic over the coefficient ring (plain
 rationals in the numeric realization, ``UVLaurent`` in the Hodge one; any
 ring element supporting ``+``, ``-``, ``*``, comparison with the scalar
-literals 0 and 1, and ``bool()`` false exactly at zero works; a
-``UVLaurent`` is tested with ``is_zero()`` instead):
+literals 0 and 1, and ``bool()`` false exactly at zero works):
 
-* :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order
-  (no Laurent shift), used for every single-variable coefficient extraction
-  and for the stratification route's lambda series.
-* :class:`LaurentSeries` - s^val times a :class:`TruncatedSeries`.  The ADHM
-  route expands every term at t = 1 + s and :func:`eval_at_one` reads the
-  value at t = 1 off the s^0 coefficient.
+* :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order,
+  used for every single-variable coefficient extraction, the stratification
+  route's lambda series and the ADHM route's expansion at t = 1 + s, read
+  at t = 1 by :func:`eval_at_one`.
 * :class:`TRational` - a ring element over a *factored* constant
   denominator prod (1 - c).  The hodge ADHM route's s-coefficients are
   these, with ``UVLaurent`` values and c a power of L: the denominator is
@@ -28,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .base_rings import UVLaurent, exact_divide
+from .base_rings import exact_divide
 
 
 class InsufficientTruncation(ValueError):
@@ -51,8 +48,9 @@ class TruncatedSeries:
     """Truncated power series sum_{n=0..order} c_n x^n, with no Laurent shift.
 
     ``order`` is the largest exponent whose coefficient is known; arithmetic
-    never consults coefficients beyond it, and a product is known to the
-    smaller of its factors' orders.
+    never consults coefficients beyond it.  A sum, difference or product of
+    two series is known to the smaller of their orders, and a scalar
+    multiple (``series * c``) to the series' own.
     """
 
     __slots__ = ("order", "coeffs")
@@ -91,20 +89,27 @@ class TruncatedSeries:
             return 0
         return self.coeffs[n]
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __mul__(self, other) -> "TruncatedSeries":
+        """The product with a series, or every coefficient times a scalar."""
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries([c * other for c in self.coeffs], order=self.order)
         order = min(self.order, other.order)
         out = [0] * (order + 1)
         for i, a in enumerate(self.coeffs[:order + 1]):
-            if isinstance(a, int) and a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs[:order + 1 - i]):
-                if isinstance(b, int) and b == 0:
+                if not b:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, order=order)
 
-    def scale(self, factor) -> "TruncatedSeries":
-        return TruncatedSeries([c * factor for c in self.coeffs], order=self.order)
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        order = min(self.order, other.order)
+        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order=order)
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        return self + other * -1
 
     def inverse(self, lead=None) -> "TruncatedSeries":
         """1 / self to the same order.  ``lead`` is the reciprocal of the
@@ -120,49 +125,6 @@ class TruncatedSeries:
                 acc = acc + a[k] * q[n - k]
             q.append(-acc * lead)
         return TruncatedSeries(q, order=self.order)
-
-
-class LaurentSeries:
-    """s^val times a TruncatedSeries: a Laurent series in s known through
-    s^(val + series.order).
-
-    ``val`` bounds the valuation from below and is never raised by
-    stripping leading zeros, since that would claim a coefficient beyond
-    the known ones.  A product adds valuations and multiplies the power
-    series (known to the smaller relative order); a sum starts at the
-    smaller valuation and is known as far as both operands are.
-    :meth:`coeff` raises :class:`InsufficientTruncation` beyond that.
-    """
-
-    __slots__ = ("val", "series")
-
-    def __init__(self, val: int, series: TruncatedSeries):
-        self.val = val
-        self.series = series
-
-    def coeff(self, k: int):
-        top = self.val + self.series.order
-        if k > top:
-            raise InsufficientTruncation(
-                f"coefficient of s^{k} requested, series known through s^{top}")
-        return self.series.coeff(k - self.val)
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
-            return LaurentSeries(self.val + other.val, self.series * other.series)
-        return LaurentSeries(self.val, self.series.scale(other))
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        lo = min(self.val, other.val)
-        top = min(self.val + self.series.order, other.val + other.series.order)
-        return LaurentSeries(lo, TruncatedSeries(
-            [self.coeff(k) + other.coeff(k) for k in range(lo, top + 1)], order=top - lo))
-
-    def __neg__(self) -> "LaurentSeries":
-        return self * -1
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
 
 
 def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -196,14 +158,6 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
 # ring elements over a factored constant denominator
 # ---------------------------------------------------------------------------
 
-def _is_zero(x) -> bool:
-    if isinstance(x, TRational):
-        x = x.num
-    if isinstance(x, UVLaurent):
-        return x.is_zero()
-    return not x
-
-
 class TRational:
     """A ring element over a factored constant denominator: num / prod (1 - c)
     over the multiset ``den`` of constants c.
@@ -222,7 +176,7 @@ class TRational:
 
     def __init__(self, num, den: Sequence = ()):
         self.num = num
-        self.den = () if _is_zero(num) else tuple(den)
+        self.den = tuple(den) if num else ()
 
     def __add__(self, other):
         if not isinstance(other, TRational):
@@ -247,25 +201,28 @@ class TRational:
     def __neg__(self):
         return self * -1
 
+    def __bool__(self):
+        return bool(self.num)
+
     def __repr__(self):
         den = " * ".join(f"(1 - ({c}))" for c in self.den) or "1"
         return f"TRational({self.num} / {den})"
 
 
-def eval_at_one(h: LaurentSeries):
-    """The value at t = 1 of a Laurent polynomial in t, from its expansion h
-    at t = 1 + s: its coefficients below s^0 must vanish (PoleAtOne
-    otherwise), and the value is the s^0 coefficient; reading it past the
-    known coefficients raises InsufficientTruncation.
+def eval_at_one(h: TruncatedSeries, k: int):
+    """The value at t = 1 of a Laurent polynomial H in t, from h = s^k H
+    expanded at t = 1 + s: the coefficients of h below s^k must vanish
+    (PoleAtOne otherwise), and the value is its s^k coefficient; reading it
+    past the known coefficients raises InsufficientTruncation.
 
     A :class:`TRational` value is divided by its denominator prod (1 - c)
     with one ``exact_divide``, whose NotDivisible means the value is no
     Laurent polynomial in the coefficient ring.
     """
-    for k in range(h.val, 0):
-        if not _is_zero(h.coeff(k)):
-            raise PoleAtOne(f"nonzero s^{k} coefficient at t = 1 + s")
-    value = h.coeff(0)
+    for i in range(k):
+        if h.coeff(i):
+            raise PoleAtOne(f"nonzero s^{i - k} coefficient at t = 1 + s")
+    value = h.coeff(k)
     if not isinstance(value, TRational):
         return value
     den = 1
@@ -293,7 +250,7 @@ class BiSeries:
     __slots__ = ("terms", "min_level", "level_cap")
 
     def __init__(self, terms: Dict[Tuple[int, int], object], min_level: int, level_cap: int):
-        self.terms = {k: c for k, c in terms.items() if k[0] + k[1] <= level_cap and not _is_zero(c)}
+        self.terms = {k: c for k, c in terms.items() if k[0] + k[1] <= level_cap and c}
         self.min_level = min_level
         self.level_cap = level_cap
 
@@ -332,7 +289,7 @@ class BiSeries:
                     continue
                 k = (i, j)
                 s = out.get(k, 0) + c1 * c2
-                if _is_zero(s):
+                if not s:
                     out.pop(k, None)
                 else:
                     out[k] = s

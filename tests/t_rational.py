@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from motiveforge.adhm import _connected, _partition_terms
 from motiveforge.base_rings import UVLaurent, exact_divide
 from motiveforge.curve_ring import AtomEnvironment
-from motiveforge.series_engine import PoleAtOne, _is_zero
+from motiveforge.series_engine import PoleAtOne
 
 
 def _is_scalar(x) -> bool:
@@ -36,7 +36,7 @@ def _tp_add(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
-        if _is_zero(s):
+        if not s:
             out.pop(e, None)
         else:
             out[e] = s
@@ -44,7 +44,7 @@ def _tp_add(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
 
 
 def _tp_scale(a: Dict[int, object], factor) -> Dict[int, object]:
-    if _is_zero(factor):
+    if not factor:
         return {}
     return {e: c * factor for e, c in a.items()}
 
@@ -55,7 +55,7 @@ def _tp_mul(a: Dict[int, object], b: Dict[int, object]) -> Dict[int, object]:
         for eb, cb in b.items():
             k = ea + eb
             s = out.get(k, 0) + ca * cb
-            if _is_zero(s):
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -68,7 +68,7 @@ def _tp_mul_factor(a: Dict[int, object], c, m: int) -> Dict[int, object]:
     for e, x in a.items():
         k = e + m
         s = out.get(k, 0) - x * c
-        if _is_zero(s):
+        if not s:
             out.pop(k, None)
         else:
             out[k] = s
@@ -93,7 +93,7 @@ def _tp_divide_factor(a: Dict[int, object], c, m: int):
         prev = q.get(e - m)
         if prev is not None:
             val = val + prev * c
-        if _is_zero(val):
+        if not val:
             continue
         if e > hi - m:
             return None
@@ -128,7 +128,7 @@ class TRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Dict[int, object], den: Sequence[Tuple[object, int]] = (), reduce: bool = True):
-        self.num = {e: c for e, c in num.items() if not _is_zero(c)}
+        self.num = {e: c for e, c in num.items() if c}
         self.den = tuple(sorted(den, key=lambda f: (f[1], _den_sort_key(f[0])))) if self.num else ()
         if reduce:
             self._reduce()
@@ -137,7 +137,7 @@ class TRational:
 
     @classmethod
     def from_scalar(cls, value) -> "TRational":
-        return cls({0: value} if not _is_zero(value) else {}, ())
+        return cls({0: value} if value else {}, ())
 
     @classmethod
     def coerce(cls, value) -> "TRational":

@@ -19,12 +19,7 @@ from motiveforge.curve_ring import (
     make_weil_env,
 )
 from motiveforge.moduli_formulas import ModuliSpec, motive
-from motiveforge.series_engine import (
-    InsufficientTruncation,
-    LaurentSeries,
-    PoleAtOne,
-    TruncatedSeries,
-)
+from motiveforge.series_engine import InsufficientTruncation, PoleAtOne, TruncatedSeries
 from t_rational import (
     TRational,
     _tp_mul,
@@ -265,8 +260,9 @@ class TestAdhmClass:
     def test_eval_at_one_succeeds_on_pipeline(self):
         for env in (make_weil_env(2, 41), make_hodge_env(2)):
             for r in (1, 2, 3):
-                for h in adhm.plog_series(env, r, 2):
-                    series_engine.eval_at_one(h)
+                # h_m = s^(m-1) H_m for every m <= r
+                for m, h in enumerate(adhm.plog_series(env, r, 2), 1):
+                    series_engine.eval_at_one(h, m - 1)
 
 
 def _t_rational_adhm_class(env, r, p):
@@ -302,11 +298,11 @@ class TestLaurentRoute:
 
     def test_read_past_the_known_terms_raises(self, monkeypatch):
         # one term fewer per charge term than the precision argument needs:
-        # H_2 is then known through s^-1 only, and reading s^0 must fail
+        # h_2 = s H_2 is then known through s^0 only, and reading s^1 must fail
         charge = adhm.partition_sum
         monkeypatch.setattr(adhm, "partition_sum",
                             lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
-        with pytest.raises(InsufficientTruncation, match=r"s\^0 requested, series known through s\^-1"):
+        with pytest.raises(InsufficientTruncation, match=r"x\^1 requested, series truncated at 0"):
             adhm_class(make_weil_env(2, 5), 2, 1)
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
@@ -314,23 +310,26 @@ class TestLaurentRoute:
            st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_scaled_charge_term_matches_fraction_reference(self, g, n, p, j, seed):
-        # every s-coefficient of the charge term built over ints scaled by
-        # powers of D equals the one built on the plain Fraction atoms
+        # every s-coefficient of the weighted charge term built over ints
+        # scaled by powers of D equals the one built on the plain Fraction atoms
         env = frobenius(make_weil_env(g, seed), j)
         got = adhm.partition_sum(env, n, p, j, 3)
         want = _charge_at_one_over_fractions(env, n, p, j, 3)
-        assert (got.val, got.series.order) == (want.val, want.series.order)
-        for k in range(want.val, want.val + want.series.order + 1):
-            assert type(got.coeff(k)) is Fraction and got.coeff(k) == want.coeff(k)
+        assert got.order == want.order == 2
+        for k in range(3):
+            # only the shift's leading zeros are ints
+            assert got.coeff(k) == want.coeff(k)
+            assert type(got.coeff(k)) is Fraction or got.coeff(k) == 0
 
 
 def _charge_at_one_over_fractions(env, n, p, j, terms):
-    """psi_j of the charge-n term at t = 1 + s, each cell numerator and
-    denominator factor built and multiplied on the environment's own
+    """s^(j n) psi_j of the charge-n term at t = 1 + s, each cell numerator
+    and denominator factor built and multiplied on the environment's own
     Fraction values: the expansion of adhm.partition_sum without the
-    scale D."""
+    scale D.  A partition's expansion starts at s^(-poles), so the weight
+    s^(j n) shifts it by j n - poles."""
     g, L = env.genus, env.lefschetz
-    total = LaurentSeries(0, TruncatedSeries([], order=terms - 1))
+    total = TruncatedSeries([], order=terms - 1)
     for lam in partitions(n):
         num = den = TruncatedSeries([1], order=terms - 1)
         poles = 0
@@ -351,5 +350,7 @@ def _charge_at_one_over_fractions(env, n, p, j, terms):
                 factor = [-c * x for x in b[1:]] if pole else [1 - c] + [-c * x for x in b[1:terms]]
                 den = den * TruncatedSeries(factor, order=terms - 1)
                 poles += pole
-        total = total + LaurentSeries(-poles, num * den.inverse())
+        expansion = num * den.inverse()
+        total = total + TruncatedSeries(
+            [expansion.coeff(k - j * n + poles) for k in range(terms)], order=terms - 1)
     return total

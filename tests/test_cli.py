@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -245,14 +246,15 @@ class TestErrorPaths:
     def test_adhm_route_error_is_named_and_exits_3(self, monkeypatch, capsys):
         import motiveforge.adhm as adhm
 
-        # charge terms one term short: reading H_2 at s^0 is past what is known
+        # charge terms one term short: reading s H_2 at s^1 is past what is known
         charge = adhm.partition_sum
         monkeypatch.setattr(adhm, "partition_sum",
                             lambda env, n, p, j, terms: charge(env, n, p, j, terms - 1))
         code = main(["verify-adhm", "--g", "2", "--r", "2", "--trials", "1", "--hodge", "off"])
         assert code == EXIT_ARITHMETIC_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("arithmetic error: coefficient of s^0 requested")
+        assert err.startswith(
+            "arithmetic error: coefficient of x^1 requested, series truncated at 0")
         seed = _trial_seed(0, 2, 2, 1, 1, 0)
         assert f"[adhm_class route, weil seed {seed}]" in err and "Traceback" not in err
 
@@ -260,14 +262,22 @@ class TestErrorPaths:
         import motiveforge.moduli_formulas as formulas
         from motiveforge.base_rings import NotDivisible
 
-        def refuse(num, den):
-            raise NotDivisible("synthetic")
+        divide = formulas.exact_divide
 
-        monkeypatch.setattr(formulas, "exact_divide", refuse)
-        code = main(["verify-adhm", "--g", "2", "--r", "2", "--trials", "1", "--hodge", "off"])
+        def refuse_in_a_12_stratum(num, den):
+            # the (1,2) stratum class divides in _vhs_class, whose local t is
+            # the stratum; every other division goes through
+            if getattr(sys._getframe(1).f_locals.get("t"), "ranks", None) == (1, 2):
+                raise NotDivisible("synthetic")
+            return divide(num, den)
+
+        monkeypatch.setattr(formulas, "exact_divide", refuse_in_a_12_stratum)
+        code = main(["verify-adhm", "--g", "2", "--r", "3", "--trials", "1", "--hodge", "off"])
         assert code == EXIT_ARITHMETIC_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("arithmetic error: synthetic [motive route, weil seed ")
+        seed = _trial_seed(0, 2, 3, 1, 1, 0)
+        assert err == (f"arithmetic error: synthetic [stratum ranks (1, 2), degrees (1, 0)] "
+                       f"[motive route, weil seed {seed}]\n")
 
 
 class TestCommands:
@@ -494,6 +504,40 @@ class TestCommands:
         assert code == EXIT_PASS
         payload = json.loads(out.read_text())
         assert payload["spec"]["p"] == 2
+
+    @pytest.mark.parametrize("command,fmt,digest", [
+        ("motive --realization hodge", "json",
+         "af75b6be097c91ed13904deaef7359e694be0844362ce59b7c0eacc00fd37f69"),
+        ("motive --realization hodge", "csv",
+         "5259d4721bb0e4d37a3d2cf666d55866e00b6589303d39ae925425ed3d9f7baf"),
+        ("motive --realization hodge", "latex",
+         "5a8be6ea2118f1001793bccecca500cb6a431c9c3616e525226271550dd22e0b"),
+        ("motive --realization weil", "json",
+         "2b35d08664adfc2997ba6427e6d03e31148922c6dfa16130a1b1e1a3fddef244"),
+        ("motive --realization weil", "csv",
+         "2f888a0e1684b0969ae5effdfa751b99cc0ade88385f2c1fd8a851171d229b40"),
+        ("motive --realization weil", "latex",
+         "5d7ce380f79c4dac6feb066b3afd006ec0cb38f075f8e23afbb8070899d8840f"),
+        ("epoly", "json",
+         "b3df98b80e6e983f19f7d58eb991ac01cad48e87b8a4871e48fdfcfdc1e7c424"),
+        ("epoly", "csv",
+         "5259d4721bb0e4d37a3d2cf666d55866e00b6589303d39ae925425ed3d9f7baf"),
+        ("epoly", "latex",
+         "5a8be6ea2118f1001793bccecca500cb6a431c9c3616e525226271550dd22e0b"),
+        ("betti", "json",
+         "fccf395d63e98786edf1491c86b63d2b70548c3d964c43573326f295e84b9332"),
+        ("betti", "csv",
+         "42dbb7e5ee3f17be05d00e69c62ae76a180152e07265b51646034d70587750ea"),
+        ("betti", "latex",
+         "0b19b10d314bb170723feec26a6a9110901da007760197acaa613cb3841c6775"),
+    ])
+    def test_output_is_byte_identical_to_the_golden_digest(self, command, fmt, digest, capsys):
+        # every subcommand's stdout at (g, r, d, p) = (2, 2, 1, 1), pinned
+        # byte for byte in each format
+        code = main(command.split() + ["--g", "2", "--r", "2", "--d", "1", "--p", "1",
+                                       "--format", fmt])
+        assert code == EXIT_PASS
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_module_entry_point_is_clean(self):
         # `python -m motiveforge` runs __main__.py; unlike `-m motiveforge.cli`

@@ -382,8 +382,8 @@ class TestClosedFormExtractions:
         plus_dens = [lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o),
                      lambda o: geom(uv2, 1, o), lambda o: geom(UV, 2, o)]
         twist_dens = [lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o),
-                      lambda o: geom(inv_uv, 1, o).scale(inv_uv),
-                      lambda o: geom(inv_uv2, 2, o).scale(inv_uv2)]
+                      lambda o: geom(inv_uv, 1, o) * inv_uv,
+                      lambda o: geom(inv_uv2, 2, o) * inv_uv2]
         expected = (_extract_x0(dL + 2, [znum] + plus_dens),
                     _extract_x0(dL + 2, [znum] + twist_dens),
                     _extract_x0(dL + 1, [znum] + plus_dens),

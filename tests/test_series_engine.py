@@ -15,7 +15,6 @@ from motiveforge.series_engine import (
     BadConstantTerm,
     BiSeries,
     InsufficientTruncation,
-    LaurentSeries,
     PoleAtOne,
     TruncatedSeries,
     series_log,
@@ -26,6 +25,15 @@ from t_rational import (
     _tp_mul_factor,
     eval_at_one,
     substitute_t_power,
+)
+
+
+# scalars and Laurent polynomials in u, v, the two coefficient rings
+ring_elements = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    st.integers(-3, 3), max_size=2).map(UVLaurent),
 )
 
 
@@ -103,26 +111,40 @@ class TestTruncatedSeries:
         assert [prod.coeff(n) for n in range(len(tail) + 1)] == [1] + [0] * len(tail)
 
 
-class TestLaurentSeries:
-    def test_sum_is_known_as_far_as_both_operands(self):
-        a = LaurentSeries(-2, TruncatedSeries([1, 2, 3], order=2))  # s^-2 .. s^0
-        b = LaurentSeries(0, TruncatedSeries([5, 7, 11], order=2))  # s^0 .. s^2
-        for c in (a + b, b + a):
-            assert (c.val, c.series.order) == (-2, 2)
-            assert [c.coeff(k) for k in range(-3, 1)] == [0, 1, 2, 8]
-            with pytest.raises(InsufficientTruncation, match=r"s\^1 requested, series known through s\^0"):
-                c.coeff(1)
-        assert [(a - a).coeff(k) for k in range(-2, 1)] == [0, 0, 0]
+class TestSeriesArithmetic:
+    """Sums, differences and scalar multiples, and products of series with
+    leading zeros: the ADHM route's expansion weighted by s^(T-degree)."""
 
-    def test_product_adds_valuations(self):
-        # 1 - t = -s at t = 1 + s, and t / (1 - t) = -1/s - 1
-        minus_s = LaurentSeries(1, TruncatedSeries([-1], order=2))
-        inv = LaurentSeries(-1, minus_s.series.inverse())
-        t = LaurentSeries(0, TruncatedSeries([1, 1], order=2))
-        q = t * inv
-        assert q.val == -1 and [q.coeff(k) for k in (-1, 0, 1)] == [-1, -1, 0]
-        assert [(q * minus_s).coeff(k) for k in range(0, 3)] == [1, 1, 0]
-        assert [(q * Fraction(1, 2)).coeff(k) for k in (-1, 0)] == [Fraction(-1, 2)] * 2
+    def test_sum_is_known_as_far_as_both_operands(self):
+        a = TruncatedSeries([1, 2, 3], order=2)
+        b = TruncatedSeries([5, 7, 11, 13], order=3)
+        for c in (a + b, b + a):
+            assert c.order == 2 and [c.coeff(k) for k in range(-1, 3)] == [0, 6, 9, 14]
+            with pytest.raises(InsufficientTruncation, match=r"x\^3 requested, series truncated at 2"):
+                c.coeff(3)
+        assert (a - a).coeffs == [0, 0, 0]
+
+    def test_product_adds_leading_zeros(self):
+        # at t = 1 + s: s t / (1 - t) = -1 - s, and times (1 - t) = -s it
+        # is s t = s + s^2, one leading zero from each s
+        q = TruncatedSeries([1, 1], order=2) * TruncatedSeries([-1], order=2)
+        minus_s = TruncatedSeries([0, -1], order=2)
+        assert [(q * minus_s).coeff(k) for k in range(3)] == [0, 1, 1]
+        assert [(minus_s * minus_s).coeff(k) for k in range(3)] == [0, 0, 1]
+        assert [(q * Fraction(1, 2)).coeff(k) for k in range(2)] == [Fraction(-1, 2)] * 2
+
+    @given(st.lists(ring_elements, min_size=1, max_size=5),
+           st.lists(ring_elements, min_size=1, max_size=5), ring_elements)
+    @settings(max_examples=60, deadline=None)
+    def test_sum_difference_and_scalar_multiple(self, xs, ys, c):
+        # coefficient by coefficient, known as far as both operands are
+        a = TruncatedSeries(xs, order=len(xs) - 1)
+        b = TruncatedSeries(ys, order=len(ys) - 1)
+        both = min(len(xs), len(ys))
+        assert (a + b).order == (a - b).order == both - 1
+        assert (a + b).coeffs == [x + y for x, y in zip(xs, ys)]
+        assert (a - b).coeffs == [x - y for x, y in zip(xs, ys)]
+        assert (a * c).order == a.order and (a * c).coeffs == [x * c for x in xs]
 
 
 def tr(num, den=()):
@@ -323,18 +345,31 @@ class TestConstantDenominator:
         assert Counter(s.den) == (Counter(a.den) | Counter(b.den) if s.num else Counter())
         assert Counter(prod.den) == (Counter(a.den) + Counter(b.den) if prod.num else Counter())
 
+    @given(st.one_of(ring_elements, constant_trationals,
+                     st.builds(series_engine.TRational, uv_polynomials,
+                               st.lists(st.sampled_from([UV, UV * UV]), max_size=2))))
+    @settings(max_examples=100, deadline=None)
+    def test_bool_is_false_exactly_at_zero(self, x):
+        # a TRational is zero exactly when its numerator is, since no factor
+        # (1 - c) of its denominator vanishes
+        value = x.num if isinstance(x, series_engine.TRational) else x
+        assert bool(x) == (value != 0)
+        assert not x * 0 and not x + x * -1
+
     def test_eval_at_one_divides_the_denominator_once(self):
         value = series_engine.TRational(2 * (1 - UV) * (1 - UV ** 2), (UV, UV ** 2))
         zero = series_engine.TRational(UVLaurent(), (UV,))
-        h = LaurentSeries(-1, TruncatedSeries([zero, value], order=1))
-        assert series_engine.eval_at_one(h) == 2
+        h = TruncatedSeries([zero, value], order=1)
+        assert series_engine.eval_at_one(h, 1) == 2
 
     def test_eval_at_one_refuses_a_pole_and_a_non_polynomial(self):
         pole = series_engine.TRational(UV, (UV,))
         with pytest.raises(PoleAtOne, match=r"nonzero s\^-1 coefficient"):
-            series_engine.eval_at_one(LaurentSeries(-1, TruncatedSeries([pole, 1], order=1)))
+            series_engine.eval_at_one(TruncatedSeries([pole, 1], order=1), 1)
         with pytest.raises(NotDivisible):
-            series_engine.eval_at_one(LaurentSeries(0, TruncatedSeries([pole], order=0)))
+            series_engine.eval_at_one(TruncatedSeries([pole], order=0), 0)
+        with pytest.raises(InsufficientTruncation):
+            series_engine.eval_at_one(TruncatedSeries([0, 0], order=1), 2)
 
 
 class TestBiSeries:

@@ -72,3 +72,26 @@ def test_weil_adhm_builds_no_trational(monkeypatch):
     monkeypatch.setattr(TRational, "__init__", refuse)
     for r in (1, 2, 3):
         assert type(adhm_class(make_weil_env(3, 17), r, 2)) is Fraction
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_uses_another_modules_private_names():
+    # a module's _-prefixed names are its own: no package module imports
+    # one from a sibling or reads one off an imported sibling module
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").startswith("motiveforge"))]
+        siblings = {a.asname or a.name for node in imports if node.module in (None, "motiveforge")
+                    for a in node.names}
+        found += [f"{path.name}:{node.lineno} imports {a.name}" for node in imports
+                  for a in node.names if _private(a.name)]
+        found += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and _private(node.attr)]
+    assert SOURCES and not found, found

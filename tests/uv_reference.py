@@ -10,7 +10,7 @@ class ZeroPolynomial(ValueError):
 
 
 def total_degree(f: UVLaurent) -> int:
-    if f.is_zero():
+    if not f:
         raise ZeroPolynomial("total degree of the zero polynomial")
     return max(a + b for (a, b), _ in f.items())
 
