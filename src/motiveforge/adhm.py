@@ -31,13 +31,14 @@ whose pole of order at most n at t = 1 the weight absorbs;
 :func:`plog_series` gives s^(m-1) H_m; and
 :func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off its
 s^(r-1) coefficient.  The terms' cells and denominator factors come from one
-builder, :func:`_partition_terms`, which also runs the pole check.  The
-realizations differ only in how a partition's denominator series is
-inverted: weil scales by powers of D, the lcm of the atom denominators, so
-the products run on ints and become Fractions once; hodge keeps the
-constant term's factors (1 - L^k) unexpanded in a
-:class:`motiveforge.series_engine.TRational` and divides by their product
-once, at t = 1.
+builder, :func:`_partition_terms`, which also runs the pole check.  Each
+partition is expanded only to the coefficients its shift keeps, and its
+quotient by one recurrence in the coefficient ring, so the realizations
+differ only in how each coefficient is divided, once: weil scales by powers
+of D, the lcm of the atom denominators, runs on ints and makes one Fraction
+per coefficient; hodge keeps the integer part of the denominator as the
+scale of a :class:`motiveforge.series_engine.TRational` and its factors
+(1 - L^k) unexpanded, and divides by both once, at t = 1.
 """
 
 from __future__ import annotations
@@ -191,6 +192,8 @@ def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
 
     ``charge(fenv, n, j)`` is psi_j of the charge-n term F_n, built from the
     j-th Frobenius environment ``fenv``; ``zero`` is the carrier's zero.
+    psi_j F_n sits at T^(j n), so the logarithm is taken in U = T^j, to
+    U^(r // j); its U^k coefficient is the T^(j k) one.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")
@@ -200,13 +203,12 @@ def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
         if mu == 0:
             continue
         fenv = frobenius(env, j)
-        coeffs: List[object] = [1] + [zero] * r
-        for n in range(1, r // j + 1):
-            coeffs[j * n] = charge(fenv, n, j)
-        logs = series_log(TruncatedSeries(coeffs, order=r))
+        top = r // j
+        logs = series_log(TruncatedSeries(
+            [1] + [charge(fenv, n, j) for n in range(1, top + 1)], order=top))
         weight = Fraction(mu, j)
-        for m in range(1, r + 1):
-            acc[m] = acc[m] + logs.coeff(m) * weight
+        for k in range(1, top + 1):
+            acc[j * k] = acc[j * k] + logs.coeff(k) * weight
     return acc[1:]
 
 
@@ -229,49 +231,62 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
     u - c t^(j h) is (u - c) - c sum_k C(j h, k) s^k, divided by s when
     c == u.  A partition with ``poles`` such factors is s^(-poles) times a
     power series, so its weighted term is that series shifted by
-    j n - poles >= 0 (at most n poles, checked in :func:`_partition_terms`).
-    Its denominator series P(s) is inverted from the reciprocal of its
-    constant term P_0 = prod (u - c) prod_poles (-c j h), the one step that
-    differs between realizations:
+    j n - poles >= 0 (at most n poles, checked in :func:`_partition_terms`);
+    only its first terms - (j n - poles) coefficients are built, and none
+    when that is not positive.  With P_0 the constant term of the
+    denominator series, the quotient num / den is sum_k Q_k / P_0^(k+1) s^k,
+    where Q_k = num_k P_0^k - sum_{i=1..k} den_i Q_(k-i) P_0^(i-1) stays in
+    the coefficient ring; each coefficient is divided once:
 
     * weil: the terms come from :func:`_partition_terms` over D, the lcm of
-      the atom denominators, so the products run on ints; they become
-      Fractions once, divided by D^kn and D^kd, and 1/P_0 is a Fraction;
+      the atom denominators, so the Q_k are ints; each becomes one
+      Fraction, over P_0^(k+1) D^(kn - kd);
     * hodge: D = 1, u = 1 and every c of a factor without a pole is a power
-      of L, so 1/P_0 is the :class:`TRational` 1/prod_poles(-j h) over
-      prod (1 - c), and so are the coefficients of 1/P(s), Q_k / P_0^(k+1)
-      with polynomial Q_k.
+      of L, so P_0 = prod_poles(-j h) prod (1 - c), and Q_k / P_0^(k+1) is
+      the :class:`TRational` Q_k over the integer scale prod_poles(-j h)^(k+1)
+      and k + 1 copies of the constants c.
     """
     weil = env.base == "weil"
     D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas)) if weil else 1
     total = TruncatedSeries([], order=terms - 1)
     for cells, den, kn, kd in _partition_terms(env, n, p, D, j):
-        num = dens = TruncatedSeries([1], order=terms - 1)
+        shift = j * n - sum(c == u for u, c, _ in den)
+        need = terms - shift
+        if need <= 0:
+            continue
+        num = dens = TruncatedSeries([1], order=need - 1)
         for cell in cells:
-            series = [0] * terms
+            series = [0] * need
             for x, w in cell.items():
-                for k, b in enumerate(_binomials(j * x, terms)):
+                for k, b in enumerate(_binomials(j * x, need)):
                     series[k] = w * b + series[k]
-            num = num * TruncatedSeries(series, order=terms - 1)
-        poles, pole_scale, constants = 0, 1, []
+            num = num * TruncatedSeries(series, order=need - 1)
+        pole_scale, constants = 1, []
         for u, c, h in den:
-            b = _binomials(j * h, terms + 1)
-            pole = c == u
-            factor = [-c * x for x in b[1:]] if pole else [u - c] + [-c * x for x in b[1:terms]]
-            dens = dens * TruncatedSeries(factor, order=terms - 1)
-            if pole:
-                poles += 1
+            b = _binomials(j * h, need + 1)
+            if c == u:
                 pole_scale *= -j * h
+                factor = [-c * x for x in b[1:]]
             else:
                 constants.append(c)
+                factor = [u - c] + [-c * x for x in b[1:need]]
+            dens = dens * TruncatedSeries(factor, order=need - 1)
+        p0 = dens.coeffs[0]
+        powers = [1]
+        for _ in range(1, need):
+            powers.append(powers[-1] * p0)
+        q: List = []
+        for k in range(need):
+            acc = num.coeffs[k] * powers[k]
+            for i in range(1, k + 1):
+                acc = acc - dens.coeffs[i] * q[k - i] * powers[i - 1]
+            q.append(acc)
         if weil:
-            num, dens = (TruncatedSeries([Fraction(x, D ** k) for x in f.coeffs], order=terms - 1)
-                         for f, k in ((num, kn), (dens, kd)))
-            inverse = dens.inverse()
+            coeffs = [Fraction(x, powers[k] * p0 * D ** (kn - kd)) for k, x in enumerate(q)]
         else:
-            inverse = dens.inverse(TRational(Fraction(1, pole_scale), constants))
-        shifted = [0] * (j * n - poles) + (num * inverse).coeffs
-        total = total + TruncatedSeries(shifted, order=terms - 1)
+            coeffs = [TRational(x, constants * (k + 1), pole_scale ** (k + 1))
+                      for k, x in enumerate(q)]
+        total = total + TruncatedSeries([0] * shift + coeffs, order=terms - 1)
     return total
 
 

@@ -46,7 +46,7 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_ARITHMETIC_ERROR = 3
 
-_HODGE_GENUS_CUTOFF = 3
+_HODGE_GENUS_CUTOFF = 6
 DEFAULT_TRIALS = 20
 
 
@@ -106,12 +106,13 @@ def identity_test(
     evidence, not proof, and only over the sample space the environments
     are drawn from: L and b_1..b_g rationals with numerators and
     denominators at most 10^4 in absolute value, L not in {0, 1, -1}, and
-    b_{g+i} = L / b_i.  No false-pass bound is stated.  For g up to 3 (or
-    when forced by ``hodge=True``) an exact polynomial comparison in the
-    hodge environment runs as well, and decides the identity in the Hodge
-    realization.  Arithmetic errors from a builder are re-raised naming its
-    route (the name of the function it calls) and the failing environment's
-    seed.
+    b_{g+i} = L / b_i.  No false-pass bound is stated.  For g up to 6, the
+    whole desk range (or when forced by ``hodge=True``), an exact polynomial
+    comparison in the hodge environment runs as well, and decides the
+    identity in the Hodge realization; above it ``hodge_equal`` is None
+    unless ``hodge=True``.  Arithmetic errors from a builder are re-raised
+    naming its route (the name of the function it calls) and the failing
+    environment's seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--hodge", choices=("auto", "on", "off"), default="auto",
-                        help="exact symbolic comparison (auto: genus <= 3 only)")
+                        help="exact symbolic comparison (auto: genus <= 6 only)")
     verify.add_argument("--threads", type=int, default=1)
     verify.add_argument("--out", default=None, help="report file (default stdout)")
 

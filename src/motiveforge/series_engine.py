@@ -9,10 +9,11 @@ literals 0 and 1, and ``bool()`` false exactly at zero works):
   used for every single-variable coefficient extraction, the stratification
   route's lambda series and the ADHM route's expansion at t = 1 + s, read
   at t = 1 by :func:`eval_at_one`.
-* :class:`TRational` - a ring element over a *factored* constant
-  denominator prod (1 - c).  The hodge ADHM route's s-coefficients are
-  these, with ``UVLaurent`` values and c a power of L: the denominator is
-  never expanded until :func:`eval_at_one` divides by it once.
+* :class:`TRational` - a ring element over an integer scale and a
+  *factored* constant denominator prod (1 - c).  The hodge ADHM route's
+  s-coefficients are these, with ``UVLaurent`` numerators of int
+  coefficients and c a power of L: the denominator is never expanded until
+  :func:`eval_at_one` divides by it once, and then by the scale.
 * :class:`BiSeries` - a bivariate Laurent window truncated by total degree.
   It builds the integer kernel of the one double coefficient extraction in
   the rank-3 E-polynomial; the ring-valued series are convolved against
@@ -21,6 +22,7 @@ literals 0 and 1, and ``bool()`` false exactly at zero works):
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -111,21 +113,6 @@ class TruncatedSeries:
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + other * -1
 
-    def inverse(self, lead=None) -> "TruncatedSeries":
-        """1 / self to the same order.  ``lead`` is the reciprocal of the
-        constant term; by default it is computed, which needs a nonzero
-        scalar there and is the only division."""
-        a = self.coeffs
-        if lead is None:
-            lead = Fraction(1) / a[0]
-        q = [lead]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                acc = acc + a[k] * q[n - k]
-            q.append(-acc * lead)
-        return TruncatedSeries(q, order=self.order)
-
 
 def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
     out = factors[0]
@@ -159,42 +146,52 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 class TRational:
-    """A ring element over a factored constant denominator: num / prod (1 - c)
-    over the multiset ``den`` of constants c.
+    """A ring element over an integer scale and a factored constant
+    denominator: num / (scale * prod (1 - c)) over the multiset ``den`` of
+    constants c.
 
-    The hodge ADHM route carries the reciprocal of each partition's
-    denominator constant term in it, with ``UVLaurent`` values and every c a
-    power of L, so no division happens before :func:`eval_at_one`.  A sum
-    is formed over the multiset union of its operands' denominators and a
-    product over their concatenation; nothing cancels, and zero carries no
-    denominator.  The name dates from when the class was a rational function
-    in t; it is kept because the benchmark's traced runs wrap its ``__add__``
-    and ``__mul__`` and count the factors of ``den``.
+    The hodge ADHM route carries the reciprocals of its partitions'
+    denominator constant terms in it, with ``UVLaurent`` numerators of int
+    coefficients and every c a power of L, so no division happens before
+    :func:`eval_at_one`.  A sum is formed over the lcm of the two scales
+    and the multiset union of the denominators, a product over the product
+    of the scales and the concatenation; a Fraction factor moves its
+    denominator into the scale, so int numerators stay ints.  Nothing
+    cancels, and zero carries no denominator.  The name dates from when
+    the class was a rational function in t; it is kept because the
+    benchmark's traced runs wrap its ``__add__`` and ``__mul__`` and count
+    the factors of ``den``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "scale")
 
-    def __init__(self, num, den: Sequence = ()):
+    def __init__(self, num, den: Sequence = (), scale: int = 1):
         self.num = num
-        self.den = tuple(den) if num else ()
+        self.den, self.scale = (tuple(den), scale) if num else ((), 1)
 
     def __add__(self, other):
         if not isinstance(other, TRational):
             other = TRational(other)
         mine, theirs = Counter(self.den), Counter(other.den)
         a, b = self.num, other.num
+        scale = self.scale
+        if other.scale != scale:
+            scale = math.lcm(scale, other.scale)
+            a, b = a * (scale // self.scale), b * (scale // other.scale)
         for c in (theirs - mine).elements():
             a = a - a * c
         for c in (mine - theirs).elements():
             b = b - b * c
-        return TRational(a + b, (mine | theirs).elements())
+        return TRational(a + b, (mine | theirs).elements(), scale)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, TRational):
-            return TRational(self.num * other.num, self.den + other.den)
-        return TRational(self.num * other, self.den)
+            return TRational(self.num * other.num, self.den + other.den, self.scale * other.scale)
+        if isinstance(other, Fraction):
+            return TRational(self.num * other.numerator, self.den, self.scale * other.denominator)
+        return TRational(self.num * other, self.den, self.scale)
 
     __rmul__ = __mul__
 
@@ -206,7 +203,7 @@ class TRational:
 
     def __repr__(self):
         den = " * ".join(f"(1 - ({c}))" for c in self.den) or "1"
-        return f"TRational({self.num} / {den})"
+        return f"TRational({self.num} / ({self.scale} * {den}))"
 
 
 def eval_at_one(h: TruncatedSeries, k: int):
@@ -217,7 +214,7 @@ def eval_at_one(h: TruncatedSeries, k: int):
 
     A :class:`TRational` value is divided by its denominator prod (1 - c)
     with one ``exact_divide``, whose NotDivisible means the value is no
-    Laurent polynomial in the coefficient ring.
+    Laurent polynomial in the coefficient ring, and then by its scale.
     """
     for i in range(k):
         if h.coeff(i):
@@ -228,7 +225,7 @@ def eval_at_one(h: TruncatedSeries, k: int):
     den = 1
     for c in value.den:
         den = den * (1 - c)
-    return exact_divide(value.num, den)
+    return exact_divide(value.num, den) * Fraction(1, value.scale)
 
 
 # ---------------------------------------------------------------------------

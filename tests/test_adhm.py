@@ -20,6 +20,7 @@ from motiveforge.curve_ring import (
 )
 from motiveforge.moduli_formulas import ModuliSpec, motive
 from motiveforge.series_engine import InsufficientTruncation, PoleAtOne, TruncatedSeries
+from series_reference import inverse
 from t_rational import (
     TRational,
     _tp_mul,
@@ -280,6 +281,15 @@ class TestLaurentRoute:
         with pytest.raises(PoleAtOne, match=r"charge 1, partition \(1,\), Adams index j=1: 2 "):
             adhm_class(env, 1, 1)
 
+    def test_pole_check_runs_for_a_partition_past_the_terms(self):
+        # psi_3 of charge 1 is shifted by 3 - 1 = 2 past s^0, so its series
+        # is not built; with L = 1 its second pole must still be refused
+        good = frobenius(make_weil_env(2, 5), 3)
+        assert adhm.partition_sum(good, 1, 1, 3, 2).coeffs == [0, 0]
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4, base="weil")
+        with pytest.raises(PoleAtOne, match=r"charge 1, partition \(1,\), Adams index j=3: 2 "):
+            adhm.partition_sum(env, 1, 1, 3, 1)
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_pole_left_in_h_r_raises(self, monkeypatch, r):
         # without the logarithm, the order-r pole of the charge-r term at
@@ -307,16 +317,18 @@ class TestLaurentRoute:
 
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
-           st.integers(min_value=0, max_value=10 ** 6))
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=40, deadline=None)
-    def test_scaled_charge_term_matches_fraction_reference(self, g, n, p, j, seed):
+    def test_scaled_charge_term_matches_fraction_reference(self, g, n, p, j, terms, seed):
         # every s-coefficient of the weighted charge term built over ints
-        # scaled by powers of D equals the one built on the plain Fraction atoms
+        # scaled by powers of D, each partition only to the coefficients its
+        # shift keeps, equals the one built to full length on the plain
+        # Fraction atoms
         env = frobenius(make_weil_env(g, seed), j)
-        got = adhm.partition_sum(env, n, p, j, 3)
-        want = _charge_at_one_over_fractions(env, n, p, j, 3)
-        assert got.order == want.order == 2
-        for k in range(3):
+        got = adhm.partition_sum(env, n, p, j, terms)
+        want = _charge_at_one_over_fractions(env, n, p, j, terms)
+        assert got.order == want.order == terms - 1
+        for k in range(terms):
             # only the shift's leading zeros are ints
             assert got.coeff(k) == want.coeff(k)
             assert type(got.coeff(k)) is Fraction or got.coeff(k) == 0
@@ -350,7 +362,7 @@ def _charge_at_one_over_fractions(env, n, p, j, terms):
                 factor = [-c * x for x in b[1:]] if pole else [1 - c] + [-c * x for x in b[1:terms]]
                 den = den * TruncatedSeries(factor, order=terms - 1)
                 poles += pole
-        expansion = num * den.inverse()
+        expansion = num * inverse(den)
         total = total + TruncatedSeries(
             [expansion.coeff(k - j * n + poles) for k in range(terms)], order=terms - 1)
     return total

@@ -281,6 +281,14 @@ class TestErrorPaths:
 
 
 class TestCommands:
+    def test_verify_adhm_auto_compares_exactly_through_genus_6(self, capsys):
+        # --hodge auto covers g <= 6; above it only the weil trials run
+        code = main(["verify-adhm", "--g", "6..7", "--r", "2", "--p", "1",
+                     "--d", "1", "--trials", "1"])
+        assert code == EXIT_PASS
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [(c["g"], c["hodge_equal"]) for c in cells] == [(6, True), (7, None)]
+
     def test_verify_adhm_pass_and_schema(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["verify-adhm", "--g", "2", "--r", "1..2", "--p", "1",

@@ -19,6 +19,7 @@ from motiveforge.series_engine import (
     TruncatedSeries,
     series_log,
 )
+from series_reference import inverse
 from t_rational import (
     TRational,
     _tp_divide_factor,
@@ -106,7 +107,7 @@ class TestTruncatedSeries:
     @settings(max_examples=40, deadline=None)
     def test_inverse(self, lead, tail):
         s = TruncatedSeries([lead] + tail, order=len(tail))
-        prod = s * s.inverse()
+        prod = s * inverse(s)
         assert prod.order == len(tail)
         assert [prod.coeff(n) for n in range(len(tail) + 1)] == [1] + [0] * len(tail)
 
@@ -317,15 +318,16 @@ class TestEvalAtOne:
 
 
 def _value(x):
-    """num / prod (1 - c) of a package TRational with Fraction values."""
-    out = Fraction(x.num)
+    """num / (scale * prod (1 - c)) of a package TRational with Fraction values."""
+    out = Fraction(x.num) / x.scale
     for c in x.den:
         out /= 1 - c
     return out
 
 
 constant_trationals = st.builds(series_engine.TRational, rationals,
-                                st.lists(rationals.filter(lambda x: x != 1), max_size=3))
+                                st.lists(rationals.filter(lambda x: x != 1), max_size=3),
+                                st.integers(-6, 6).filter(bool))
 
 
 class TestConstantDenominator:
@@ -339,11 +341,17 @@ class TestConstantDenominator:
         assert _value(a * b) == _value(a) * _value(b)
         assert _value(k + a) == k + _value(a)
         assert _value(a * k) == _value(k * a) == k * _value(a)
-        # a sum is formed over the union of the denominators, a product over
-        # their concatenation, and zero carries none
-        s, prod = a + b, a * b
+        # a sum is formed over the union of the denominators and a common
+        # multiple of the scales, a product over their concatenation and the
+        # product of the scales, a Fraction factor moves its denominator into
+        # the scale, and zero carries no denominator and scale 1
+        s, prod, scaled = a + b, a * b, a * k
         assert Counter(s.den) == (Counter(a.den) | Counter(b.den) if s.num else Counter())
         assert Counter(prod.den) == (Counter(a.den) + Counter(b.den) if prod.num else Counter())
+        assert s.scale % a.scale == s.scale % b.scale == 0 if s.num else s.scale == 1
+        assert prod.scale == (a.scale * b.scale if prod.num else 1)
+        assert scaled.scale == (a.scale * k.denominator if scaled.num else 1)
+        assert all(type(x.scale) is int for x in (s, prod, scaled))
 
     @given(st.one_of(ring_elements, constant_trationals,
                      st.builds(series_engine.TRational, uv_polynomials,
@@ -361,6 +369,10 @@ class TestConstantDenominator:
         zero = series_engine.TRational(UVLaurent(), (UV,))
         h = TruncatedSeries([zero, value], order=1)
         assert series_engine.eval_at_one(h, 1) == 2
+        # then by the scale, which may leave rational coefficients
+        scaled = series_engine.TRational(3 * (1 - UV) * (1 + UV), (UV,), -6)
+        assert series_engine.eval_at_one(TruncatedSeries([scaled], order=0), 0) == \
+            UVLaurent({(0, 0): Fraction(-1, 2), (1, 1): Fraction(-1, 2)})
 
     def test_eval_at_one_refuses_a_pole_and_a_non_polynomial(self):
         pole = series_engine.TRational(UV, (UV,))
@@ -368,6 +380,10 @@ class TestConstantDenominator:
             series_engine.eval_at_one(TruncatedSeries([pole, 1], order=1), 1)
         with pytest.raises(NotDivisible):
             series_engine.eval_at_one(TruncatedSeries([pole], order=0), 0)
+        with pytest.raises(NotDivisible):
+            # the scale is divided out after the polynomiality check
+            series_engine.eval_at_one(
+                TruncatedSeries([series_engine.TRational(2 * UV, (UV,), 2)], order=0), 0)
         with pytest.raises(InsufficientTruncation):
             series_engine.eval_at_one(TruncatedSeries([0, 0], order=1), 2)
 

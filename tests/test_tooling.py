@@ -7,8 +7,8 @@ import importlib.util
 from pathlib import Path
 
 import motiveforge
-from motiveforge.adhm import adhm_class
-from motiveforge.curve_ring import make_weil_env
+from motiveforge.adhm import adhm_class, partition_sum, plog_series
+from motiveforge.curve_ring import frobenius, make_hodge_env, make_weil_env
 from motiveforge.series_engine import TRational
 
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
@@ -72,6 +72,25 @@ def test_weil_adhm_builds_no_trational(monkeypatch):
     monkeypatch.setattr(TRational, "__init__", refuse)
     for r in (1, 2, 3):
         assert type(adhm_class(make_weil_env(3, 17), r, 2)) is Fraction
+
+
+def test_hodge_adhm_carrier_stays_integral():
+    # every hodge s-coefficient, of each charge term and of h_1 .. h_r, is
+    # zero or an int-coefficient numerator over an int scale: Fractions
+    # enter only when eval_at_one divides by the scale
+    def integral(x):
+        return not x or (type(x) is TRational and type(x.scale) is int
+                         and all(type(c) is int for _, c in x.num.items()))
+
+    for g in (2, 3):
+        env = make_hodge_env(g)
+        for r in (1, 2, 3):
+            for p in (1, 2):
+                series = plog_series(env, r, p) + [
+                    partition_sum(frobenius(env, j), n, p, j, r)
+                    for j in range(1, r + 1) for n in range(1, r // j + 1)]
+                found = [x for h in series for x in h.coeffs if not integral(x)]
+                assert not found, (g, r, p, found)
 
 
 def _private(name: str) -> bool:
