@@ -30,15 +30,12 @@ weight carries through it.  :func:`partition_sum` gives s^(jn) psi_j F_n,
 whose pole of order at most n at t = 1 the weight absorbs;
 :func:`plog_series` gives s^(m-1) H_m; and
 :func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off its
-s^(r-1) coefficient.  The terms' cells and denominator factors come from one
-builder, :func:`_partition_terms`, which also runs the pole check.  Each
-partition is expanded only to the coefficients its shift keeps, and its
-quotient by one recurrence in the coefficient ring, so the realizations
-differ only in how each coefficient is divided, once: weil scales by powers
-of D, the lcm of the atom denominators, runs on ints and makes one Fraction
-per coefficient; hodge keeps the integer part of the denominator as the
-scale of a :class:`motiveforge.series_engine.TRational` and its factors
-(1 - L^k) unexpanded, and divides by both once, at t = 1.
+s^(r-1) coefficient.  A partition's cells, shift and binomial rows are
+built once per (n, p, g, j, terms), by a bounded memo keyed by ints only
+(:func:`_skeleton`); each call adds the environment's pole check, weights
+and products, and the realizations differ only in how each coefficient is
+divided, once: weil makes one Fraction, hodge one
+:class:`motiveforge.series_engine.TRational`, divided at t = 1.
 """
 
 from __future__ import annotations
@@ -46,7 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 from .curve_ring import AtomEnvironment, frobenius
 from .series_engine import PoleAtOne, TRational, TruncatedSeries, eval_at_one, series_log
@@ -123,69 +122,6 @@ def mobius(j: int) -> int:
     return out
 
 
-def _partition_terms(env: AtomEnvironment, n: int, p: int, D: int = 1, j=None):
-    """Per partition of n, after its pole check: its cells' terms and
-    denominator factors over the scale D, as ``(cells, den, kn, kd)``.
-
-    Over D, l = D L and E_i = D^i e_i.  A cell of arm a, leg l and hook h
-    gives the dict {x + h i: sign (l^a)^(p+i) E_i D^((a+1)(2g-i))}, x its
-    base t-exponent, so each weight is D^(a p + (a+1) 2g) times its value.
-    Its denominator factors u - c t^h, as triples (u, c, h), are
-    D^a (1 - L^a t^h) and D^(a+1) (1 - L^(a+1) t^h).  kn and kd count the
-    powers of D in a partition's numerator and denominator products.
-    D = 1 keeps the environment's values (hodge, and the test reference);
-    a larger D must clear every atom denominator, and then l, the atoms
-    D b_k, their lambda values E_i and every value above are ints.
-
-    Only the zero-arm cells' factors with u = c = 1 may vanish at t = 1;
-    any other raises PoleAtOne, naming the Adams index j when one is given.
-    """
-    if n < 1:
-        raise ValueError("charge must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if D != 1:
-        env = replace(env, lefschetz=env.lefschetz.numerator * (D // env.lefschetz.denominator),
-                      betas=tuple(b.numerator * (D // b.denominator) for b in env.betas))
-    g = env.genus
-    sign = (-1) ** p
-    e = env.lambda_values
-    top = len(e) - 1
-    ell = env.lefschetz
-    aligned = [e] * n if D == 1 else [
-        [E_i * D ** ((a + 1) * (top - i)) for i, E_i in enumerate(e)] for a in range(n)]
-    for lam in partitions(n):
-        cells: List[Dict[int, object]] = []
-        den: List[Tuple[object, object, int]] = []
-        kn = kd = poles = zero_arm_cells = 0
-        for a, l, h in lam.cell_data():
-            la = ell ** a
-            base_exp = p * (a - l) + (1 - g) * (2 * l + 1)
-            # the cell coefficient times the zeta numerator
-            # prod_k (1 + b_k L^a t^h) = sum_i e_i (L^a)^i t^(h i)
-            coeff = sign * la ** p
-            cell: Dict[int, object] = {}
-            for i, E_i in enumerate(aligned[a]):
-                w = coeff * E_i
-                if w:
-                    cell[base_exp + h * i] = w
-                coeff = coeff * la
-            cells.append(cell)
-            for u, c in ((D ** a, la), (D ** (a + 1), la * ell)):
-                den.append((u, c, h))
-                poles += c == u
-            kn += a * p + (a + 1) * top
-            kd += 2 * a + 1
-            zero_arm_cells += a == 0
-        if poles != zero_arm_cells:
-            adams = "" if j is None else f", Adams index j={j}"
-            raise PoleAtOne(
-                f"charge {n}, partition {lam.parts}{adams}: {poles} denominator factors "
-                f"vanish at t = 1, but only its {zero_arm_cells} zero-arm cells may"
-            )
-        yield cells, den, kn, kd
-
-
 def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
     """The Moebius / Adams double sum sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n),
     truncated at T-order r: its T^1 .. T^r coefficients.
@@ -220,74 +156,135 @@ def _binomials(e: int, count: int) -> List[int]:
     return out
 
 
+def _times(a: Sequence, b: Sequence) -> List:
+    """The product of two coefficient lists of one length, truncated to it."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b[:len(a) - i], i):
+                out[k] = out[k] + x * y
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _skeleton(n: int, p: int, g: int, j: int, terms: int) -> Tuple[tuple, ...]:
+    """The part of :func:`partition_sum` no environment changes: per
+    partition of n, (parts, arms of its cells, rest), rest None when its
+    shift j n - (zero-arm cells) keeps no coefficient below s^terms, else
+    (shift, cells, poles, factors, kscale) for the need = terms - shift
+    kept: cells (a, cols) with cols[k] the C(j (x + h i), k), i = 0..2g;
+    poles the product of the zero-arm cells' (1 - t^(j h)) / s; factors
+    (m, C(j h, k) for k = 1..need - 1) for the others, D^m - (D L)^m t^(j h);
+    kscale the power of D in the weights less that in the factors."""
+    if n < 1:
+        raise ValueError("charge must be >= 1")
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    out = []
+    for lam in partitions(n):
+        data = lam.cell_data()
+        arms = tuple(a for a, _, _ in data)
+        shift = j * n - arms.count(0)
+        need = terms - shift
+        if need <= 0:
+            out.append((lam.parts, arms, None))
+            continue
+        cells, poles, factors = [], None, []
+        for a, l, h in data:
+            x = p * (a - l) + (1 - g) * (2 * l + 1)
+            cells.append((a, tuple(zip(*(_binomials(j * (x + h * i), need)
+                                         for i in range(2 * g + 1))))))
+            row = _binomials(j * h, need + 1)
+            if a:
+                factors.append((a, tuple(row[1:need])))
+            else:
+                pole = [-b for b in row[1:]]
+                poles = pole if poles is None else _times(poles, pole)
+            factors.append((a + 1, tuple(row[1:need])))
+        kscale = sum(a * p + (a + 1) * 2 * g - 2 * a - 1 for a in arms)
+        out.append((lam.parts, arms, (shift, tuple(cells), tuple(poles), tuple(factors), kscale)))
+    return tuple(out)
+
+
 def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> TruncatedSeries:
     """s^(j n) psi_j F_n: psi_j of the charge-n term F_n, expanded at
     t = 1 + s and weighted by s^(T-degree), from the j-th Frobenius
     environment, to s^(terms - 1).
 
-    psi_j is t -> t^j on top of the Frobenius environment, which only scales
-    every t-exponent by j.  A cell's numerator sum_i w_i t^(j x_i) is
-    sum_k (sum_i w_i C(j x_i, k)) s^k, and a denominator factor
-    u - c t^(j h) is (u - c) - c sum_k C(j h, k) s^k, divided by s when
-    c == u.  A partition with ``poles`` such factors is s^(-poles) times a
-    power series, so its weighted term is that series shifted by
-    j n - poles >= 0 (at most n poles, checked in :func:`_partition_terms`);
-    only its first terms - (j n - poles) coefficients are built, and none
-    when that is not positive.  With P_0 the constant term of the
-    denominator series, the quotient num / den is sum_k Q_k / P_0^(k+1) s^k,
-    where Q_k = num_k P_0^k - sum_{i=1..k} den_i Q_(k-i) P_0^(i-1) stays in
-    the coefficient ring; each coefficient is divided once:
+    psi_j is t -> t^j on top of the Frobenius environment.  A cell of arm a
+    and hook h, x its base t-exponent, gives sum_i w_i t^(j (x + h i)),
+    w_i = sign (L^a)^(p+i) e_i, that is sum_k (sum_i w_i C(j (x + h i), k)) s^k,
+    and factors u - c t^(j h), c = L^a, L^(a+1), each
+    (u - c) - c sum_k C(j h, k) s^k, over s when c == u.  Only the zero-arm
+    cells' first factors may vanish at t = 1 (PoleAtOne names any other's
+    charge, partition and j), so a partition's weighted term is a power
+    series shifted by j n - (zero-arm cells), built below s^terms only, on
+    plain lists from :func:`_skeleton`'s rows.  With P_0 the denominator's
+    constant term,
+    num / den = sum_k Q_k / P_0^(k+1) s^k, where
+    Q_k = num_k P_0^k - sum_{i=1..k} den_i Q_(k-i) P_0^(i-1) stays in the
+    coefficient ring; each coefficient is divided once:
 
-    * weil: the terms come from :func:`_partition_terms` over D, the lcm of
-      the atom denominators, so the Q_k are ints; each becomes one
-      Fraction, over P_0^(k+1) D^(kn - kd);
-    * hodge: D = 1, u = 1 and every c of a factor without a pole is a power
-      of L, so P_0 = prod_poles(-j h) prod (1 - c), and Q_k / P_0^(k+1) is
-      the :class:`TRational` Q_k over the integer scale prod_poles(-j h)^(k+1)
-      and k + 1 copies of the constants c.
+    * weil: over D, the lcm of the atom denominators, D L and D^i e_i are
+      ints, each weight gets D^((a+1)(2g-i)) and each factor is
+      D^m - (D L)^m t^(j h), so the Q_k are ints and each makes one
+      Fraction, over P_0^(k+1) D^kscale;
+    * hodge: D = 1, so P_0 = prod_poles(-j h) prod (1 - c) over the other
+      factors' powers c of L, and Q_k / P_0^(k+1) is the
+      :class:`TRational` Q_k over the scale prod_poles(-j h)^(k+1) and
+      k + 1 copies of the c.
     """
     weil = env.base == "weil"
     D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas)) if weil else 1
-    total = TruncatedSeries([], order=terms - 1)
-    for cells, den, kn, kd in _partition_terms(env, n, p, D, j):
-        shift = j * n - sum(c == u for u, c, _ in den)
-        need = terms - shift
-        if need <= 0:
+    if D != 1:
+        env = replace(env, lefschetz=env.lefschetz.numerator * (D // env.lefschetz.denominator),
+                      betas=tuple(b.numerator * (D // b.denominator) for b in env.betas))
+    e, ell = env.lambda_values, env.lefschetz
+    top = len(e) - 1
+    units = [D ** m for m in range(n + 1)]
+    ells = [ell ** m for m in range(n + 1)]
+    vanish = [c == u for c, u in zip(ells, units)]
+    weights: Dict[int, List] = {}
+    total: List = [0] * terms
+    for parts, arms, rest in _skeleton(n, p, env.genus, j, terms):
+        poles, allowed = sum(vanish[a] + vanish[a + 1] for a in arms), arms.count(0)
+        if poles != allowed:
+            raise PoleAtOne(
+                f"charge {n}, partition {parts}, Adams index j={j}: {poles} denominator "
+                f"factors vanish at t = 1, but only its {allowed} zero-arm cells may")
+        if rest is None:
             continue
-        num = dens = TruncatedSeries([1], order=need - 1)
-        for cell in cells:
-            series = [0] * need
-            for x, w in cell.items():
-                for k, b in enumerate(_binomials(j * x, need)):
-                    series[k] = w * b + series[k]
-            num = num * TruncatedSeries(series, order=need - 1)
-        pole_scale, constants = 1, []
-        for u, c, h in den:
-            b = _binomials(j * h, need + 1)
-            if c == u:
-                pole_scale *= -j * h
-                factor = [-c * x for x in b[1:]]
-            else:
-                constants.append(c)
-                factor = [u - c] + [-c * x for x in b[1:need]]
-            dens = dens * TruncatedSeries(factor, order=need - 1)
-        p0 = dens.coeffs[0]
-        powers = [1]
-        for _ in range(1, need):
-            powers.append(powers[-1] * p0)
+        shift, cells, dens, factors, kscale = rest
+        num = None
+        for a, cols in cells:
+            if a not in weights:
+                coeff, weights[a] = (-1) ** p * ells[a] ** p, []
+                for i, E_i in enumerate(e):
+                    weights[a].append(coeff * E_i * D ** ((a + 1) * (top - i)))
+                    coeff = coeff * ells[a]
+            series = [sum(map(mul, weights[a], col)) for col in cols]
+            num = series if num is None else _times(num, series)
+        pole_scale = dens[0]
+        for m, row in factors:
+            c = ells[m]
+            dens = _times(dens, [units[m] - c] + [-c * b for b in row])
+        p0 = dens[0]
+        powers = [1] + [p0 ** k for k in range(1, len(num))]
         q: List = []
-        for k in range(need):
-            acc = num.coeffs[k] * powers[k]
+        for k, x in enumerate(num):
+            acc = x * powers[k]
             for i in range(1, k + 1):
-                acc = acc - dens.coeffs[i] * q[k - i] * powers[i - 1]
+                acc = acc - dens[i] * q[k - i] * powers[i - 1]
             q.append(acc)
         if weil:
-            coeffs = [Fraction(x, powers[k] * p0 * D ** (kn - kd)) for k, x in enumerate(q)]
+            coeffs = [Fraction(x, powers[k] * p0 * D ** kscale) for k, x in enumerate(q)]
         else:
+            constants = [ells[m] for m, _ in factors]
             coeffs = [TRational(x, constants * (k + 1), pole_scale ** (k + 1))
                       for k, x in enumerate(q)]
-        total = total + TruncatedSeries([0] * shift + coeffs, order=terms - 1)
-    return total
+        for k, x in enumerate(coeffs, shift):
+            total[k] = total[k] + x
+    return TruncatedSeries(total, order=terms - 1)
 
 
 def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TruncatedSeries]:

@@ -189,6 +189,8 @@ class UVLaurent:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _norm(other)
+            if other == 1:
+                return self  # instances are immutable, so sharing is safe
             if not other:
                 return UVLaurent._raw({})
             return UVLaurent._raw({k: _norm(x * other) for k, x in self._c.items()})

@@ -194,8 +194,13 @@ def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
     if t.total_rank != spec.r or t.total_deg != spec.d:
         raise InvalidSpec(f"stratum {t} is not a stratum of {spec}")
     _lambda_reads(t, spec.dL)  # raises EmptyStratum for an empty stratum
-    m = morse_index(t, -spec.dL, spec.g)
-    return dimension(spec) - stratum_dimension(t, spec) - m // 2
+    return _attracting_rank(t, spec, dimension(spec))
+
+
+def _attracting_rank(t: VHSType, spec: ModuliSpec, dim: int) -> int:
+    """N+ = dim M - dim VHS - M/2 of a nonempty stratum of a validated
+    ``spec`` of dimension ``dim``, without :func:`bb_exponent`'s checks."""
+    return dim - stratum_dimension(t, spec) - morse_index(t, -spec.dL, spec.g) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +322,14 @@ def _lambda_tables(env: AtomEnvironment,
     return {name: lambda_series(env, *shapes[name], n) for name, n in top.items()}
 
 
-def _vhs_class(env: AtomEnvironment, t: VHSType, dL: int,
+def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
                tables: Dict[str, TruncatedSeries]) -> Tuple[int, Optional[Tuple[str, int]], object]:
     """Class of a stratum as (k, first, c), meaning jac^k * lambda_first * c:
     ``first`` is the (class, index) read kept out of ``c``, or None.
-    Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`)."""
+    Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`) at
+    the stratum's ``reads`` (:func:`_lambda_reads`)."""
     if len(t.ranks) == 1:
         return 0, None, bundle_moduli_class(env, t.ranks[0], t.total_deg)
-    reads = _lambda_reads(t, dL)
     lam = [tables[name].coeff(n) for name, n in reads]
     if t.ranks == (1, 1):
         return 1, None, lam[0]
@@ -343,8 +348,9 @@ def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
     """Class of a variation-of-Hodge-structure stratum in the realization:
     the factored form of :func:`_vhs_class` multiplied out, from lambda
     series built for this one stratum."""
-    tables = _lambda_tables(env, _lambda_reads(t, dL))
-    k, first, c = _vhs_class(env, t, dL, tables)
+    reads = _lambda_reads(t, dL)
+    tables = _lambda_tables(env, reads)
+    k, first, c = _vhs_class(env, t, reads, tables)
     if first is not None:
         c = tables[first[0]].coeff(first[1]) * c
     return jacobian_class(env) ** k * c
@@ -378,7 +384,8 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
 def motive(env: AtomEnvironment, spec: ModuliSpec):
     """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
 
-    One lambda series per class read is built per call.  With each
+    Each stratum's lambda reads and N+ are computed once per call, and one
+    lambda series per class read is built.  With each
     stratum class jac^k * lambda_first * c (:func:`_vhs_class`), the sums of
     L^(N+) * c are kept per (k, first read); each group is multiplied once
     by its lambda factor, and the total is S_0 + jac * (S_1 + jac * S_2).
@@ -389,15 +396,17 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
     strata = strata_for(spec)
-    tables = _lambda_tables(env, [read for t in strata for read in _lambda_reads(t, spec.dL)])
+    reads = [_lambda_reads(t, spec.dL) for t in strata]
+    tables = _lambda_tables(env, [read for rs in reads for read in rs])
+    dim = dimension(spec)
     L = env.lefschetz
     groups: Dict[tuple, object] = {}
-    for t in strata:
+    for t, rs in zip(strata, reads):
         try:
-            k, first, c = _vhs_class(env, t, spec.dL, tables)
+            k, first, c = _vhs_class(env, t, rs, tables)
         except (NotDivisible, ZeroDivisionError) as exc:
             raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
-        groups[k, first] = groups.get((k, first), 0) + L ** bb_exponent(t, spec) * c
+        groups[k, first] = groups.get((k, first), 0) + L ** _attracting_rank(t, spec, dim) * c
     sums = [0, 0, 0]
     for (k, first), s in groups.items():
         if first is not None:

@@ -195,9 +195,6 @@ class TRational:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1
-
     def __bool__(self):
         return bool(self.num)
 

@@ -10,9 +10,10 @@ products keep every denominator factor; only the constructor cancels
 factors against the numerator, so a pipeline reduces once, at its end.
 
 :func:`partition_sum` and :func:`plog_series` build the charge terms and
-H_1(t) .. H_r(t) in it from :func:`motiveforge.adhm._partition_terms`, the
-cell builder the package's own expansion uses, and :func:`eval_at_one`
-evaluates at t = 1 by dividing out the poles.
+H_1(t) .. H_r(t) in it, the cells' t-exponents and denominator factors
+built here from the partitions' arm, leg and hook data independently of
+the package's expansion at t = 1, and :func:`eval_at_one` evaluates at
+t = 1 by dividing out the poles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from motiveforge.adhm import _connected, _partition_terms
+from motiveforge.adhm import _connected, partitions
 from motiveforge.base_rings import UVLaurent, exact_divide
 from motiveforge.curve_ring import AtomEnvironment
 from motiveforge.series_engine import PoleAtOne
@@ -303,13 +304,35 @@ def eval_at_one(a: TRational):
 
 
 def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
-    """Charge-n generating term: the hook-weighted zeta sum over partitions."""
+    """Charge-n generating term: the hook-weighted zeta sum over partitions.
+
+    A cell of arm a, leg l and hook h contributes the numerator
+    sum_i sign (L^a)^(p+i) e_i t^(x + h i), x its base t-exponent, and the
+    factors (1 - L^a t^h) and (1 - L^(a+1) t^h).  Only the zero-arm cells'
+    factors with c = 1 may vanish at t = 1; any other raises PoleAtOne.
+    """
+    g, L = env.genus, env.lefschetz
     total = TRational.from_scalar(0)
-    for cells, den, _, _ in _partition_terms(env, n, p):
+    for lam in partitions(n):
         num: Dict[int, object] = {0: 1}
-        for cell in cells:
+        den: List[Tuple[object, int]] = []
+        for a, l, h in lam.cell_data():
+            la = L ** a
+            x = p * (a - l) + (1 - g) * (2 * l + 1)
+            coeff, cell = (-1) ** p * la ** p, {}
+            for i, e_i in enumerate(env.lambda_values):
+                w = coeff * e_i
+                if w:
+                    cell[x + h * i] = w
+                coeff = coeff * la
             num = _tp_mul(num, cell)
-        total = total + TRational(num, [(c, h) for _, c, h in den], reduce=False)
+            den += [(la, h), (la * L, h)]
+        poles = sum(c == 1 for c, _ in den)
+        allowed = sum(a == 0 for a, _, _ in lam.cell_data())
+        if poles != allowed:
+            raise PoleAtOne(f"charge {n}, partition {lam.parts}: {poles} denominator factors "
+                            f"vanish at t = 1, but only its {allowed} zero-arm cells may")
+        total = total + TRational(num, den, reduce=False)
     return total
 
 

@@ -290,6 +290,36 @@ class TestLaurentRoute:
         with pytest.raises(PoleAtOne, match=r"charge 1, partition \(1,\), Adams index j=3: 2 "):
             adhm.partition_sum(env, 1, 1, 3, 1)
 
+    def test_pole_check_runs_on_a_warm_skeleton(self):
+        # the memo holds no environment: after a good environment has filled
+        # it, L = 1 at the same (n, p, g, j, terms) is still refused
+        adhm.partition_sum(make_weil_env(2, 5), 2, 1, 1, 2)
+        hits = adhm._skeleton.cache_info().hits
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4, base="weil")
+        with pytest.raises(PoleAtOne, match=r"^charge 2, partition \(2,\), Adams index j=1: 4 "
+                           r"denominator factors vanish at t = 1, but only its 1 zero-arm "
+                           r"cells may$"):
+            adhm.partition_sum(env, 2, 1, 1, 2)
+        assert adhm._skeleton.cache_info().hits == hits + 1
+
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+    @settings(max_examples=30, deadline=None)
+    def test_cold_and_warm_skeleton_give_the_same_terms(self, g, n, p, j, terms, seed):
+        # a skeleton filled by the other realization's environment gives the
+        # coefficients a freshly built one does, to their representation
+        env = frobenius(make_hodge_env(g) if seed is None else make_weil_env(g, seed), j)
+        other = frobenius(make_weil_env(g, 1) if seed is None else make_hodge_env(g), j)
+        adhm._skeleton.cache_clear()
+        cold = adhm.partition_sum(env, n, p, j, terms)
+        adhm._skeleton.cache_clear()
+        adhm.partition_sum(other, n, p, j, terms)
+        warm = adhm.partition_sum(env, n, p, j, terms)
+        assert adhm._skeleton.cache_info().hits == 1
+        assert [repr(c) for c in cold.coeffs] == [repr(c) for c in warm.coeffs]
+
     @pytest.mark.parametrize("r", [2, 3])
     def test_pole_left_in_h_r_raises(self, monkeypatch, r):
         # without the logarithm, the order-r pole of the charge-r term at

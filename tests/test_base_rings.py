@@ -141,6 +141,14 @@ def _two_level_divide(num, den):
 
 
 class TestUVLaurent:
+    @given(laurents())
+    @settings(max_examples=30, deadline=None)
+    def test_product_with_one_is_the_operand(self, x):
+        # instances are immutable, so a product with the int 1 shares them
+        before = dict(x.items())
+        assert x * 1 is x and 1 * x is x
+        assert dict(x.items()) == before
+
     def test_construction_drops_zeros(self):
         f = UVLaurent({(1, 0): Fraction(0), (0, 0): 3})
         assert f == 3

@@ -142,6 +142,22 @@ class TestMorseIndexAndExponents:
         with pytest.raises(InvalidSpec):
             bb_exponent(VHSType((1, 2), (1, 0)), spec)  # total rank 3, not 2
 
+    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_attracting_rank_helper_matches_bb_exponent(self, g, r, d, p):
+        # motive takes N+ from the unchecked helper, bb_exponent checks
+        # first; both give the literal exponent of the stratum's shape
+        assume(math.gcd(r, d) == 1)
+        spec = ModuliSpec.from_p(g, r, d, p)
+        dL = spec.dL
+        literal = {(1,): 1 - dL - g, (2,): -4 * dL + 4 - 4 * g, (1, 1): -3 * dL + 2 - 2 * g,
+                   (3,): -9 * dL + 9 - 9 * g, (1, 2): -7 * dL + 5 - 5 * g,
+                   (2, 1): -7 * dL + 5 - 5 * g, (1, 1, 1): -6 * dL + 3 - 3 * g}
+        for t in strata_for(spec):
+            n_plus = moduli_formulas._attracting_rank(t, spec, dimension(spec))
+            assert n_plus == bb_exponent(t, spec) == literal[t.ranks]
+
     def test_empty_stratum_raises(self):
         spec = ModuliSpec(g=2, r=2, d=1, dL=-3)
         with pytest.raises(EmptyStratum):

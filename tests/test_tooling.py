@@ -93,6 +93,28 @@ def test_hodge_adhm_carrier_stays_integral():
                 assert not found, (g, r, p, found)
 
 
+def test_memos_are_keyed_by_ints_only():
+    # a memo whose parameters are all ints can hold no environment, nor a
+    # value computed in one trial, across trials
+    memos, found = 0, []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) not in ("lru_cache", "cache"):
+                    continue
+                memos += 1
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if node.args.vararg or node.args.kwarg or not all(
+                        isinstance(a.annotation, ast.Name) and a.annotation.id == "int"
+                        for a in args):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert memos and not found, found
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
