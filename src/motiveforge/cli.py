@@ -35,6 +35,7 @@ from .moduli_formulas import (
     InvalidSpec,
     ModuliSpec,
     NegativeBetti,
+    StrataPlanError,
     epoly,
     motive,
     poincare,
@@ -77,7 +78,8 @@ def _trial_seed(seed: int, g: int, r: int, d: int, p: int, trial: int) -> int:
     return x
 
 
-_ARITHMETIC_ERRORS = (NotDivisible, PoleAtOne, InsufficientTruncation, ZeroDivisionError)
+_ARITHMETIC_ERRORS = (NotDivisible, PoleAtOne, InsufficientTruncation, StrataPlanError,
+                      ZeroDivisionError)
 
 
 def _tagged(builder: Callable[[AtomEnvironment], object], env: AtomEnvironment, where: str):
@@ -215,7 +217,8 @@ def _parse_range(text: str) -> List[int]:
 
     A reversed range such as '3..2' is an error, not an empty grid that
     would pass vacuously, and so is a list of more than INPUT_BUDGET
-    values in all.
+    values in all, or one that repeats a value: '1,1' would run the same
+    cells twice.
     """
     out: List[int] = []
     for piece in text.split(","):
@@ -230,6 +233,11 @@ def _parse_range(text: str) -> List[int]:
             raise argparse.ArgumentTypeError(
                 f"{text!r} has more than the input budget of {INPUT_BUDGET} values")
         out.extend(range(lo, hi + 1))
+    seen = set()
+    for value in out:
+        if value in seen:
+            raise argparse.ArgumentTypeError(f"repeated value {value} in {text!r}")
+        seen.add(value)
     return out
 
 

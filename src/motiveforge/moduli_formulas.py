@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from .base_rings import UV, NotDivisible, UVLaurent, exact_divide
 from .curve_ring import (
@@ -55,6 +56,10 @@ class EmptyStratum(ValueError):
 
 class NegativeBetti(ArithmeticError):
     """A Betti coefficient came out negative or non-integral."""
+
+
+class StrataPlanError(ArithmeticError):
+    """The strata do not fit the grouped sum of :func:`motive`."""
 
 
 #: Largest dim M = 1 - r^2 dL a query may have.  For a valid query dim M
@@ -323,25 +328,23 @@ def _lambda_tables(env: AtomEnvironment,
 
 
 def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
-               tables: Dict[str, TruncatedSeries]) -> Tuple[int, Optional[Tuple[str, int]], object]:
-    """Class of a stratum as (k, first, c), meaning jac^k * lambda_first * c:
-    ``first`` is the (class, index) read kept out of ``c``, or None.
-    Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`) at
+               tables: Dict[str, TruncatedSeries]) -> Tuple[int, object]:
+    """Class of a stratum as (k, c), meaning jac^k * c.  Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`) at
     the stratum's ``reads`` (:func:`_lambda_reads`)."""
     if len(t.ranks) == 1:
-        return 0, None, bundle_moduli_class(env, t.ranks[0], t.total_deg)
+        return 0, bundle_moduli_class(env, t.ranks[0], t.total_deg)
     lam = [tables[name].coeff(n) for name, n in reads]
     if t.ranks == (1, 1):
-        return 1, None, lam[0]
+        return 1, lam[0]
     if t.ranks == (1, 1, 1):
-        return 1, reads[0], lam[1]
+        return 1, lam[0] * lam[1]
     d1, dd = _vhs12_degrees(t)
     L = env.lefschetz
     lead = L ** (2 * (dd // 3) - dd + d1 + env.genus + 1)
     # Dividing this cofactor, not cofactor * jac^2, fails in the same cases:
     # hodge L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
     # jac = (1-u)^g (1-v)^g; weil L != 1 is a scalar.
-    return 2, None, exact_divide(lead * lam[0] - lam[1], L - 1)
+    return 2, exact_divide(lead * lam[0] - lam[1], L - 1)
 
 
 def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
@@ -349,10 +352,7 @@ def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
     the factored form of :func:`_vhs_class` multiplied out, from lambda
     series built for this one stratum."""
     reads = _lambda_reads(t, dL)
-    tables = _lambda_tables(env, reads)
-    k, first, c = _vhs_class(env, t, reads, tables)
-    if first is not None:
-        c = tables[first[0]].coeff(first[1]) * c
+    k, c = _vhs_class(env, t, reads, _lambda_tables(env, reads))
     return jacobian_class(env) ** k * c
 
 
@@ -381,37 +381,99 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _strata_plan(g: int, r: int, d: int, dL: int) -> tuple:
+    """The part of :func:`motive` no environment changes, for the valid
+    spec (g, r, d, dL): (tops, single, pairs, triples), where
+
+    - tops holds (class, top lambda index) per class read;
+    - single holds (N+, strata) per group of bundle, (1,2) and (2,1) strata
+      with one N+ and one number of parts, each stratum evaluated on its own;
+    - pairs holds (N+, [X] indices) per group of (1,1) strata;
+    - triples holds (N+, groups) per group of (1,1,1) strata, with one
+      (i1, lo, hi) per first read ([X], i1): the strata of that first read
+      read [X] at lo, lo + 3, ..., hi, since i2 = d - 3 d1 - 2 i1 - 3 dL.
+
+    Raises :class:`StrataPlanError` when a (1,1,1) group's second reads
+    are not one stride-3 progression.
+    """
+    spec = ModuliSpec(g, r, d, dL)
+    dim = dimension(spec)
+    tops: Dict[str, int] = {}
+    single: Dict[Tuple[int, int], list] = {}
+    pairs: Dict[int, list] = {}
+    triples: Dict[int, Dict[int, list]] = {}
+    for t in strata_for(spec):
+        reads = _lambda_reads(t, dL)
+        for name, n in reads:
+            tops[name] = max(tops.get(name, 0), n)
+        n_plus = _attracting_rank(t, spec, dim)
+        if t.ranks == (1, 1):
+            pairs.setdefault(n_plus, []).append(reads[0][1])
+        elif t.ranks == (1, 1, 1):
+            triples.setdefault(n_plus, {}).setdefault(reads[0][1], []).append(reads[1][1])
+        else:
+            single.setdefault((n_plus, len(t.ranks)), []).append(t)
+    for groups in triples.values():
+        for i1, seconds in groups.items():
+            if sorted(seconds) != list(range(min(seconds), max(seconds) + 1, 3)):
+                raise StrataPlanError(f"(1,1,1) strata with first read {i1} read [X] at "
+                                      f"{sorted(seconds)}, not one stride-3 progression")
+    return (tuple(tops.items()),
+            tuple((n_plus, tuple(strata)) for (n_plus, _), strata in single.items()),
+            tuple((n_plus, tuple(indices)) for n_plus, indices in pairs.items()),
+            tuple((n_plus, tuple((i1, min(s), max(s)) for i1, s in groups.items()))
+                  for n_plus, groups in triples.items()))
+
+
 def motive(env: AtomEnvironment, spec: ModuliSpec):
     """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
 
-    Each stratum's lambda reads and N+ are computed once per call, and one
-    lambda series per class read is built.  With each
-    stratum class jac^k * lambda_first * c (:func:`_vhs_class`), the sums of
-    L^(N+) * c are kept per (k, first read); each group is multiplied once
-    by its lambda factor, and the total is S_0 + jac * (S_1 + jac * S_2).
-    A NotDivisible or ZeroDivisionError from a stratum class is re-raised
-    naming the stratum's ranks and degrees.
+    The strata come from :func:`_strata_plan`, grouped by (k, first read,
+    N+), with a stratum class jac^k * c (:func:`_vhs_class`) and the first
+    read the lambda factor (1,1,1) classes share.  One lambda series is
+    built per class read, to its top index.
+
+    - Bundle, (1,2) and (2,1) strata are evaluated one at a time, so the
+      exact division of each (1,2) cofactor is checked per stratum; a
+      NotDivisible or ZeroDivisionError there is re-raised naming the
+      stratum's ranks and degrees.
+    - The (1,1) group is summed directly.
+    - The (1,1,1) groups read [X] = sum X_i x^i: with partial sums
+      P_i = X_i + P_(i-3), the group of first read i1 is
+      X_i1 * (P_hi - P_(lo-3)).
+
+    The sum over the groups of one N+ and one k is multiplied once by
+    L^(N+), and the total is S_0 + jac * (S_1 + jac * S_2).
     """
     spec.validate()
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
-    strata = strata_for(spec)
-    reads = [_lambda_reads(t, spec.dL) for t in strata]
-    tables = _lambda_tables(env, [read for rs in reads for read in rs])
-    dim = dimension(spec)
+    tops, single, pairs, triples = _strata_plan(spec.g, spec.r, spec.d, spec.dL)
+    tables = _lambda_tables(env, tops)
     L = env.lefschetz
-    groups: Dict[tuple, object] = {}
-    for t, rs in zip(strata, reads):
-        try:
-            k, first, c = _vhs_class(env, t, rs, tables)
-        except (NotDivisible, ZeroDivisionError) as exc:
-            raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
-        groups[k, first] = groups.get((k, first), 0) + L ** _attracting_rank(t, spec, dim) * c
     sums = [0, 0, 0]
-    for (k, first), s in groups.items():
-        if first is not None:
-            s = tables[first[0]].coeff(first[1]) * s
-        sums[k] = sums[k] + s
+    for n_plus, strata in single:
+        s = 0
+        for t in strata:  # one group shares k
+            try:
+                k, c = _vhs_class(env, t, _lambda_reads(t, spec.dL), tables)
+            except (NotDivisible, ZeroDivisionError) as exc:
+                raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
+            s = s + c
+        sums[k] = sums[k] + L ** n_plus * s
+    xs = tables.get(_CURVE)
+    for n_plus, indices in pairs:
+        sums[1] = sums[1] + L ** n_plus * sum(map(xs.coeff, indices))
+    if triples:
+        partial = [0, 0, 0]  # partial[i + 3] = X_i + X_(i-3) + ...
+        for x in xs.coeffs:
+            partial.append(partial[-3] + x)
+    for n_plus, groups in triples:
+        s = 0
+        for i1, lo, hi in groups:
+            s = s + xs.coeff(i1) * (partial[hi + 3] - partial[lo])
+        sums[1] = sums[1] + L ** n_plus * s
     jac = jacobian_class(env)
     return sums[0] + jac * (sums[1] + jac * sums[2])
 

@@ -45,6 +45,21 @@ class TestRangeParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_range("1,4..2")
 
+    @pytest.mark.parametrize("flags, value", [
+        (["--d", "1,1"], 1),
+        (["--g", "2..3,3"], 3),
+        (["--p", "1..3,2..4"], 2),
+    ])
+    def test_repeated_value_exits_invalid_input(self, flags, value, monkeypatch, capsys):
+        # a repeated value would run and report the same cell twice
+        monkeypatch.setattr("motiveforge.cli._adhm_cell", _must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-adhm", "--g", "2", "--r", "2", *flags])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert f"repeated value {value} in" in captured.err
+        assert captured.out == ""
+
     def test_reversed_grid_exits_invalid_input(self, capsys):
         # an empty grid would report "all_pass": true with no cells
         with pytest.raises(SystemExit) as exc:
@@ -378,7 +393,7 @@ class TestCommands:
             main(["verify-adhm", "--p", values, "--r", "1"])
         assert exc.value.code == EXIT_INVALID_INPUT
         assert "input budget" in capsys.readouterr().err
-        assert len(_parse_range(",".join(["1..500"] * 2))) == INPUT_BUDGET
+        assert len(_parse_range("1..500,501..1000")) == INPUT_BUDGET
 
     def test_over_budget_grid_exits_invalid_input(self, monkeypatch, capsys):
         # each range is within the budget, the 897,000 cells are not

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from motiveforge import moduli_formulas
 from motiveforge.base_rings import UV, UVLaurent, exact_divide
+from motiveforge.cli import EXIT_ARITHMETIC_ERROR, main
 from motiveforge.curve_ring import h1_series, jacobian_class, make_hodge_env, make_weil_env
 from motiveforge.moduli_formulas import (
     INPUT_BUDGET,
@@ -331,6 +332,61 @@ class TestSharedLambdaTables:
         monkeypatch.setattr(UVLaurent, "__rmul__", counting_mul)
         motive(env, spec)
         assert 0 < len(large) <= 30
+
+
+class TestStrataPlan:
+    def test_triple_groups_are_stride_3_progressions(self):
+        # motive sums the (1,1,1) strata of one first read ([X], i1) as one
+        # difference of stride-3 partial sums of [X]: their second reads
+        # i2 = d - 3 d1 - 2 i1 - 3 dL must be lo, lo + 3, ..., hi
+        for g in range(2, 9):
+            for p in range(1, 7):
+                for d in (-2, -1, 1, 2, 4, 5):
+                    spec = ModuliSpec.from_p(g, 3, d, p)
+                    dL = spec.dL
+                    seconds = {}
+                    for d1, d2 in triple_stratum_degrees(d, dL):
+                        seconds.setdefault(-d1 + d2 - dL, []).append(d - d1 - 2 * d2 - dL)
+                    (n_plus, groups), = moduli_formulas._strata_plan(g, 3, d, dL)[3]
+                    assert n_plus == -6 * dL + 3 - 3 * g
+                    assert {i1: list(range(lo, hi + 1, 3)) for i1, lo, hi in groups} == \
+                        {i1: sorted(s) for i1, s in seconds.items()}, (g, p, d)
+
+    def test_a_gap_in_a_triple_group_is_refused(self, monkeypatch, capsys):
+        # drop the middle stratum of the largest group of one first read
+        degrees = moduli_formulas.triple_stratum_degrees
+
+        def with_gap(d, dL):
+            out = degrees(d, dL)
+            firsts = [d2 - d1 for d1, d2 in out]
+            group = [pair for pair in out if pair[1] - pair[0] == max(firsts, key=firsts.count)]
+            out.remove(group[len(group) // 2])
+            return out
+
+        monkeypatch.setattr(moduli_formulas, "triple_stratum_degrees", with_gap)
+        moduli_formulas._strata_plan.cache_clear()
+        try:
+            with pytest.raises(moduli_formulas.StrataPlanError, match="stride-3"):
+                motive(make_weil_env(6, 5), ModuliSpec.from_p(6, 3, 1, 4))
+            assert main(["motive", "--g", "6", "--r", "3", "--d", "1", "--p", "4"]) == \
+                EXIT_ARITHMETIC_ERROR
+            assert "not one stride-3 progression" in capsys.readouterr().err
+        finally:
+            moduli_formulas._strata_plan.cache_clear()
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=3),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=-4, max_value=4),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=10 ** 6)))
+    @settings(max_examples=20, deadline=None)
+    def test_cold_and_warm_plans_give_the_stratum_sum(self, g, r, p, d, seed):
+        assume(math.gcd(r, d) == 1)
+        spec = ModuliSpec.from_p(g, r, d, p)
+        env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
+        moduli_formulas._strata_plan.cache_clear()
+        cold = motive(env, spec)
+        warm = motive(env, spec)
+        assert moduli_formulas._strata_plan.cache_info().hits == 1
+        assert cold == warm == _stratum_sum(env, spec)
 
 
 def _five_window_product(env, dL):

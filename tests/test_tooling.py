@@ -49,7 +49,7 @@ def test_closed_form_and_strata_routes_share_no_series():
     path = next(p for p in SOURCES if p.name == "moduli_formulas.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    strata = ["motive", "_lambda_tables", "_vhs_class", "vhs_class"]
+    strata = ["motive", "_strata_plan", "_lambda_tables", "_vhs_class", "vhs_class"]
     closed = ["epoly_rank2", "_zeta_series"] + [n for n in bodies if n.startswith("_rank3_")]
     rules = [(strata, {"_zeta_series", "h1_series"}),
              (closed, {"lambda_series", "_lambda_tables", "sym_power_class"})]
