@@ -9,9 +9,12 @@ Everything in this package is computed over one of two coefficient domains:
 
 All arithmetic is exact; nothing is ever rounded.  Polynomial division is
 only available through :func:`exact_divide`, which insists on a zero
-remainder.  It walks the quotient's exponent box once; integer operands
-stay ints when the divisor's lex-leading coefficient is +-1, as for every
-polynomial divisor used here, and a ``Fraction`` appears only otherwise.
+remainder.  A two-term divisor whose lex-leading coefficient is +-1, as
+L^k - 1, is divided by one recurrence down each chain of exponents its
+step links; any other divisor walks the quotient's exponent box once.
+Integer operands stay ints when the divisor's lex-leading coefficient is
++-1, as for every polynomial divisor used here, and a ``Fraction``
+appears only otherwise.
 A failed division means some upstream polynomiality claim is violated (or
 a formula was transcribed wrongly), so it raises :class:`NotDivisible`
 instead of returning an approximation.
@@ -297,19 +300,21 @@ def exact_divide(num: Union[UVLaurent, Rat],
     rational quotient, an int when it is integral; a scalar beside a
     ``UVLaurent`` is read as a constant polynomial.
 
-    Polynomial division walks the quotient's exponent box.  The Newton
+    A two-term divisor with a lead coefficient of +-1 is divided chain by
+    chain (:func:`_chain_divide`), in time linear in the chains' spans.  Any
+    other polynomial divisor walks the quotient's exponent box.  The Newton
     polytope of a product is the Minkowski sum of its factors' polytopes, so
     every exponent of q lies in the box from (min_u(num) - min_u(den),
-    min_v(num) - min_v(den)) to (max_u(num) - max_u(den),
-    max_v(num) - max_v(den)).  The box is visited in descending lex order;
-    at (a, b) the remainder's coefficient at (a, b) + lead(den), lead taken
-    in lex order, can no longer change, so it fixes q[a, b], and
-    q[a, b] * den is subtracted.  With a lead coefficient of +-1, q[a, b]
-    is that remainder coefficient up to sign, so integer operands stay in
-    int arithmetic throughout; a ``Fraction`` appears only for a non-unit
-    lead coefficient or non-integral operands.  A nonzero remainder after
-    the walk means no exact quotient exists.  Dividing Kronecker-packed ints
-    instead measured slower: CPython's long division is quadratic.
+    min_v(num) - min_v(den)) to (max_u(num) - max_u(den), max_v(num) -
+    max_v(den)).  The box is visited in descending lex order; at (a, b) the
+    remainder's coefficient at (a, b) + lead(den), lead taken in lex order,
+    can no longer change, so it fixes q[a, b], and q[a, b] * den is
+    subtracted.  With a lead coefficient of +-1, q[a, b] is that remainder
+    coefficient up to sign, so integer operands stay in int arithmetic
+    throughout; a ``Fraction`` appears only for a non-unit lead coefficient
+    or non-integral operands.  A nonzero remainder after the walk means no
+    exact quotient exists.  Dividing Kronecker-packed ints instead measured
+    slower: CPython's long division is quadratic.
     """
     if not isinstance(den, UVLaurent):
         if den == 0:
@@ -323,12 +328,14 @@ def exact_divide(num: Union[UVLaurent, Rat],
         num = UVLaurent.const(num)
     if not num:
         return UVLaurent._raw({})
-    rem = dict(num._c)
-    quot: Dict[ExponentPair, Rat] = {}
     dc = den._c
     la, lb = lead = max(dc)
     lc = dc[lead]
     unit = lc == 1 or lc == -1
+    if unit and len(dc) == 2:
+        return _chain_divide(num._c, lead, lc, *min(dc.items()))
+    rem = dict(num._c)
+    quot: Dict[ExponentPair, Rat] = {}
     nus, nvs = zip(*rem)
     dus, dvs = zip(*dc)
     v_hi, v_lo = max(nvs) - max(dvs), min(nvs) - min(dvs)
@@ -348,4 +355,32 @@ def exact_divide(num: Union[UVLaurent, Rat],
                     del rem[k]
     if rem:
         raise NotDivisible("no exact quotient: nonzero remainder")
+    return UVLaurent._raw(quot)
+
+
+def _chain_divide(num: Dict[ExponentPair, Rat], hi: ExponentPair, lc: int,
+                  lo: ExponentPair, c0: Rat) -> UVLaurent:
+    """num / (lc*X^hi + c0*X^lo) for lc = +-1, one chain at a time.
+
+    With the lex-positive step (du, dv) = hi - lo, the terms X^(e + t*step)
+    of one chain meet only each other: num_t = lc*q_(t-1) + c0*q_t, q_t
+    the quotient's coefficient at X^(e + t*step - lo).  Down from the
+    chain's top, where q is 0, q_(t-1) = lc*(num_t - c0*q_t); the quotient
+    exists when at the chain's bottom num_t = c0*q_t.
+    """
+    du, dv = hi[0] - lo[0], hi[1] - lo[1]
+    chains: Dict[ExponentPair, Dict[int, Rat]] = {}
+    for (a, b), x in num.items():
+        t = a // du if du else b // dv
+        chains.setdefault((a - t * du - lo[0], b - t * dv - lo[1]), {})[t] = x
+    quot: Dict[ExponentPair, Rat] = {}
+    for (a, b), chain in chains.items():
+        bottom = min(chain)
+        q = 0
+        for t in range(max(chain), bottom, -1):
+            q = lc * (chain.get(t, 0) - c0 * q)
+            if q:
+                quot[(a + (t - 1) * du, b + (t - 1) * dv)] = q if type(q) is int else _norm(q)
+        if chain[bottom] != c0 * q:
+            raise NotDivisible("no exact quotient: nonzero remainder")
     return UVLaurent._raw(quot)

@@ -155,7 +155,7 @@ def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> Truncated
     """The lambda series of ell*h1 + sum(geometric) to x^order:
     sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x), Macdonald's
     formula (with ell = 1, geometric = (1, L) the zeta function of X).
-    Each geometric factor is the recurrence c_k += c*c_(k-1), k rising."""
+    Each geometric factor is one :meth:`TruncatedSeries.over_geometric`."""
     if order < 0:
         raise ValueError("order must be >= 0")
     e = env.lambda_values
@@ -164,10 +164,10 @@ def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> Truncated
     for i in range(min(order, len(e) - 1) + 1):
         coeffs[i] = e[i] * power
         power = power * ell
+    s = TruncatedSeries(coeffs, order=order)
     for c in geometric:
-        for k in range(1, order + 1):
-            coeffs[k] = coeffs[k] + c * coeffs[k - 1]
-    return TruncatedSeries(coeffs, order=order)
+        s = s.over_geometric(c, 1)
+    return s
 
 
 def sym_power_class(env: AtomEnvironment, ell, geometric, n: int):

@@ -43,7 +43,7 @@ from .curve_ring import (
     lambda_series,
     make_hodge_env,
 )
-from .series_engine import BiSeries, TruncatedSeries, series_product
+from .series_engine import BiSeries, TruncatedSeries
 
 
 class InvalidSpec(ValueError):
@@ -101,7 +101,7 @@ class ModuliSpec:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VHSType:
     """Fixed-point stratum shape: multirank and multidegree."""
 
@@ -486,9 +486,7 @@ def _zeta_series(env: AtomEnvironment, order: int) -> TruncatedSeries:
     """A(x) = h1(x) / ((1 - x)(1 - L x)) = sum_i X_i x^i to x^order, the
     series every closed-form extraction reads (L = uv in the hodge
     environment)."""
-    geom = TruncatedSeries.geometric
-    return series_product([h1_series(env, order), geom(1, 1, order),
-                           geom(env.lefschetz, 1, order)])
+    return h1_series(env, order).over_geometric(1, 1).over_geometric(env.lefschetz, 1)
 
 
 def epoly_rank1(spec: ModuliSpec) -> UVLaurent:
@@ -509,7 +507,7 @@ def epoly_rank2(spec: ModuliSpec) -> UVLaurent:
     em2 = bundle_moduli_class(env, 2, 1)
     # coeff_{x^0} of x^(dL+1) A(x) / (1 - x^2)
     n = -(dL + 1)
-    extraction = (_zeta_series(env, n) * TruncatedSeries.geometric(1, 2, n)).coeff(n)
+    extraction = _zeta_series(env, n).over_geometric(1, 2).coeff(n)
     return UV ** (-4 * dL + 4 - 4 * g) * em2 + UV ** (-3 * dL + 2 - 2 * g) * jac * extraction
 
 
@@ -518,15 +516,12 @@ def _rank3_single_extractions(env: AtomEnvironment, dL: int) -> Tuple[UVLaurent,
     the "twist" denominators: s1, s3 from the first product at x^(n-1) and
     x^n, s2, s4 from the second, with n = -(dL + 1)."""
     n = -(dL + 1)
-    geom = TruncatedSeries.geometric
-    uv2 = UV * UV
     a = _zeta_series(env, n)
-    plus = series_product([a, geom(uv2, 1, n), geom(UV, 2, n)])
+    plus = a.over_geometric(UV * UV, 1).over_geometric(UV, 2)
     # 1/(uv - x) = (uv)^-1 / (1 - x/uv); 1/((uv)^2 - x^2) likewise in x^2
-    inv_uv = UV ** (-1)
-    inv_uv2 = uv2 ** (-1)
-    twist = series_product([a, geom(inv_uv, 1, n) * inv_uv, geom(inv_uv2, 2, n) * inv_uv2])
-    return plus.coeff(n - 1), twist.coeff(n - 1), plus.coeff(n), twist.coeff(n)
+    twist = a.over_geometric(UV ** -1, 1).over_geometric(UV ** -2, 2)
+    scale = UV ** -3
+    return plus.coeff(n - 1), twist.coeff(n - 1) * scale, plus.coeff(n), twist.coeff(n) * scale
 
 
 def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:

@@ -68,19 +68,15 @@ class TruncatedSeries:
         self.coeffs = coeffs
         self.order = order
 
-    @classmethod
-    def geometric(cls, c, m: int, order: int) -> "TruncatedSeries":
-        """The expansion of 1 / (1 - c*x^m) to the requested order."""
+    def over_geometric(self, c, m: int) -> "TruncatedSeries":
+        """This series divided by 1 - c*x^m, to the same order: the
+        recurrence out_k = s_k + c*out_(k-m), k rising."""
         if m < 1:
             raise ValueError("geometric step must be >= 1")
-        coeffs: List = [0] * (order + 1)
-        power = 1
-        k = 0
-        while k <= order:
-            coeffs[k] = power
-            power = power * c
-            k += m
-        return cls(coeffs, order=order)
+        out = list(self.coeffs)
+        for k in range(m, self.order + 1):
+            out[k] = out[k] + c * out[k - m]
+        return TruncatedSeries(out, order=self.order)
 
     def coeff(self, n: int):
         if n > self.order:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import List
 
 from motiveforge.series_engine import TruncatedSeries
 
@@ -19,3 +20,19 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
             acc = acc + a[k] * q[n - k]
         q.append(-acc * lead)
     return TruncatedSeries(q, order=s.order)
+
+
+def geometric(c, m: int, order: int) -> TruncatedSeries:
+    """The expansion of 1 / (1 - c*x^m) to the requested order, power by
+    power: the reference ``TruncatedSeries.over_geometric`` is checked
+    against."""
+    if m < 1:
+        raise ValueError("geometric step must be >= 1")
+    coeffs: List = [0] * (order + 1)
+    power = 1
+    k = 0
+    while k <= order:
+        coeffs[k] = power
+        power = power * c
+        k += m
+    return TruncatedSeries(coeffs, order=order)

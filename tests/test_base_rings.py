@@ -79,6 +79,18 @@ def product_operands(draw):
     return UVLaurent(dict(zip(keys, coeffs)))
 
 
+@st.composite
+def binomials(draw):
+    """lc*X^hi + c0*X^lo with the step hi - lo one of (1,0), (0,1), (1,1),
+    (2,2) and (1,-2), a lead of +-1 or not a unit, and int or Fraction
+    coefficients."""
+    step = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (2, 2), (1, -2))))
+    lo = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    lc = draw(st.sampled_from((1, -1, 2, Fraction(-2, 3))))
+    c0 = draw(st.one_of(st.integers(-9, 9), rationals).filter(bool))
+    return UVLaurent({(lo[0] + step[0], lo[1] + step[1]): lc, lo: c0}), step
+
+
 def _two_level_divide(num, den):
     """Exact division as nested long division, by u-degree outside and by
     v-degree inside, after shifting both operands to ordinary polynomials;
@@ -280,6 +292,34 @@ class TestUVLaurent:
                 exact_divide(num, den)
         else:
             assert exact_divide(num, den) == expected
+
+    @given(st.one_of(laurents(max_terms=6), st.dictionaries(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), st.integers(-9, 9),
+        max_size=8).map(UVLaurent)), binomials(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_binomial_divisor(self, q, binomial, data):
+        # a two-term divisor with a unit lead is divided chain by chain
+        # along its step; the rest take the box walk
+        den, (du, dv) = binomial
+        num = q * den
+        got = exact_divide(num, den)
+        assert got == q == _two_level_divide(num, den)
+        assert all(type(x) is int or x.denominator != 1 for _, x in got.items())
+        # one more monomial is no multiple: anywhere, at the bottom of a
+        # chain of num, or one step below it
+        spots = [(data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9)))]
+        if num:
+            a, b = data.draw(st.sampled_from(sorted(k for k, _ in num.items())))
+            while num.coeff(a - du, b - dv):
+                a, b = a - du, b - dv
+            spots += [(a, b), (a - du, b - dv)]
+        delta = data.draw(rationals.filter(bool))
+        for a, b in spots:
+            changed = num + UVLaurent.monomial(a, b, delta)
+            with pytest.raises(NotDivisible):
+                exact_divide(changed, den)
+            with pytest.raises(NotDivisible):
+                _two_level_divide(changed, den)
 
     def test_power_substitute(self):
         f = 1 - 2 * U + 3 * UV

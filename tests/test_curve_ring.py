@@ -25,6 +25,7 @@ from motiveforge.curve_ring import (
     sym_power_class,
 )
 from motiveforge.series_engine import TruncatedSeries
+from series_reference import geometric
 from uv_reference import power_substitute
 
 GEOMETRIC = "geometric"
@@ -67,7 +68,7 @@ def reference_lambda_series(c: SplitClass, order: int) -> TruncatedSeries:
     out = TruncatedSeries([1], order=order)
     for a, kind in c.atoms:
         if kind == GEOMETRIC:
-            out = out * TruncatedSeries.geometric(a, 1, order)
+            out = out * geometric(a, 1, order)
         elif kind == FINITE:
             out = out * TruncatedSeries([1, a], order=order)
         else:

@@ -1,6 +1,7 @@
 """Moduli formulas: strata, exponents, motives, E-polynomials, Betti numbers."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +29,8 @@ from motiveforge.moduli_formulas import (
     triple_stratum_degrees,
     vhs_class,
 )
-from motiveforge.series_engine import BiSeries, TruncatedSeries, series_product
+from motiveforge.series_engine import BiSeries, series_product
+from series_reference import geometric
 from uv_reference import swap_uv, total_degree
 
 U2V = UVLaurent.monomial(2, 1)
@@ -352,6 +354,14 @@ class TestStrataPlan:
                     assert {i1: list(range(lo, hi + 1, 3)) for i1, lo, hi in groups} == \
                         {i1: sorted(s) for i1, s in seconds.items()}, (g, p, d)
 
+    def test_strata_survive_pickle(self):
+        # slots must not cost picklability, which a process pool (as under
+        # --threads) needs of what it sends: equal value, equal hash
+        for t in strata_for(ModuliSpec.from_p(3, 3, 1, 2)):
+            back = pickle.loads(pickle.dumps(t))
+            assert back == t and hash(back) == hash(t)
+        assert not hasattr(t, "__dict__")
+
     def test_a_gap_in_a_triple_group_is_refused(self, monkeypatch, capsys):
         # drop the middle stratum of the largest group of one first read
         degrees = moduli_formulas.triple_stratum_degrees
@@ -401,8 +411,7 @@ def _five_window_product(env, dL):
     factors_min = [min(i + j for i, j in numerator), 0, 0, -1, -1]
     total_min = sum(factors_min)
     caps = [m - total_min for m in factors_min]
-    geom = TruncatedSeries.geometric
-    a = h1_series(env, caps[1]) * geom(1, 1, caps[1]) * geom(UV, 1, caps[1])
+    a = h1_series(env, caps[1]) * geometric(1, 1, caps[1]) * geometric(UV, 1, caps[1])
     parts = [
         BiSeries.from_monomials(numerator, caps[0]),
         BiSeries.from_monomials({(i, 0): c for i, c in enumerate(a.coeffs)}, caps[1]),
@@ -444,26 +453,26 @@ class TestClosedFormExtractions:
     def test_match_per_factor_products(self, g, p):
         env = make_hodge_env(g)
         dL = -(2 * g - 2 + p)
-        geom = TruncatedSeries.geometric
 
         def znum(order):
             return h1_series(env, order)
 
         uv2 = UV * UV
         inv_uv, inv_uv2 = UV ** (-1), uv2 ** (-1)
-        plus_dens = [lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o),
-                     lambda o: geom(uv2, 1, o), lambda o: geom(UV, 2, o)]
-        twist_dens = [lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o),
-                      lambda o: geom(inv_uv, 1, o) * inv_uv,
-                      lambda o: geom(inv_uv2, 2, o) * inv_uv2]
+        plus_dens = [lambda o: geometric(1, 1, o), lambda o: geometric(UV, 1, o),
+                     lambda o: geometric(uv2, 1, o), lambda o: geometric(UV, 2, o)]
+        twist_dens = [lambda o: geometric(1, 1, o), lambda o: geometric(UV, 1, o),
+                      lambda o: geometric(inv_uv, 1, o) * inv_uv,
+                      lambda o: geometric(inv_uv2, 2, o) * inv_uv2]
         expected = (_extract_x0(dL + 2, [znum] + plus_dens),
                     _extract_x0(dL + 2, [znum] + twist_dens),
                     _extract_x0(dL + 1, [znum] + plus_dens),
                     _extract_x0(dL + 1, [znum] + twist_dens))
         assert moduli_formulas._rank3_single_extractions(env, dL) == expected
         # rank 2 reads one coefficient inside epoly_rank2
-        extraction = _extract_x0(dL + 1, [znum, lambda o: geom(1, 2, o),
-                                          lambda o: geom(1, 1, o), lambda o: geom(UV, 1, o)])
+        extraction = _extract_x0(dL + 1, [znum, lambda o: geometric(1, 2, o),
+                                          lambda o: geometric(1, 1, o),
+                                          lambda o: geometric(UV, 1, o)])
         rank2 = (UV ** (-4 * dL + 4 - 4 * g) * bundle_moduli_class(env, 2, 1)
                  + UV ** (-3 * dL + 2 - 2 * g) * jacobian_class(env) * extraction)
         assert epoly(ModuliSpec.from_p(g, 2, 1, p)) == rank2

@@ -19,7 +19,7 @@ from motiveforge.series_engine import (
     TruncatedSeries,
     series_log,
 )
-from series_reference import inverse
+from series_reference import geometric, inverse
 from t_rational import (
     TRational,
     _tp_divide_factor,
@@ -56,27 +56,40 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
 
 class TestTruncatedSeries:
     def test_geometric(self):
-        s = TruncatedSeries.geometric(1, 1, 5)
+        s = geometric(1, 1, 5)
         assert [s.coeff(n) for n in range(6)] == [1] * 6
 
     def test_coeff_below_shift_is_zero(self):
         # a power series has no terms below x^0; a negative index must not
         # wrap around to the top coefficients
-        s = TruncatedSeries.geometric(2, 1, 6)
+        s = geometric(2, 1, 6)
         assert s.coeff(-1) == 0
 
     def test_insufficient_truncation(self):
-        s = TruncatedSeries.geometric(1, 1, 3)
+        s = geometric(1, 1, 3)
         with pytest.raises(InsufficientTruncation):
             s.coeff(4)
 
     def test_product_truncation_rule(self):
         # unknown tail of b (beyond x^2) meets a's x^0 term at x^3, so the
         # product is complete only through x^2, the smaller of the orders
-        a = TruncatedSeries.geometric(1, 1, 4)
+        a = geometric(1, 1, 4)
         b = TruncatedSeries([1, 2], order=2)
         assert (a * b).order == (b * a).order == 2
         assert [(a * b).coeff(n) for n in range(3)] == [1, 3, 3]
+
+    @given(st.lists(ring_elements, min_size=1, max_size=8),
+           st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                     st.builds(UVLaurent.monomial, st.integers(-2, 2), st.integers(-2, 2),
+                               st.integers(-3, 3).filter(bool))),
+           st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_over_geometric_is_the_product_by_geometric(self, xs, c, m):
+        s = TruncatedSeries(xs, order=len(xs) - 1)
+        got, expected = s.over_geometric(c, m), s * geometric(c, m, s.order)
+        assert got.order == expected.order and got.coeffs == expected.coeffs
+        with pytest.raises(ValueError):
+            s.over_geometric(c, 0)
 
     def test_log_examples(self):
         # log(1 + T) = T - T^2/2 + T^3/3 - ...
@@ -85,7 +98,7 @@ class TestTruncatedSeries:
         assert [lg.coeff(n) for n in range(5)] == [
             0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4)]
         # log(1/(1-T)) = sum T^n / n
-        lg2 = series_log(TruncatedSeries.geometric(1, 1, 4))
+        lg2 = series_log(geometric(1, 1, 4))
         assert [lg2.coeff(n) for n in range(5)] == [
             0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
 

@@ -2,8 +2,10 @@
 
 import ast
 from fractions import Fraction
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import motiveforge
@@ -12,7 +14,15 @@ from motiveforge.curve_ring import frobenius, make_hodge_env, make_weil_env
 from motiveforge.series_engine import TRational
 
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_package_has_no_assert_statements():
@@ -28,9 +38,7 @@ def test_package_has_no_assert_statements():
 def test_benchmark_traced_layers_exist():
     # the benchmark's traced run wraps these by name; a rename or deletion
     # in the package must fail here rather than break that run
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load(SPANS, "perfbench_spans")
     missing = []
     for mod, fn in spans.LAYER_FUNCTIONS:
         module = importlib.import_module(f"motiveforge.{mod}")
@@ -41,6 +49,25 @@ def test_benchmark_traced_layers_exist():
         missing += [f"{mod}.{cls_name}.{attr}" for attr in attrs
                     if cls is None or attr not in vars(cls)]
     assert spans.LAYER_FUNCTIONS and spans.LAYER_OPERATORS and not missing, missing
+
+
+def test_benchmark_reference_digests():
+    # each workload's seed-0 outputs, hashed as the benchmark hashes a
+    # pass, equal its reference digest: an output change fails here too
+    workloads = _load(PERFBENCH / "workloads.py", "perfbench_workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    seed = reference["seed"]
+    mods = {name: importlib.import_module(f"motiveforge.{name}") for name in
+            ("adhm", "base_rings", "cli", "curve_ring", "export", "moduli_formulas")}
+    for workload in workloads.WORKLOADS:
+        records = []
+        for query in sorted(workloads.generate(workload, seed)):
+            held, output = workloads.answer(workload, mods, query, seed)
+            assert held, (workload, query)
+            records.append({"query": list(query), "output": workloads.canonical(mods, output)})
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == reference["sha256"][workload], workload
 
 
 def test_closed_form_and_strata_routes_share_no_series():
