@@ -18,7 +18,8 @@ T-series of these terms into the "connected" coefficients H_1(t) .. H_r(t).
 Adams operators are realized by :func:`motiveforge.curve_ring.frobenius`
 (atoms to j-th powers) combined with t -> t^j on the assembled term; the
 double sum is truncated at T-order r, so only j <= r and k <= r
-contribute.  The final class is
+contribute; the class reads T^r alone, so only the j dividing r do.  The
+final class is
 
     (-1)^(p r) L^(r^2 (g-1) + p r (r+1) / 2) H_r(1).
 
@@ -33,15 +34,16 @@ whose pole of order at most n at t = 1 the weight absorbs;
 s^(r-1) coefficient.  A partition's cells, shift and binomial rows are
 built once per (n, p, g, j, terms), by a bounded memo keyed by ints only
 (:func:`_skeleton`); each call adds the environment's pole check, weights
-and products, and the realizations differ only in how each coefficient is
-divided, once: weil makes one Fraction, hodge one
+and products, read off the environment's cached integer lift
+(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`), and the
+realizations differ only in how each coefficient is divided, once: weil
+makes one Fraction, hodge one
 :class:`motiveforge.series_engine.TRational`, divided at t = 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -122,30 +124,34 @@ def mobius(j: int) -> int:
     return out
 
 
-def _connected(env: AtomEnvironment, r: int, charge, zero) -> List:
+def _connected(env: AtomEnvironment, orders: Sequence[int], charge, zero) -> List:
     """The Moebius / Adams double sum sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n),
-    truncated at T-order r: its T^1 .. T^r coefficients.
+    at the T-orders ``orders`` (each at least 1): its T^m coefficient per m
+    in ``orders``, in that order.
 
     ``charge(fenv, n, j)`` is psi_j of the charge-n term F_n, built from the
     j-th Frobenius environment ``fenv``; ``zero`` is the carrier's zero.
-    psi_j F_n sits at T^(j n), so the logarithm is taken in U = T^j, to
-    U^(r // j); its U^k coefficient is the T^(j k) one.
+    psi_j F_n sits at T^(j n), so the logarithm is taken in U = T^j; its
+    U^k coefficient is the T^(j k) one.  An Adams index j dividing none of
+    the orders adds nothing to them and is skipped; the others take the
+    logarithm to U^(top), top the largest m / j.
     """
-    if r < 1:
+    if not orders or min(orders) < 1:
         raise ValueError("rank must be >= 1")
-    acc = [zero] * (r + 1)
-    for j in range(1, r + 1):
+    acc = {m: zero for m in orders}
+    for j in range(1, max(orders) + 1):
         mu = mobius(j)
-        if mu == 0:
+        reads = [m // j for m in orders if m % j == 0]
+        if mu == 0 or not reads:
             continue
         fenv = frobenius(env, j)
-        top = r // j
+        top = max(reads)
         logs = series_log(TruncatedSeries(
             [1] + [charge(fenv, n, j) for n in range(1, top + 1)], order=top))
         weight = Fraction(mu, j)
-        for k in range(1, top + 1):
+        for k in reads:
             acc[j * k] = acc[j * k] + logs.coeff(k) * weight
-    return acc[1:]
+    return [acc[m] for m in orders]
 
 
 def _binomials(e: int, count: int) -> List[int]:
@@ -174,8 +180,9 @@ def _skeleton(n: int, p: int, g: int, j: int, terms: int) -> Tuple[tuple, ...]:
     (shift, cells, poles, factors, kscale) for the need = terms - shift
     kept: cells (a, cols) with cols[k] the C(j (x + h i), k), i = 0..2g;
     poles the product of the zero-arm cells' (1 - t^(j h)) / s; factors
-    (m, C(j h, k) for k = 1..need - 1) for the others, D^m - (D L)^m t^(j h);
-    kscale the power of D in the weights less that in the factors."""
+    (m, C(j h, k) for k = 1..need - 1) for the others, d^m - n^m t^(j h)
+    for L = n / d; kscale the power of d in the weights less that in the
+    factors."""
     if n < 1:
         raise ValueError("charge must be >= 1")
     if p < 1:
@@ -201,7 +208,7 @@ def _skeleton(n: int, p: int, g: int, j: int, terms: int) -> Tuple[tuple, ...]:
                 pole = [-b for b in row[1:]]
                 poles = pole if poles is None else _times(poles, pole)
             factors.append((a + 1, tuple(row[1:need])))
-        kscale = sum(a * p + (a + 1) * 2 * g - 2 * a - 1 for a in arms)
+        kscale = sum(a * (p + 2 * g) - 2 * a - 1 for a in arms)
         out.append((lam.parts, arms, (shift, tuple(cells), tuple(poles), tuple(factors), kscale)))
     return tuple(out)
 
@@ -225,23 +232,22 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
     Q_k = num_k P_0^k - sum_{i=1..k} den_i Q_(k-i) P_0^(i-1) stays in the
     coefficient ring; each coefficient is divided once:
 
-    * weil: over D, the lcm of the atom denominators, D L and D^i e_i are
-      ints, each weight gets D^((a+1)(2g-i)) and each factor is
-      D^m - (D L)^m t^(j h), so the Q_k are ints and each makes one
-      Fraction, over P_0^(k+1) D^kscale;
-    * hodge: D = 1, so P_0 = prod_poles(-j h) prod (1 - c) over the other
+    * weil: the environment's lift gives P, the product of the atom
+      denominators, and the ints F_i = P e_i; with L = n / d, the weights
+      of a cell get P d^(a (p + 2g)) and each factor is d^m - n^m t^(j h),
+      so the Q_k are ints and each makes one Fraction, over
+      P_0^(k+1) P^n d^kscale (d^(-kscale) times Q_k when kscale < 0);
+    * hodge: P = d = 1, so P_0 = prod_poles(-j h) prod (1 - c) over the other
       factors' powers c of L, and Q_k / P_0^(k+1) is the
       :class:`TRational` Q_k over the scale prod_poles(-j h)^(k+1) and
       k + 1 copies of the c.
     """
     weil = env.base == "weil"
-    D = math.lcm(*(x.denominator for x in (env.lefschetz,) + env.betas)) if weil else 1
-    if D != 1:
-        env = replace(env, lefschetz=env.lefschetz.numerator * (D // env.lefschetz.denominator),
-                      betas=tuple(b.numerator * (D // b.denominator) for b in env.betas))
-    e, ell = env.lambda_values, env.lefschetz
+    P, e = env.lift
     top = len(e) - 1
-    units = [D ** m for m in range(n + 1)]
+    d = getattr(env.lefschetz, "denominator", 1)
+    ell = env.lefschetz if d == 1 else env.lefschetz.numerator
+    units = [d ** m for m in range(n + 1)]
     ells = [ell ** m for m in range(n + 1)]
     vanish = [c == u for c, u in zip(ells, units)]
     weights: Dict[int, List] = {}
@@ -259,8 +265,8 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
         for a, cols in cells:
             if a not in weights:
                 coeff, weights[a] = (-1) ** p * ells[a] ** p, []
-                for i, E_i in enumerate(e):
-                    weights[a].append(coeff * E_i * D ** ((a + 1) * (top - i)))
+                for i, F_i in enumerate(e):
+                    weights[a].append(coeff * F_i * d ** (a * (top - i)))
                     coeff = coeff * ells[a]
             series = [sum(map(mul, weights[a], col)) for col in cols]
             num = series if num is None else _times(num, series)
@@ -277,7 +283,8 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
                 acc = acc - dens[i] * q[k - i] * powers[i - 1]
             q.append(acc)
         if weil:
-            coeffs = [Fraction(x, powers[k] * p0 * D ** kscale) for k, x in enumerate(q)]
+            up, down = d ** max(-kscale, 0), P ** n * d ** max(kscale, 0) * p0
+            coeffs = [Fraction(x * up, powers[k] * down) for k, x in enumerate(q)]
         else:
             constants = [ells[m] for m, _ in factors]
             coeffs = [TRational(x, constants * (k + 1), pole_scale ** (k + 1))
@@ -285,6 +292,15 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
         for k, x in enumerate(coeffs, shift):
             total[k] = total[k] + x
     return TruncatedSeries(total, order=terms - 1)
+
+
+def _cleared(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> List[TruncatedSeries]:
+    """h_m = s^(m-1) H_m for each m in ``orders``, known through s^(r-1)
+    (:func:`plog_series`)."""
+    clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
+    return [acc * clearing for acc in _connected(
+        env, orders, lambda fenv, n, j: partition_sum(fenv, n, p, j, r),
+        TruncatedSeries([], order=r - 1))]
 
 
 def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TruncatedSeries]:
@@ -296,27 +312,24 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TruncatedSeries]:
     by (1-t)(1-Lt) = s ((L-1) + L s) is then a product with (L-1) + L s.
     Every series is known through s^(r-1).
     """
-    clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
-    return [acc * clearing for acc in _connected(
-        env, r, lambda fenv, n, j: partition_sum(fenv, n, p, j, r),
-        TruncatedSeries([], order=r - 1))]
+    return _cleared(env, range(1, r + 1), r, p)
 
 
 def adhm_class(env: AtomEnvironment, r: int, p: int):
     """Conjectural class of the twisted moduli space of rank r, any coprime
     degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1).
 
-    H_r(1) is :func:`eval_at_one` of h_r = s^(r-1) H_r from
-    :func:`plog_series`: H_r is a Laurent polynomial in t, so the
-    coefficients of h_r below s^(r-1) vanish and its value is the s^(r-1)
-    coefficient.  A weil environment gives a Fraction; a hodge one a
-    UVLaurent, divided once by the product of its denominator factors
-    (1 - L^k).
+    H_r(1) is :func:`eval_at_one` of h_r = s^(r-1) H_r, the last series of
+    :func:`plog_series`, built alone: only the Adams indices dividing r
+    enter.  H_r is a Laurent polynomial in t, so the coefficients of h_r
+    below s^(r-1) vanish and its value is the s^(r-1) coefficient.  A weil
+    environment gives a Fraction; a hodge one a UVLaurent, divided once by
+    the product of its denominator factors (1 - L^k).
     """
     if r < 1 or p < 1:
         raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
-    value = eval_at_one(plog_series(env, r, p)[r - 1], r - 1)
+    value = eval_at_one(_cleared(env, (r,), r, p)[0], r - 1)
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

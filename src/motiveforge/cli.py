@@ -171,9 +171,9 @@ def run_adhm_grid(
 ) -> Tuple[List[VerificationReport], List[Dict]]:
     """Run the ADHM identity over a grid.  Cells with gcd(r, d) != 1 are
     recorded as skipped rather than failed.  The grid size (at most
-    INPUT_BUDGET cells), every other cell, the trial count (at most
-    INPUT_BUDGET) and the thread count are validated before any cell runs
-    (InvalidSpec).  With
+    INPUT_BUDGET cells), every cell (g, r and p of a skipped one), the
+    trial count (at most INPUT_BUDGET) and the thread count are validated
+    before any cell runs (InvalidSpec).  With
     ``threads > 1`` the cells go to a process pool of at most one worker
     per cell and per CPU (``os.cpu_count()``)."""
     if trials < 1:
@@ -191,11 +191,14 @@ def run_adhm_grid(
         for r in rs:
             for d in ds:
                 for p in ps:
-                    if math.gcd(r, d) != 1:
+                    coprime = math.gcd(r, d) == 1
+                    # a skipped cell still validates g, r and p: d = 1 is
+                    # coprime to every r
+                    ModuliSpec.from_p(g, r, d if coprime else 1, p).validate()
+                    if not coprime:
                         skipped.append({"g": g, "r": r, "d": d, "p": p,
                                         "reason": "gcd(r, d) != 1"})
                         continue
-                    ModuliSpec.from_p(g, r, d, p).validate()
                     cells.append((g, r, d, p, trials, seed, hodge))
     workers = min(threads, len(cells), os.cpu_count() or 1)
     if workers > 1:

@@ -16,8 +16,15 @@ Every class whose lambda-powers the moduli formulas read ([X], [X] + L^2,
 or L, so :func:`lambda_series` needs no general plethysm machinery.
 
 The elementary symmetric values e_0 .. e_2g of the atoms, the coefficients
-of h1(x) = prod_k (1 + b_k x), are computed once per environment
-(:attr:`AtomEnvironment.lambda_values`); every expansion of h1 reads them.
+of h1(x) = prod_k (1 + b_k x), are computed once per environment, by one
+recurrence, as its lift (:attr:`AtomEnvironment.lift`): with P the product
+of the atoms' denominators (1 for int or UVLaurent atoms), the F_i = P e_i
+are ints.  One P serves every e_i, since each product of distinct atoms
+has a denominator dividing P; a power D^i of their lcm would grow with i.
+Every reading of h1 goes through the lift: in a weil environment
+:func:`lambda_series` and :func:`h1_poly` run on ints and make one
+Fraction per value read, the ADHM expansion divides by P itself, and
+:attr:`AtomEnvironment.lambda_values` is F_i / P.
 
 Adams operators act on this model by raising atoms to j-th powers
 (:func:`frobenius`); the accompanying substitution t -> t^j on series is
@@ -27,6 +34,7 @@ element the operator is no longer recoverable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,16 +68,41 @@ class AtomEnvironment:
             raise InvalidGenus(f"genus {self.genus} < 2")
         if len(self.betas) != 2 * self.genus:
             raise ValueError("need exactly 2g atoms")
+        if self.base not in ("hodge", "weil"):
+            raise ValueError(f"base must be 'hodge' or 'weil', got {self.base!r}")
+
+    @cached_property
+    def lift(self) -> Tuple[int, Tuple[object, ...]]:
+        """(P, F): P the product of the atoms' denominators d_k (1 when they
+        have none, as int and UVLaurent atoms) and F_i = P e_i, the
+        coefficients of prod_k (d_k + n_k x) for the atoms b_k = n_k / d_k:
+        ints when P > 1; when P = 1 the atoms' own ring."""
+        dens = [b.denominator if isinstance(b, Fraction) else 1 for b in self.betas]
+        P = math.prod(dens)
+        atoms = self.betas if P == 1 else [b.numerator for b in self.betas]
+        return P, _elementary_symmetric(atoms, dens)
 
     @cached_property
     def lambda_values(self) -> Tuple[object, ...]:
-        """Elementary symmetric values e_0 .. e_2g of the atoms, computed on
-        first use; e_i is the i-th lambda class of the weight-one part."""
-        e: List[object] = [1] + [0] * len(self.betas)
-        for n, b in enumerate(self.betas, 1):
-            for i in range(n, 0, -1):
-                e[i] = e[i] + e[i - 1] * b
-        return tuple(e)
+        """Elementary symmetric values e_0 .. e_2g of the atoms, from the
+        lift; e_i is the i-th lambda class of the weight-one part."""
+        P, F = self.lift
+        if P == 1:
+            return F
+        return (1,) + tuple(Fraction(F_i, P) for F_i in F[1:])
+
+
+def _elementary_symmetric(atoms, dens) -> Tuple[object, ...]:
+    """The coefficients of prod_k (d_k + b_k x), one atom b_k and one int
+    d_k at a time: e_0 .. e_n of the atoms when every d_k is 1."""
+    e: List[object] = [1] + [0] * len(atoms)
+    for n, (b, d) in enumerate(zip(atoms, dens), 1):
+        for i in range(n, 0, -1):
+            if d != 1:
+                e[i] = e[i] * d
+            e[i] = e[i] + e[i - 1] * b
+        e[0] = e[0] * d
+    return tuple(e)
 
 
 def make_hodge_env(g: int) -> AtomEnvironment:
@@ -139,9 +172,21 @@ def frobenius(env: AtomEnvironment, j: int) -> AtomEnvironment:
 
 def h1_poly(env: AtomEnvironment, arg):
     """prod_k (1 + b_k * arg) = sum_i e_i * arg^i: the generating value of
-    the exterior powers of the weight-one part, evaluated at a ring element."""
+    the exterior powers of the weight-one part, evaluated at a ring element.
+
+    At a Fraction a / q, or at an int in an environment with P > 1, it is
+    one Horner pass on ints over the lift, sum_i F_i a^i q^(2g - i), and
+    one Fraction over P q^(2g)."""
+    P, F = env.lift
+    if isinstance(arg, Fraction) or (P != 1 and isinstance(arg, int)):
+        a, q = arg.numerator, arg.denominator
+        num, power = F[-1], 1
+        for F_i in reversed(F[:-1]):
+            power *= q
+            num = num * a + F_i * power
+        return Fraction(num, P * power)
     out = 0
-    for e_i in reversed(env.lambda_values):
+    for e_i in reversed(F):
         out = out * arg + e_i
     return out
 
@@ -155,18 +200,35 @@ def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> Truncated
     """The lambda series of ell*h1 + sum(geometric) to x^order:
     sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x), Macdonald's
     formula (with ell = 1, geometric = (1, L) the zeta function of X).
-    Each geometric factor is one :meth:`TruncatedSeries.over_geometric`."""
+    Each geometric factor is one :meth:`TruncatedSeries.over_geometric`.
+
+    With m the lcm of the denominators of ell and the c, the recurrences
+    run on ints in y = x / m: the y^i coefficient of the P e_i ell^i x^i
+    is F_i (m ell)^i, each c becomes m c, and each x^k coefficient, k >= 1,
+    is one Fraction N_k / (P m^k).  When P = m = 1 they run on the atoms'
+    own ring."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    e = env.lambda_values
-    coeffs: List[object] = [0] * (order + 1)
+    P, F = env.lift
+    top = min(order, len(F) - 1)
+    m = math.lcm(*(x.denominator for x in (ell, *geometric) if isinstance(x, Fraction)))
+    lifted = P != 1 or m != 1
+    if lifted:
+        ell = ell.numerator * (m // ell.denominator)
+        geometric = [c.numerator * (m // c.denominator) for c in geometric]
+    coeffs: List[object] = []
     power = 1
-    for i in range(min(order, len(e) - 1) + 1):
-        coeffs[i] = e[i] * power
+    for i in range(top + 1):
+        coeffs.append(F[i] * power)
         power = power * ell
     s = TruncatedSeries(coeffs, order=order)
     for c in geometric:
         s = s.over_geometric(c, 1)
+    if lifted:
+        s.coeffs[0], scale = 1, P
+        for k in range(1, order + 1 if geometric else top + 1):
+            scale *= m
+            s.coeffs[k] = Fraction(s.coeffs[k], scale)
     return s
 
 

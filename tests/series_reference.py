@@ -36,3 +36,36 @@ def geometric(c, m: int, order: int) -> TruncatedSeries:
         power = power * c
         k += m
     return TruncatedSeries(coeffs, order=order)
+
+
+def elementary_symmetric(atoms) -> tuple:
+    """e_0 .. e_n of the atoms by the plain recurrence in their own ring:
+    the reference the environment's lift is checked against."""
+    e: List = [1] + [0] * len(atoms)
+    for n, b in enumerate(atoms, 1):
+        for i in range(n, 0, -1):
+            e[i] = e[i] + e[i - 1] * b
+    return tuple(e)
+
+
+def lambda_series(atoms, ell, geometric, order: int) -> TruncatedSeries:
+    """sum_i e_i ell^i x^i * prod_c 1/(1 - c x) to x^order, with every
+    coefficient and factor in the atoms' own ring."""
+    e = elementary_symmetric(atoms)
+    coeffs: List = [0] * (order + 1)
+    power = 1
+    for i in range(min(order, len(e) - 1) + 1):
+        coeffs[i] = e[i] * power
+        power = power * ell
+    s = TruncatedSeries(coeffs, order=order)
+    for c in geometric:
+        s = s.over_geometric(c, 1)
+    return s
+
+
+def h1_poly(atoms, arg):
+    """sum_i e_i arg^i by Horner's rule in the atoms' own ring."""
+    out = 0
+    for e_i in reversed(elementary_symmetric(atoms)):
+        out = out * arg + e_i
+    return out

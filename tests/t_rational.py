@@ -346,7 +346,7 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
     """
     L = env.lefschetz
     out: List[TRational] = []
-    for acc in _connected(env, r, lambda fenv, n, j: substitute_t_power(
+    for acc in _connected(env, range(1, r + 1), lambda fenv, n, j: substitute_t_power(
             partition_sum(fenv, n, p), j), TRational.from_scalar(0)):
         h = acc.mul_poly_factor(1, 1).mul_poly_factor(L, 1)
         out.append(TRational(h.num, h.den))  # the one reduction of the pipeline

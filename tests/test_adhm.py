@@ -258,6 +258,33 @@ class TestAdhmClass:
         spec = ModuliSpec.from_p(2, 2, 1, 1)
         assert adhm_class(env, 2, 1) == motive(env, spec)
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_equals_the_full_plog_reading(self, g):
+        # adhm_class builds h_r alone, from the Adams indices dividing r;
+        # it must equal the last series of the full h_1 .. h_r
+        for env in (make_hodge_env(g), make_weil_env(g, 50 + g)):
+            for r in (1, 2, 3):
+                for p in (1, 2, 3):
+                    full = series_engine.eval_at_one(adhm.plog_series(env, r, p)[r - 1], r - 1)
+                    prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
+                    assert adhm_class(env, r, p) == (-1) ** (p * r) * prefactor * full
+
+    def test_int_atoms_keep_int_weights(self, monkeypatch):
+        # with D = 1 the expansion reads the int lift, so every value the
+        # weil route hands to Fraction is an int (Fraction weights would
+        # turn the whole expansion into Fraction arithmetic)
+        seen = []
+
+        def recording(*args):
+            seen.extend(type(x) for x in args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(adhm, "Fraction", recording)
+        env = AtomEnvironment(genus=2, lefschetz=6, betas=(2, -3, 3, -2), base="weil")
+        for r in (1, 2, 3):
+            adhm_class(env, r, 1)
+        assert seen and set(seen) == {int}
+
     def test_eval_at_one_succeeds_on_pipeline(self):
         for env in (make_weil_env(2, 41), make_hodge_env(2)):
             for r in (1, 2, 3):

@@ -339,6 +339,19 @@ class TestCommands:
         assert payload["skipped"][0]["reason"] == "gcd(r, d) != 1"
         assert code == EXIT_PASS
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--g", "1", "--r", "2", "--d", "2"], "genus"),
+        (["--g", "2", "--r", "4", "--d", "2"], "rank"),
+        (["--g", "2", "--r", "2", "--d", "2,4", "--p", "0"], "twist degree"),
+    ])
+    def test_verify_adhm_validates_skipped_cells(self, flags, message, capsys):
+        # every cell here has gcd(r, d) != 1, but its g, r or p is invalid
+        code = main(["verify-adhm", "--trials", "1"] + flags)
+        assert code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_invalid_input_exit_code(self, capsys):
         code = main(["motive", "--g", "2", "--r", "2", "--d", "2", "--p", "1"])
         assert code == EXIT_INVALID_INPUT

@@ -25,6 +25,7 @@ from motiveforge.curve_ring import (
     sym_power_class,
 )
 from motiveforge.series_engine import TruncatedSeries
+import series_reference
 from series_reference import geometric
 from uv_reference import power_substitute
 
@@ -172,6 +173,83 @@ class TestEnvironments:
         payload = json.loads(out.read_text())["environment"]
         assert payload["base"] == "weil" and payload["seed"] == 5
         assert Fraction(payload["lefschetz"]) == env.lefschetz
+
+
+def _paired(ell, first):
+    """An environment with atoms ``first`` and L / first, each atom kept an
+    int when it is one."""
+    second = [Fraction(ell) / b for b in first]
+    second = [int(b) if b.denominator == 1 else b for b in second]
+    return AtomEnvironment(genus=len(first), lefschetz=ell, betas=tuple(first) + tuple(second),
+                           base="weil")
+
+
+nonzero_ints = st.integers(min_value=-50, max_value=50).filter(bool)
+nonzero_fractions = st.fractions(max_denominator=60).filter(bool)
+
+
+@st.composite
+def environments(draw):
+    """Weil environments, their Frobenius images, and environments of int
+    atoms or of int and Fraction atoms mixed."""
+    g = draw(st.integers(min_value=2, max_value=4))
+    kind = draw(st.sampled_from(["weil", "frobenius", "int", "mixed"]))
+    if kind == "weil":
+        return make_weil_env(g, draw(seeds))
+    if kind == "frobenius":
+        return frobenius(make_weil_env(g, draw(seeds)), draw(st.integers(min_value=2, max_value=3)))
+    if kind == "int":
+        ell = draw(nonzero_ints)
+        divisors = [b for b in range(1, abs(ell) + 1) if ell % b == 0]
+        return _paired(ell, [draw(st.sampled_from(divisors)) * draw(st.sampled_from([1, -1]))
+                             for _ in range(g)])
+    ell = draw(st.one_of(nonzero_ints, nonzero_fractions))
+    return _paired(ell, draw(st.lists(st.one_of(nonzero_ints, nonzero_fractions),
+                                      min_size=g, max_size=g)))
+
+
+scalars = st.one_of(st.integers(min_value=-30, max_value=30), st.fractions(max_denominator=40))
+
+
+class TestLift:
+    """Every weil reading of the e_i goes through the environment's lift;
+    each must equal, value and type alike, the plain recurrence in the
+    atoms' own ring (compared by repr)."""
+
+    @given(environments(), st.integers(min_value=0, max_value=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_readings_match_the_plain_recurrences(self, env, order, data):
+        atoms = env.betas
+        assert repr(env.lambda_values) == repr(series_reference.elementary_symmetric(atoms))
+        L = env.lefschetz
+        shapes = [(1, (1, L)), (1, (1, L, L * L)), (L, (1, L, L * L)),
+                  (data.draw(scalars, label="ell"),
+                   tuple(data.draw(st.lists(scalars, max_size=3), label="geometric")))]
+        for ell, geo in shapes:
+            assert repr(lambda_series(env, ell, geo, order).coeffs) == \
+                repr(series_reference.lambda_series(atoms, ell, geo, order).coeffs)
+        for arg in (1, L, L * L, data.draw(scalars, label="arg")):
+            assert repr(h1_poly(env, arg)) == repr(series_reference.h1_poly(atoms, arg))
+
+    def test_int_atoms_keep_int_values(self):
+        # P = 1: the lift runs on the atoms themselves, so the e_i and the
+        # values of h1 at ints stay ints (for the ADHM weights see
+        # test_adhm.py::TestAdhmClass::test_int_atoms_keep_int_weights)
+        env = _paired(6, [2, -3, 1])
+        P, F = env.lift
+        assert P == 1 and all(type(x) is int for x in F)
+        assert env.lambda_values is F
+        assert all(type(x) is int for x in (h1_poly(env, 2), jacobian_class(env)))
+
+    def test_lift_clears_the_denominators(self):
+        env = make_weil_env(3, 8)
+        P, F = env.lift
+        assert P == math.prod(b.denominator for b in env.betas)
+        assert all(type(x) is int and x == P * e for x, e in zip(F, env.lambda_values))
+
+    def test_unknown_base_is_refused(self):
+        with pytest.raises(ValueError, match="base"):
+            AtomEnvironment(genus=2, lefschetz=2, betas=(1, 2, 2, 1), base="Weil")
 
 
 class TestFrobenius:

@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from functools import partial
 import hashlib
 import importlib
 import importlib.util
@@ -9,8 +10,11 @@ import json
 from pathlib import Path
 
 import motiveforge
+from motiveforge import curve_ring
 from motiveforge.adhm import adhm_class, partition_sum, plog_series
-from motiveforge.curve_ring import frobenius, make_hodge_env, make_weil_env
+from motiveforge.cli import identity_test
+from motiveforge.curve_ring import AtomEnvironment, frobenius, make_hodge_env, make_weil_env
+from motiveforge.moduli_formulas import ModuliSpec, motive
 from motiveforge.series_engine import TRational
 
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
@@ -118,6 +122,32 @@ def test_hodge_adhm_carrier_stays_integral():
                     for j in range(1, r + 1) for n in range(1, r // j + 1)]
                 found = [x for h in series for x in h.coeffs if not integral(x)]
                 assert not found, (g, r, p, found)
+
+
+def test_one_lift_per_environment(monkeypatch):
+    # the e_i recurrence runs once per environment: the trial environments
+    # that adhm_class and motive share, and their Frobenius images, where
+    # every charge term of one Adams index reads the same lift
+    counts = {"lifts": 0, "environments": 0}
+    recurrence, check = curve_ring._elementary_symmetric, AtomEnvironment.__post_init__
+
+    def lift(*args):
+        counts["lifts"] += 1
+        return recurrence(*args)
+
+    def build(self):
+        counts["environments"] += 1
+        check(self)
+
+    monkeypatch.setattr(curve_ring, "_elementary_symmetric", lift)
+    monkeypatch.setattr(AtomEnvironment, "__post_init__", build)
+    trials = 3
+    report = identity_test(partial(adhm_class, r=3, p=2),
+                           partial(motive, spec=ModuliSpec.from_p(3, 3, 1, 2)),
+                           3, trials=trials, seed=7, hodge=False, cell=(3, 3, 1, 2))
+    assert report.passed
+    # at r = 3, psi_3 is the one Frobenius image; psi_2 adds nothing to T^3
+    assert counts["lifts"] == counts["environments"] == 2 * trials
 
 
 def test_memos_are_keyed_by_ints_only():
