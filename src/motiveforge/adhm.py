@@ -28,17 +28,20 @@ that is needed, so every term is a power series in s = t - 1 known
 through s^(r-1).  The T^n coefficient is weighted by s^n (T -> sT); the
 logarithm's T^m coefficient is weighted-homogeneous of degree m, so the
 weight carries through it.  :func:`partition_sum` gives s^(jn) psi_j F_n,
-whose pole of order at most n at t = 1 the weight absorbs;
-:func:`plog_series` gives s^(m-1) H_m; and
-:func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off its
+whose pole of order at most n at t = 1 the weight absorbs.  One builder,
+:func:`_connected`, takes the double sum and clears it to
+h_m = s^(m-1) H_m at the T-orders its caller reads: 1..r for
+:func:`plog_series`, r alone for :func:`adhm_class`, where
+:func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off the
 s^(r-1) coefficient.  A partition's cells, shift and binomial rows are
 built once per (n, p, g, j, terms), by a bounded memo keyed by ints only
 (:func:`_skeleton`); each call adds the environment's pole check, weights
 and products, read off the environment's cached integer lift
-(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`), and the
-realizations differ only in how each coefficient is divided, once: weil
-makes one Fraction, hodge one
-:class:`motiveforge.series_engine.TRational`, divided at t = 1.
+(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`).  Every product of
+coefficient lists is :func:`motiveforge.series_engine.truncated_product`,
+the package's one truncated-product loop.  The realizations differ only
+in how each coefficient is divided, once: weil makes one Fraction, hodge
+one :class:`motiveforge.series_engine.TRational`, divided at t = 1.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .curve_ring import AtomEnvironment, frobenius
-from .series_engine import PoleAtOne, TRational, TruncatedSeries, eval_at_one, series_log
+from .series_engine import (PoleAtOne, TRational, TruncatedSeries, eval_at_one, series_log,
+                            truncated_product)
 
 
 @dataclass(frozen=True)
@@ -124,20 +128,19 @@ def mobius(j: int) -> int:
     return out
 
 
-def _connected(env: AtomEnvironment, orders: Sequence[int], charge, zero) -> List:
-    """The Moebius / Adams double sum sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n),
-    at the T-orders ``orders`` (each at least 1): its T^m coefficient per m
-    in ``orders``, in that order.
+def _connected(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> List:
+    """h_m = s^(m-1) H_m to s^(r-1) per m in ``orders`` (each at least 1).
+    With the charge terms weighted by s^(T-degree), the T^m coefficient of
+    sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n) is s^m C_m, and
+    H_m = (1-t)(1-Lt) C_m = s ((L-1) + L s) C_m, so h_m is it times (L-1) + L s.
 
-    ``charge(fenv, n, j)`` is psi_j of the charge-n term F_n, built from the
-    j-th Frobenius environment ``fenv``; ``zero`` is the carrier's zero.
-    psi_j F_n sits at T^(j n), so the logarithm is taken in U = T^j; its
-    U^k coefficient is the T^(j k) one.  An Adams index j dividing none of
-    the orders adds nothing to them and is skipped; the others take the
-    logarithm to U^(top), top the largest m / j.
+    psi_j F_n (:func:`partition_sum`) sits at T^(j n), so the logarithm is
+    taken in U = T^j to U^(top), top the largest m / j; an Adams index j
+    dividing none of the orders adds nothing to them and is skipped.
     """
     if not orders or min(orders) < 1:
         raise ValueError("rank must be >= 1")
+    zero = TruncatedSeries([], order=r - 1)
     acc = {m: zero for m in orders}
     for j in range(1, max(orders) + 1):
         mu = mobius(j)
@@ -147,11 +150,12 @@ def _connected(env: AtomEnvironment, orders: Sequence[int], charge, zero) -> Lis
         fenv = frobenius(env, j)
         top = max(reads)
         logs = series_log(TruncatedSeries(
-            [1] + [charge(fenv, n, j) for n in range(1, top + 1)], order=top))
+            [1] + [partition_sum(fenv, n, p, j, r) for n in range(1, top + 1)], order=top))
         weight = Fraction(mu, j)
         for k in reads:
             acc[j * k] = acc[j * k] + logs.coeff(k) * weight
-    return [acc[m] for m in orders]
+    clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
+    return [acc[m] * clearing for m in orders]
 
 
 def _binomials(e: int, count: int) -> List[int]:
@@ -159,16 +163,6 @@ def _binomials(e: int, count: int) -> List[int]:
     out = [1]
     for k in range(1, count):
         out.append(out[-1] * (e - k + 1) // k)
-    return out
-
-
-def _times(a: Sequence, b: Sequence) -> List:
-    """The product of two coefficient lists of one length, truncated to it."""
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b[:len(a) - i], i):
-                out[k] = out[k] + x * y
     return out
 
 
@@ -206,7 +200,7 @@ def _skeleton(n: int, p: int, g: int, j: int, terms: int) -> Tuple[tuple, ...]:
                 factors.append((a, tuple(row[1:need])))
             else:
                 pole = [-b for b in row[1:]]
-                poles = pole if poles is None else _times(poles, pole)
+                poles = pole if poles is None else truncated_product(poles, pole, need)
             factors.append((a + 1, tuple(row[1:need])))
         kscale = sum(a * (p + 2 * g) - 2 * a - 1 for a in arms)
         out.append((lam.parts, arms, (shift, tuple(cells), tuple(poles), tuple(factors), kscale)))
@@ -269,11 +263,11 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
                     weights[a].append(coeff * F_i * d ** (a * (top - i)))
                     coeff = coeff * ells[a]
             series = [sum(map(mul, weights[a], col)) for col in cols]
-            num = series if num is None else _times(num, series)
+            num = series if num is None else truncated_product(num, series, len(num))
         pole_scale = dens[0]
         for m, row in factors:
             c = ells[m]
-            dens = _times(dens, [units[m] - c] + [-c * b for b in row])
+            dens = truncated_product(dens, [units[m] - c] + [-c * b for b in row], len(dens))
         p0 = dens[0]
         powers = [1] + [p0 ** k for k in range(1, len(num))]
         q: List = []
@@ -294,25 +288,11 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
     return TruncatedSeries(total, order=terms - 1)
 
 
-def _cleared(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> List[TruncatedSeries]:
-    """h_m = s^(m-1) H_m for each m in ``orders``, known through s^(r-1)
-    (:func:`plog_series`)."""
-    clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
-    return [acc * clearing for acc in _connected(
-        env, orders, lambda fenv, n, j: partition_sum(fenv, n, p, j, r),
-        TruncatedSeries([], order=r - 1))]
-
-
 def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TruncatedSeries]:
     """h_1 .. h_r, h_m = s^(m-1) H_m, with H_m the plethystic-log
-    coefficients cleared by (1-t)(1-Lt), as power series in s = t - 1.
-
-    The charge terms enter weighted by s^(T-degree) (:func:`partition_sum`),
-    so the Moebius sum's T^m coefficient is s^m times its value.  Clearing
-    by (1-t)(1-Lt) = s ((L-1) + L s) is then a product with (L-1) + L s.
-    Every series is known through s^(r-1).
-    """
-    return _cleared(env, range(1, r + 1), r, p)
+    coefficients cleared by (1-t)(1-Lt), as power series in s = t - 1
+    known through s^(r-1) (:func:`_connected` at the T-orders 1..r)."""
+    return _connected(env, range(1, r + 1), r, p)
 
 
 def adhm_class(env: AtomEnvironment, r: int, p: int):
@@ -329,7 +309,7 @@ def adhm_class(env: AtomEnvironment, r: int, p: int):
     if r < 1 or p < 1:
         raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
-    value = eval_at_one(_cleared(env, (r,), r, p)[0], r - 1)
+    value = eval_at_one(_connected(env, (r,), r, p)[0], r - 1)
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

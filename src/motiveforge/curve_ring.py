@@ -174,21 +174,19 @@ def h1_poly(env: AtomEnvironment, arg):
     """prod_k (1 + b_k * arg) = sum_i e_i * arg^i: the generating value of
     the exterior powers of the weight-one part, evaluated at a ring element.
 
-    At a Fraction a / q, or at an int in an environment with P > 1, it is
-    one Horner pass on ints over the lift, sum_i F_i a^i q^(2g - i), and
-    one Fraction over P q^(2g)."""
+    One Horner pass over the lift gives sum_i F_i a^i q^(2g - i), with
+    arg = a / q for a Fraction and q = 1 otherwise.  At a Fraction, or at
+    an int in an environment with P > 1, the value is one Fraction over
+    P q^(2g); otherwise P = q = 1 and the sum is the value."""
     P, F = env.lift
+    a, q = (arg.numerator, arg.denominator) if isinstance(arg, Fraction) else (arg, 1)
+    num, power = F[-1], 1
+    for F_i in reversed(F[:-1]):
+        power *= q
+        num = num * a + F_i * power
     if isinstance(arg, Fraction) or (P != 1 and isinstance(arg, int)):
-        a, q = arg.numerator, arg.denominator
-        num, power = F[-1], 1
-        for F_i in reversed(F[:-1]):
-            power *= q
-            num = num * a + F_i * power
         return Fraction(num, P * power)
-    out = 0
-    for e_i in reversed(F):
-        out = out * arg + e_i
-    return out
+    return num
 
 
 def jacobian_class(env: AtomEnvironment):

@@ -157,13 +157,15 @@ def morse_index(t: VHSType, twist_deg: int, g: int) -> int:
     return 2 * total
 
 
-def _bundle_moduli_dim(r: int, g: int) -> int:
-    return r * r * (g - 1) + 1
-
-
-def _vhs12_nonempty(d1: int, d: int, dL: int) -> bool:
-    # d/3 < d1 < d/3 - dL/2
-    return 3 * d1 > d and 6 * d1 < 2 * d - 3 * dL
+def _vhs12_degrees(t: VHSType) -> Tuple[int, int]:
+    """(first degree, total degree) of the (1,2) stratum a (1,2) or (2,1)
+    stratum is evaluated as; a (2,1) stratum goes through its dual (1,2)
+    stratum of total degree -d.  The one duality map: the dimension, the
+    lambda reads and the class of a (2,1) stratum all go through it."""
+    d = t.total_deg
+    if t.ranks == (1, 2):
+        return t.degs[0], d
+    return t.degs[0] - d, -d
 
 
 def stratum_dimension(t: VHSType, spec: ModuliSpec) -> int:
@@ -171,17 +173,13 @@ def stratum_dimension(t: VHSType, spec: ModuliSpec) -> int:
     g, d, dL = spec.g, spec.d, spec.dL
     ranks = t.ranks
     if len(ranks) == 1:
-        return _bundle_moduli_dim(ranks[0], g)
+        return ranks[0] ** 2 * (g - 1) + 1
     if ranks == (1, 1):
         d1 = t.degs[0]
         return (d - 2 * d1 - dL) + g
-    if ranks == (1, 2):
-        d1 = t.degs[0]
-        dd = t.total_deg
+    if ranks in ((1, 2), (2, 1)):
+        d1, dd = _vhs12_degrees(t)
         return 3 * g - 2 - 3 * d1 + dd - 2 * dL
-    if ranks == (2, 1):
-        dual = VHSType((1, 2), (t.degs[0] - t.total_deg, -t.degs[0]))
-        return stratum_dimension(dual, spec)
     if ranks == (1, 1, 1):
         d1, d2 = t.degs[0], t.degs[1]
         return (-d1 + d2 - dL) + (d - d1 - 2 * d2 - dL) + g
@@ -268,16 +266,6 @@ _PLUS = "[X] + L^2"
 _TWIST = "[X]*L + 1"
 
 
-def _vhs12_degrees(t: VHSType) -> Tuple[int, int]:
-    """(first degree, total degree) of the (1,2) stratum a (1,2) or (2,1)
-    stratum is evaluated as; a (2,1) stratum goes through its dual (1,2)
-    stratum of total degree -d."""
-    d = t.total_deg
-    if t.ranks == (1, 2):
-        return t.degs[0], d
-    return t.degs[0] - d, -d
-
-
 def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
     """(class, lambda index) pairs the class of a stratum reads.
 
@@ -295,7 +283,7 @@ def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
         return [(_CURVE, d - 2 * d1 - dL)]
     if ranks in ((1, 2), (2, 1)):
         d1, dd = _vhs12_degrees(t)
-        if not _vhs12_nonempty(d1, dd, dL):
+        if not (3 * d1 > dd and 6 * d1 < 2 * dd - 3 * dL):  # dd/3 < d1 < dd/3 - dL/2
             raise EmptyStratum(f"({ranks[0]},{ranks[1]}) stratum empty at degrees {t.degs}")
         index = dd - dd // 3 - 2 * d1 - dL - 1
         if index < 0:

@@ -8,7 +8,9 @@ literals 0 and 1, and ``bool()`` false exactly at zero works):
 * :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order,
   used for every single-variable coefficient extraction, the stratification
   route's lambda series and the ADHM route's expansion at t = 1 + s, read
-  at t = 1 by :func:`eval_at_one`.
+  at t = 1 by :func:`eval_at_one`.  Its products, and the ADHM route's
+  products of plain coefficient lists, run :func:`truncated_product`, the
+  package's one truncated-product loop.
 * :class:`TRational` - a ring element over an integer scale and a
   *factored* constant denominator prod (1 - c).  The hodge ADHM route's
   s-coefficients are these, with ``UVLaurent`` numerators of int
@@ -92,15 +94,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs], order=self.order)
         order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[:order + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[:order + 1 - i]):
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, order=order)
+        return TruncatedSeries(truncated_product(self.coeffs, other.coeffs, order + 1), order=order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
@@ -108,6 +102,20 @@ class TruncatedSeries:
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + other * -1
+
+
+def truncated_product(a: Sequence, b: Sequence, length: int) -> List:
+    """The first ``length`` coefficients of the product of the coefficient
+    lists a and b (missing ones read as 0), each out_k summed over the
+    pairs of nonzero coefficients by rising index in a."""
+    out: List = [0] * length
+    for i, x in enumerate(a[:length]):
+        if not x:
+            continue
+        for k, y in enumerate(b[:length - i], i):
+            if y:
+                out[k] = out[k] + x * y
+    return out
 
 
 def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:

@@ -22,6 +22,15 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(q, order=s.order)
 
 
+def product(a, b, length: int) -> List:
+    """The first ``length`` coefficients of the product of the coefficient
+    lists a and b by the schoolbook sum c_k = sum_i a_i b_(k-i), zeros
+    included: the reference the package's truncated product is checked
+    against."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b)), 0)
+            for k in range(length)]
+
+
 def geometric(c, m: int, order: int) -> TruncatedSeries:
     """The expansion of 1 / (1 - c*x^m) to the requested order, power by
     power: the reference ``TruncatedSeries.over_geometric`` is checked

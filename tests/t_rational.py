@@ -12,8 +12,10 @@ factors against the numerator, so a pipeline reduces once, at its end.
 :func:`partition_sum` and :func:`plog_series` build the charge terms and
 H_1(t) .. H_r(t) in it, the cells' t-exponents and denominator factors
 built here from the partitions' arm, leg and hook data independently of
-the package's expansion at t = 1, and :func:`eval_at_one` evaluates at
-t = 1 by dividing out the poles.
+the package's expansion at t = 1.  The Moebius / Adams sum is taken here
+too, its logarithm by the power series of log(1 + X) rather than the
+package's recurrence, and :func:`eval_at_one` evaluates at t = 1 by
+dividing out the poles.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from motiveforge.adhm import _connected, partitions
+from motiveforge.adhm import mobius, partitions
 from motiveforge.base_rings import UVLaurent, exact_divide
-from motiveforge.curve_ring import AtomEnvironment
+from motiveforge.curve_ring import AtomEnvironment, frobenius
 from motiveforge.series_engine import PoleAtOne
 
 
@@ -336,18 +338,46 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
     return total
 
 
+def _log_one_plus(terms: Dict[int, TRational], top: int) -> Dict[int, TRational]:
+    """U^1 .. U^top coefficients of log(1 + X), X = sum_n terms[n] U^n, by
+    the power sum sum_m (-1)^(m+1) X^m / m: X^m starts at U^m, so m <= top."""
+    out = {k: TRational.from_scalar(0) for k in range(1, top + 1)}
+    power = {0: TRational.from_scalar(1)}  # X^(m-1), truncated at U^top
+    for m in range(1, top + 1):
+        nxt: Dict[int, TRational] = {}
+        for a, x in power.items():
+            for n, y in terms.items():
+                if a + n <= top:
+                    nxt[a + n] = nxt.get(a + n, TRational.from_scalar(0)) + x * y
+        power = nxt
+        for k, x in power.items():
+            out[k] = out[k] + x * Fraction((-1) ** (m + 1), m)
+    return out
+
+
 def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
     """H_1(t) .. H_r(t): plethystic-log coefficients cleared by (1-t)(1-Lt).
 
-    Rational scalars mu(j)/(j k) are carried exactly.  TRational sums and
+    The T^m coefficient of sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n): psi_j
+    F_n is the charge term built on the j-th Frobenius environment with
+    t -> t^j, at T^(j n), so the logarithm runs in U = T^j to U^(r // j).
+    Rational scalars mu(j)/(j m) are carried exactly.  TRational sums and
     products cancel nothing, so each H_n is reduced once, by one explicit
     TRational construction after clearing (1-t)(1-Lt); for honest inputs
     that leaves an actual Laurent polynomial in t.
     """
     L = env.lefschetz
+    acc = {m: TRational.from_scalar(0) for m in range(1, r + 1)}
+    for j in range(1, r + 1):
+        mu = mobius(j)
+        if not mu:
+            continue
+        fenv, top = frobenius(env, j), r // j
+        terms = {n: substitute_t_power(partition_sum(fenv, n, p), j) for n in range(1, top + 1)}
+        for k, x in _log_one_plus(terms, top).items():
+            acc[j * k] = acc[j * k] + x * Fraction(mu, j)
     out: List[TRational] = []
-    for acc in _connected(env, range(1, r + 1), lambda fenv, n, j: substitute_t_power(
-            partition_sum(fenv, n, p), j), TRational.from_scalar(0)):
-        h = acc.mul_poly_factor(1, 1).mul_poly_factor(L, 1)
+    for m in range(1, r + 1):
+        h = acc[m].mul_poly_factor(1, 1).mul_poly_factor(L, 1)
         out.append(TRational(h.num, h.den))  # the one reduction of the pipeline
     return out

@@ -2,6 +2,7 @@
 t-rational reference in t_rational.py."""
 
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,14 @@ class TestMobius:
         assert mobius(6) == 1
         assert mobius(12) == 0
         assert [mobius(j) for j in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+
+    def test_definition_through_300(self):
+        # 0 unless j is squarefree, else (-1)^(number of prime factors);
+        # the builder and the t-rational reference both weight by it
+        for j in range(1, 301):
+            primes = [q for q in range(2, j + 1) if j % q == 0 and all(q % f for f in range(2, q))]
+            squarefree = all(j % (q * q) for q in primes)
+            assert mobius(j) == ((-1) ** len(primes) if squarefree else 0), j
 
 
 class TestPartitionSum:
@@ -391,6 +400,12 @@ class TestLaurentRoute:
             assert type(got.coeff(k)) is Fraction or got.coeff(k) == 0
 
 
+def _binomial_row(e, count):
+    """C(e, 0) .. C(e, count - 1) for any integer e, each the falling
+    factorial e (e - 1) .. (e - k + 1) over k!."""
+    return [math.prod(range(e - k + 1, e + 1)) // math.factorial(k) for k in range(count)]
+
+
 def _charge_at_one_over_fractions(env, n, p, j, terms):
     """s^(j n) psi_j of the charge-n term at t = 1 + s, each cell numerator
     and denominator factor built and multiplied on the environment's own
@@ -410,10 +425,10 @@ def _charge_at_one_over_fractions(env, n, p, j, terms):
             for i, e_i in enumerate(env.lambda_values):
                 w = coeff * e_i
                 coeff = coeff * la
-                for k, b in enumerate(adhm._binomials(j * (base_exp + h * i), terms)):
+                for k, b in enumerate(_binomial_row(j * (base_exp + h * i), terms)):
                     cell[k] = w * b + cell[k]
             num = num * TruncatedSeries(cell, order=terms - 1)
-            b = adhm._binomials(j * h, terms + 1)
+            b = _binomial_row(j * h, terms + 1)
             for c in (la, la * L):
                 pole = c == 1
                 factor = [-c * x for x in b[1:]] if pole else [1 - c] + [-c * x for x in b[1:terms]]

@@ -19,7 +19,7 @@ from motiveforge.series_engine import (
     TruncatedSeries,
     series_log,
 )
-from series_reference import geometric, inverse
+from series_reference import geometric, inverse, product
 from t_rational import (
     TRational,
     _tp_divide_factor,
@@ -341,6 +341,42 @@ def _value(x):
 constant_trationals = st.builds(series_engine.TRational, rationals,
                                 st.lists(rationals.filter(lambda x: x != 1), max_size=3),
                                 st.integers(-6, 6).filter(bool))
+
+
+# each kind of coefficient the package multiplies, zeros made likely
+coefficient_kinds = {
+    "int": st.integers(-3, 3),
+    "Fraction": rationals,
+    "UVLaurent": uv_polynomials,
+    "TRational": constant_trationals,
+}
+
+
+def _plain(x):
+    return _value(x) if isinstance(x, series_engine.TRational) else x
+
+
+class TestTruncatedProduct:
+    """The package's one truncated-product loop, directly and through
+    TruncatedSeries.__mul__, against the schoolbook sum."""
+
+    @pytest.mark.parametrize("b_longer", [-2, -1, 0, 1, 2])
+    @given(st.sampled_from(sorted(coefficient_kinds)), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_schoolbook_product(self, b_longer, kind, data):
+        ring = st.one_of(st.just(0), coefficient_kinds[kind])
+        a = data.draw(st.lists(ring, min_size=3, max_size=6))
+        b = data.draw(st.lists(ring, min_size=len(a) + b_longer, max_size=len(a) + b_longer))
+        length = data.draw(st.integers(0, len(a) + 3))
+        got, want = series_engine.truncated_product(a, b, length), product(a, b, length)
+        assert len(got) == length and list(map(_plain, got)) == list(map(_plain, want))
+        if kind == "int":
+            assert all(type(x) is int for x in got)
+        sa, sb = TruncatedSeries(a, order=len(a) - 1), TruncatedSeries(b, order=len(b) - 1)
+        order = min(len(a), len(b)) - 1
+        for c in (sa * sb, sb * sa):
+            assert c.order == order
+            assert list(map(_plain, c.coeffs)) == list(map(_plain, product(a, b, order + 1)))
 
 
 class TestConstantDenominator:

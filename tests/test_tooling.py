@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+import re
+import sys
 
 import motiveforge
 from motiveforge import curve_ring
@@ -20,6 +22,7 @@ from motiveforge.series_engine import TRational
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def _load(path: Path, name: str):
@@ -192,4 +195,51 @@ def test_no_module_uses_another_modules_private_names():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in siblings and _private(node.attr)]
+    assert SOURCES and not found, found
+
+
+def test_references_use_no_private_package_names():
+    # the test references stand apart from the code they check: none
+    # imports a _-prefixed motiveforge name or reads one off a module
+    found = []
+    for name in ("t_rational.py", "series_reference.py", "uv_reference.py"):
+        tree = ast.parse((TESTS / name).read_text(encoding="utf-8"), filename=name)
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").startswith("motiveforge")]
+        modules = {a.asname or a.name for node in imports for a in node.names}
+        modules |= {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for a in node.names
+                    if a.name.startswith("motiveforge")}
+        found += [f"{name}:{node.lineno} imports {a.name}" for node in imports
+                  for a in node.names if _private(a.name)]
+        found += [f"{name}:{node.lineno} reads {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and _root(node.value) in modules]
+    assert not found, found
+
+
+def _root(node):
+    """The name an attribute chain a.b.c starts from, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def test_package_imports_only_itself_and_the_standard_library():
+    # pyproject.toml declares no dependencies, so every import in the
+    # package is relative or names a standard-library module
+    pyproject = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {top}" for top in tops
+                      if top not in sys.stdlib_module_names]
     assert SOURCES and not found, found
