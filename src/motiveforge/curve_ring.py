@@ -26,6 +26,14 @@ Every reading of h1 goes through the lift: in a weil environment
 Fraction per value read, the ADHM expansion divides by P itself, and
 :attr:`AtomEnvironment.lambda_values` is F_i / P.
 
+What a query reads of the curve alone is built once per environment and
+kept in its :attr:`AtomEnvironment.cache`: [Jac], the Adams twins (with
+their own lifts), and the bundle classes, lambda tables and zeta series of
+:mod:`motiveforge.moduli_formulas`.  :func:`make_hodge_env` keeps one
+environment per genus, so every hodge query on one curve shares these
+values; :func:`make_weil_env` builds a new environment per call, so no
+value crosses from one trial to the next.
+
 Adams operators act on this model by raising atoms to j-th powers
 (:func:`frobenius`); the accompanying substitution t -> t^j on series is
 applied by callers, because once an expression has been evaluated to a ring
@@ -37,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -55,6 +63,11 @@ class AtomEnvironment:
 
     betas hold the 2g atoms ordered so that betas[i] * betas[g+i] equals the
     Lefschetz value for i = 0..g-1.
+
+    :attr:`lift` and :attr:`cache` are built on first use and kept with
+    the environment; the cache holds what is read of the curve alone, so a
+    hodge environment, one per genus (:func:`make_hodge_env`), builds each
+    such value once for every query at that genus.
     """
 
     genus: int
@@ -83,6 +96,20 @@ class AtomEnvironment:
         return P, _elementary_symmetric(atoms, dens)
 
     @cached_property
+    def cache(self) -> dict:
+        """Values built from this environment alone, each stored by
+        :meth:`cached` on its first read."""
+        return {}
+
+    def cached(self, key, build):
+        """The value :attr:`cache` holds under key, from build() on the
+        first read."""
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = build()
+        return value
+
+    @cached_property
     def lambda_values(self) -> Tuple[object, ...]:
         """Elementary symmetric values e_0 .. e_2g of the atoms, from the
         lift; e_i is the i-th lambda class of the weight-one part."""
@@ -105,8 +132,14 @@ def _elementary_symmetric(atoms, dens) -> Tuple[object, ...]:
     return tuple(e)
 
 
+#: Genera whose hodge environment, with its cache, :func:`make_hodge_env` keeps.
+_HODGE_GENERA = 8
+
+
+@lru_cache(maxsize=_HODGE_GENERA)
 def make_hodge_env(g: int) -> AtomEnvironment:
-    """Symbolic environment with atoms {-u (g times), -v (g times)}, L = u*v."""
+    """Symbolic environment with atoms {-u (g times), -v (g times)}, L = u*v:
+    one per genus, shared by every call."""
     if g < 2:
         raise InvalidGenus(f"genus {g} < 2")
     betas = tuple([-U] * g + [-V] * g)
@@ -161,13 +194,13 @@ def frobenius(env: AtomEnvironment, j: int) -> AtomEnvironment:
         raise ValueError("frobenius needs j >= 1")
     if j == 1:
         return env
-    return AtomEnvironment(
+    return env.cached(("frobenius", j), lambda: AtomEnvironment(
         genus=env.genus,
         lefschetz=env.lefschetz ** j,
         betas=tuple(-((-b) ** j) for b in env.betas),
         base=env.base,
         seed=env.seed,
-    )
+    ))
 
 
 def h1_poly(env: AtomEnvironment, arg):
@@ -190,8 +223,8 @@ def h1_poly(env: AtomEnvironment, arg):
 
 
 def jacobian_class(env: AtomEnvironment):
-    """[Jac(X)] = prod_k (1 + b_k)."""
-    return h1_poly(env, 1)
+    """[Jac(X)] = prod_k (1 + b_k), built once per environment."""
+    return env.cached("jac", lambda: h1_poly(env, 1))
 
 
 def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> TruncatedSeries:

@@ -235,11 +235,19 @@ def triple_stratum_degrees(d: int, dL: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
-    """Class of the moduli of stable bundles of rank r and coprime degree d."""
+    """Class of the moduli of stable bundles of rank r and coprime degree d.
+
+    The class depends on the environment and r alone: d is only checked
+    to be coprime to r, on every call, and the class is built once per
+    environment and rank."""
     if r == 1:
         return jacobian_class(env)
     if math.gcd(r, d) != 1:
         raise InvalidSpec(f"gcd({r}, {d}) != 1")
+    return env.cached(("bundle", r), lambda: _bundle_class(env, r))
+
+
+def _bundle_class(env: AtomEnvironment, r: int):
     L = env.lefschetz
     jac = jacobian_class(env)
     if r == 2:
@@ -299,6 +307,17 @@ def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
     raise InvalidSpec(f"unsupported stratum shape {ranks}")
 
 
+def _cut(env: AtomEnvironment, key, order: int, build) -> TruncatedSeries:
+    """A fresh copy, to x^order, of the series the environment's cache
+    holds under key; build(n) makes it to x^n, n the largest order read so
+    far.  The copy's order is the caller's, so no later work depends on
+    which queries ran before."""
+    s = env.cache.get(key)
+    if s is None or s.order < order:
+        s = env.cache[key] = build(order)
+    return TruncatedSeries(s.coeffs, order=order)
+
+
 def _lambda_tables(env: AtomEnvironment,
                    reads: List[Tuple[str, int]]) -> Dict[str, TruncatedSeries]:
     """One lambda series per class read, to the largest index read; each
@@ -312,7 +331,9 @@ def _lambda_tables(env: AtomEnvironment,
         _PLUS: (1, (1, L, L * L)),
         _TWIST: (L, (1, L, L * L)),
     }
-    return {name: lambda_series(env, *shapes[name], n) for name, n in top.items()}
+    return {name: _cut(env, ("lambda", name), n,
+                       lambda order: lambda_series(env, *shapes[name], order))
+            for name, n in top.items()}
 
 
 def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
@@ -473,8 +494,9 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
 def _zeta_series(env: AtomEnvironment, order: int) -> TruncatedSeries:
     """A(x) = h1(x) / ((1 - x)(1 - L x)) = sum_i X_i x^i to x^order, the
     series every closed-form extraction reads (L = uv in the hodge
-    environment)."""
-    return h1_series(env, order).over_geometric(1, 1).over_geometric(env.lefschetz, 1)
+    environment), from the environment's cache (:func:`_cut`)."""
+    return _cut(env, "zeta", order, lambda n: h1_series(env, n).over_geometric(1, 1)
+                .over_geometric(env.lefschetz, 1))
 
 
 def epoly_rank1(spec: ModuliSpec) -> UVLaurent:

@@ -1,22 +1,26 @@
 """Source-level invariants of the package."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 import hashlib
 import importlib
 import importlib.util
+from itertools import combinations
 import json
+import os
 from pathlib import Path
 import re
+import subprocess
 import sys
 
 import motiveforge
-from motiveforge import curve_ring
+from motiveforge import curve_ring, moduli_formulas
 from motiveforge.adhm import adhm_class, partition_sum, plog_series
 from motiveforge.cli import identity_test
 from motiveforge.curve_ring import AtomEnvironment, frobenius, make_hodge_env, make_weil_env
-from motiveforge.moduli_formulas import ModuliSpec, motive
+from motiveforge.moduli_formulas import ModuliSpec, epoly, motive
 from motiveforge.series_engine import TRational
 
 SOURCES = sorted(Path(motiveforge.__file__).parent.glob("*.py"))
@@ -75,6 +79,58 @@ def test_benchmark_reference_digests():
         text = json.dumps(records, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == reference["sha256"][workload], workload
+
+
+def _answer_hodge(workloads, mods, queries):
+    """(query, held, canonical output) of each hodge query, as JSON text."""
+    out = []
+    for query in queries:
+        held, output = workloads.answer("hodge_queries", mods, query, 0)
+        out.append([list(query), held, workloads.canonical(mods, output)])
+    return json.dumps(sorted(out), sort_keys=True)
+
+
+def test_hodge_cache_is_not_aliased():
+    # the g = 3 slice of the seed-0 hodge queries, answered from cold
+    # caches and again in reverse from warm ones, gives a fresh process's
+    # bytes; the cached classes equal ones built on a fresh environment;
+    # a caller's edit to a returned series reaches no later call
+    workloads = _load(PERFBENCH / "workloads.py", "perfbench_workloads")
+    names = ("adhm", "base_rings", "cli", "curve_ring", "export", "moduli_formulas")
+    mods = {name: importlib.import_module(f"motiveforge.{name}") for name in names}
+    queries = [q for q in workloads.generate("hodge_queries", 0) if q[0] == 3]
+    assert {q[1] for q in queries} == {1, 2, 3}
+    code = (f"import importlib, sys; sys.path[:0] = [{str(PERFBENCH)!r}, {str(TESTS)!r}]\n"
+            "import workloads, test_tooling\n"
+            f"mods = {{n: importlib.import_module('motiveforge.' + n) for n in {names!r}}}\n"
+            f"print(test_tooling._answer_hodge(workloads, mods, {queries[::-1]!r}))")
+    src = str(Path(motiveforge.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+    make_hodge_env.cache_clear()
+    assert _answer_hodge(workloads, mods, queries) == fresh
+    assert _answer_hodge(workloads, mods, queries[::-1]) == fresh
+
+    env = make_hodge_env(3)
+    new = AtomEnvironment(genus=3, lefschetz=env.lefschetz, betas=env.betas, base="hodge")
+    cache = dict(env.cache)
+    assert cache["jac"] == curve_ring.h1_poly(new, 1)
+    for r in (2, 3):
+        assert cache[("bundle", r)] == moduli_formulas._bundle_class(new, r)
+    lambdas = [key for key in cache if key[0] == "lambda"]
+    assert len(lambdas) == 3
+    for key in lambdas:
+        s = cache[key]
+        assert s.coeffs == moduli_formulas._lambda_tables(new, [(key[1], s.order)])[key[1]].coeffs
+    assert cache["zeta"].coeffs == moduli_formulas._zeta_series(new, cache["zeta"].order).coeffs
+
+    name = moduli_formulas._CURVE
+    for read in (lambda: moduli_formulas._zeta_series(env, 4),
+                 lambda: moduli_formulas._lambda_tables(env, [(name, 4)])[name]):
+        s = read()
+        before = list(s.coeffs)
+        s.coeffs[1:] = [0] * 4
+        assert read().coeffs == before
 
 
 def test_closed_form_and_strata_routes_share_no_series():
@@ -153,9 +209,67 @@ def test_one_lift_per_environment(monkeypatch):
     assert counts["lifts"] == counts["environments"] == 2 * trials
 
 
+def test_one_environment_and_one_set_of_curve_classes_per_genus(monkeypatch):
+    # a mixed batch at one genus reads one hodge environment; the e_i
+    # recurrence runs once for it and once per Adams twin, and each bundle
+    # class is built once, whatever the route, p and d
+    counts = {"lifts": 0, "environments": 0, "bundles": Counter()}
+    recurrence, check = curve_ring._elementary_symmetric, AtomEnvironment.__post_init__
+    bundle = moduli_formulas._bundle_class
+
+    def lift(*args):
+        counts["lifts"] += 1
+        return recurrence(*args)
+
+    def build(self):
+        counts["environments"] += 1
+        check(self)
+
+    def bundle_class(env, r):
+        counts["bundles"][r] += 1
+        return bundle(env, r)
+
+    monkeypatch.setattr(curve_ring, "_elementary_symmetric", lift)
+    monkeypatch.setattr(AtomEnvironment, "__post_init__", build)
+    monkeypatch.setattr(moduli_formulas, "_bundle_class", bundle_class)
+    make_hodge_env.cache_clear()
+    env = make_hodge_env(2)
+    for r, degrees in ((2, (1, -1, 3)), (3, (1, 2, -2))):
+        for p in (1, 2, 3):
+            for d in degrees:
+                spec = ModuliSpec.from_p(2, r, d, p)
+                assert epoly(spec) == motive(make_hodge_env(2), spec)
+    for r in (2, 3, 3):
+        adhm_class(make_hodge_env(2), r, 1)
+    assert make_hodge_env(2) is env
+    # the genus environment, psi_2 (read at r = 2) and psi_3 (at r = 3)
+    assert counts["lifts"] == counts["environments"] == 3
+    assert counts["bundles"] == {2: 1, 3: 1}
+
+
+def test_weil_trials_share_no_environment_or_cache():
+    # every trial builds its own environment: the same seed gives an equal
+    # environment, never the same object, and no cached value is shared
+    envs = []
+
+    def lhs(env):
+        envs.append(env)
+        return adhm_class(env, 3, 2)
+
+    report = identity_test(lhs, partial(motive, spec=ModuliSpec.from_p(3, 3, 1, 2)),
+                           3, trials=3, seed=7, hodge=False, cell=(3, 3, 1, 2))
+    assert report.passed and len(envs) == 3
+    again = make_weil_env(3, envs[0].seed)
+    assert again == envs[0] and again is not envs[0] and not again.cache
+    for a, b in combinations(envs + [again], 2):
+        assert a.cache is not b.cache
+        assert not {id(v) for v in a.cache.values()} & {id(v) for v in b.cache.values()}
+    assert all(("bundle", 3) in env.cache and ("frobenius", 3) in env.cache for env in envs)
+
+
 def test_memos_are_keyed_by_ints_only():
-    # a memo whose parameters are all ints can hold no environment, nor a
-    # value computed in one trial, across trials
+    # every memo is keyed by ints alone, so no memo carries a weil
+    # environment or a trial's value
     memos, found = 0, []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
