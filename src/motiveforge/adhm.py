@@ -224,19 +224,21 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
     constant term,
     num / den = sum_k Q_k / P_0^(k+1) s^k, where
     Q_k = num_k P_0^k - sum_{i=1..k} den_i Q_(k-i) P_0^(i-1) stays in the
-    coefficient ring; each coefficient is divided once:
+    coefficient ring; each coefficient is divided once, by the route the
+    environment's L selects:
 
-    * weil: the environment's lift gives P, the product of the atom
-      denominators, and the ints F_i = P e_i; with L = n / d, the weights
-      of a cell get P d^(a (p + 2g)) and each factor is d^m - n^m t^(j h),
-      so the Q_k are ints and each makes one Fraction, over
-      P_0^(k+1) P^n d^kscale (d^(-kscale) times Q_k when kscale < 0);
-    * hodge: P = d = 1, so P_0 = prod_poles(-j h) prod (1 - c) over the other
-      factors' powers c of L, and Q_k / P_0^(k+1) is the
-      :class:`TRational` Q_k over the scale prod_poles(-j h)^(k+1) and
-      k + 1 copies of the c.
+    * weil, L an int or a Fraction: the environment's lift gives P, the
+      product of the atom denominators, and the ints F_i = P e_i; with
+      L = n / d, the weights of a cell get P d^(a (p + 2g)) and each
+      factor is d^m - n^m t^(j h), so the Q_k are ints and each makes one
+      Fraction, over P_0^(k+1) P^n d^kscale (d^(-kscale) times Q_k when
+      kscale < 0);
+    * hodge, any other L (a UVLaurent): P = d = 1, so
+      P_0 = prod_poles(-j h) prod (1 - c) over the other factors' powers c
+      of L, and Q_k / P_0^(k+1) is the :class:`TRational` Q_k over the
+      scale prod_poles(-j h)^(k+1) and k + 1 copies of the c.
     """
-    weil = env.base == "weil"
+    weil = isinstance(env.lefschetz, (int, Fraction))
     P, e = env.lift
     top = len(e) - 1
     d = getattr(env.lefschetz, "denominator", 1)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, Iterator, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Tuple, Union
 
 Rat = Union[int, Fraction]
 ExponentPair = Tuple[int, int]
@@ -255,35 +255,36 @@ class UVLaurent:
 
         Example: ``-3/2*u^2*v^-1 + 1``.
         """
-        if not self._c:
-            return "0"
-        parts = []
-        for idx, ((a, b), x) in enumerate(sorted(self._c.items(), reverse=True)):
-            vars_ = []
-            if a:
-                vars_.append("u" if a == 1 else f"u^{a}")
-            if b:
-                vars_.append("v" if b == 1 else f"v^{b}")
-            mag = x if idx == 0 else abs(x)
-            if not vars_:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(vars_)
-            elif idx == 0 and mag == -1:
-                body = "-" + "*".join(vars_)
-            else:
-                body = str(mag) + "*" + "*".join(vars_)
-            if idx == 0:
-                parts.append(body)
-            else:
-                parts.append((" + " if x > 0 else " - ") + body)
-        return "".join(parts)
+        return format_terms(self._c.items(), "%s^%d", "*", str, "*")
 
     def __str__(self) -> str:
         return self.text()
 
     def __repr__(self) -> str:
         return f"UVLaurent({self.text()})"
+
+
+def format_terms(items: Iterable[Tuple[ExponentPair, Rat]], power: str, join: str,
+                 number: Callable[[Rat], str], times: str) -> str:
+    """The terms c u^a v^b of ``items``, sorted by (a, b) descending, as one
+    line: u^a is ``power % ("u", a)`` (bare u when a = 1), a term's
+    variables are joined by ``join``, and its coefficient is
+    ``number(c) + times`` before them, dropped when it is 1 and a bare
+    sign when -1.  Each term after the first is " + " or " - " and |c|'s
+    term; no terms give "0"."""
+    parts = []
+    for idx, ((a, b), x) in enumerate(sorted(items, reverse=True)):
+        vars_ = join.join(name if k == 1 else power % (name, k)
+                          for name, k in (("u", a), ("v", b)) if k)
+        mag = x if idx == 0 else abs(x)
+        if not vars_:
+            body = number(mag)
+        elif abs(mag) == 1:
+            body = vars_ if mag == 1 else "-" + vars_
+        else:
+            body = number(mag) + times + vars_
+        parts.append(body if idx == 0 else (" + " if x > 0 else " - ") + body)
+    return "".join(parts) or "0"
 
 
 #: Convenience generators.

@@ -172,10 +172,11 @@ def run_adhm_grid(
     """Run the ADHM identity over a grid.  Cells with gcd(r, d) != 1 are
     recorded as skipped rather than failed.  The grid size (at most
     INPUT_BUDGET cells), every cell (g, r and p of a skipped one), the
-    trial count (at most INPUT_BUDGET) and the thread count are validated
+    trial count (at most INPUT_BUDGET) and the thread count are checked
     before any cell runs (InvalidSpec).  With
     ``threads > 1`` the cells go to a process pool of at most one worker
-    per cell and per CPU (``os.cpu_count()``)."""
+    per cell and per CPU this process may run on
+    (``os.sched_getaffinity``, else ``os.cpu_count()``)."""
     if trials < 1:
         raise InvalidSpec(f"trials must be >= 1, got {trials}")
     if trials > INPUT_BUDGET:
@@ -192,15 +193,19 @@ def run_adhm_grid(
             for d in ds:
                 for p in ps:
                     coprime = math.gcd(r, d) == 1
-                    # a skipped cell still validates g, r and p: d = 1 is
-                    # coprime to every r
-                    ModuliSpec.from_p(g, r, d if coprime else 1, p).validate()
+                    # a skipped cell's spec still checks g, r and p: d = 1
+                    # is coprime to every r
+                    ModuliSpec.from_p(g, r, d if coprime else 1, p)
                     if not coprime:
                         skipped.append({"g": g, "r": r, "d": d, "p": p,
                                         "reason": "gcd(r, d) != 1"})
                         continue
                     cells.append((g, r, d, p, trials, seed, hodge))
-    workers = min(threads, len(cells), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads, len(cells), cpus)
     if workers > 1:
         # the fork start method starts every worker when the pool starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -246,10 +251,8 @@ def _parse_range(text: str) -> List[int]:
 
 def _spec_from_args(args) -> ModuliSpec:
     if args.dL is not None:
-        spec = ModuliSpec(g=args.g, r=args.r, d=args.d, dL=args.dL)
-    else:
-        spec = ModuliSpec.from_p(args.g, args.r, args.d, args.p)
-    return spec.validate()
+        return ModuliSpec(g=args.g, r=args.r, d=args.d, dL=args.dL)
+    return ModuliSpec.from_p(args.g, args.r, args.d, args.p)
 
 
 def _add_spec_flags(sub) -> None:

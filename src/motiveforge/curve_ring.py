@@ -11,6 +11,12 @@ b_i * b_{g+i} = L:
   Evaluating a class here is a Schwartz-Zippel style specialization used for
   randomized identity testing.
 
+An environment is its values alone (genus, L and the atoms), so its
+realization is read off them and cannot disagree with them: one whose L is
+an int or a Fraction (a weil environment, a Frobenius image of one, or one
+of int atoms) is numeric, and one whose L is a UVLaurent is the hodge
+environment or a Frobenius image of it.
+
 Every class whose lambda-powers the moduli formulas read ([X], [X] + L^2,
 [X]*L + 1) is ell*h1 plus monomials with geometric lambda series, ell = 1
 or L, so :func:`lambda_series` needs no general plethysm machinery.
@@ -62,7 +68,10 @@ class AtomEnvironment:
     """Root atoms of the curve class in a chosen exact base ring.
 
     betas hold the 2g atoms ordered so that betas[i] * betas[g+i] equals the
-    Lefschetz value for i = 0..g-1.
+    Lefschetz value for i = 0..g-1.  The base ring is that of the values:
+    int or Fraction values are a numeric (weil) realization, UVLaurent
+    values the hodge one.  Construction refuses a genus below 2
+    (:class:`InvalidGenus`) and a number of atoms other than 2g.
 
     :attr:`lift` and :attr:`cache` are built on first use and kept with
     the environment; the cache holds what is read of the curve alone, so a
@@ -73,16 +82,12 @@ class AtomEnvironment:
     genus: int
     lefschetz: object
     betas: Tuple[object, ...]
-    base: str
-    seed: int | None = None
 
     def __post_init__(self):
         if self.genus < 2:
             raise InvalidGenus(f"genus {self.genus} < 2")
         if len(self.betas) != 2 * self.genus:
             raise ValueError("need exactly 2g atoms")
-        if self.base not in ("hodge", "weil"):
-            raise ValueError(f"base must be 'hodge' or 'weil', got {self.base!r}")
 
     @cached_property
     def lift(self) -> Tuple[int, Tuple[object, ...]]:
@@ -140,10 +145,8 @@ _HODGE_GENERA = 8
 def make_hodge_env(g: int) -> AtomEnvironment:
     """Symbolic environment with atoms {-u (g times), -v (g times)}, L = u*v:
     one per genus, shared by every call."""
-    if g < 2:
-        raise InvalidGenus(f"genus {g} < 2")
     betas = tuple([-U] * g + [-V] * g)
-    return AtomEnvironment(genus=g, lefschetz=UV, betas=betas, base="hodge")
+    return AtomEnvironment(genus=g, lefschetz=UV, betas=betas)
 
 
 _WEIL_BOUND = 10 ** 4
@@ -165,8 +168,6 @@ def make_weil_env(g: int, seed: int) -> AtomEnvironment:
     (L in {0, 1, -1}, so that some power L^a could hit 1 and break a
     denominator constant) are rejected and resampled.
     """
-    if g < 2:
-        raise InvalidGenus(f"genus {g} < 2")
     rng = random.Random(seed)
     while True:
         lefschetz = _draw_rational(rng)
@@ -176,8 +177,7 @@ def make_weil_env(g: int, seed: int) -> AtomEnvironment:
         if any(b == 0 for b in first):
             continue
         betas = tuple(first + [lefschetz / b for b in first])
-        return AtomEnvironment(genus=g, lefschetz=lefschetz, betas=betas,
-                               base="weil", seed=seed)
+        return AtomEnvironment(genus=g, lefschetz=lefschetz, betas=betas)
 
 
 def frobenius(env: AtomEnvironment, j: int) -> AtomEnvironment:
@@ -198,8 +198,6 @@ def frobenius(env: AtomEnvironment, j: int) -> AtomEnvironment:
         genus=env.genus,
         lefschetz=env.lefschetz ** j,
         betas=tuple(-((-b) ** j) for b in env.betas),
-        base=env.base,
-        seed=env.seed,
     ))
 
 

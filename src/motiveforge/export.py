@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from .base_rings import UVLaurent
+from .base_rings import UVLaurent, format_terms
 
 SCHEMA_VERSION = 1
 
@@ -30,31 +30,7 @@ def poly_to_csv(e: UVLaurent) -> str:
 
 def poly_to_latex(e: UVLaurent) -> str:
     """Render a u, v Laurent polynomial as LaTeX."""
-    items = sorted(e.items(), reverse=True)
-    if not items:
-        return "0"
-    parts: List[str] = []
-    for idx, ((a, b), c) in enumerate(items):
-        pieces = []
-        if a:
-            pieces.append("u" if a == 1 else "u^{%d}" % a)
-        if b:
-            pieces.append("v" if b == 1 else "v^{%d}" % b)
-        vars_ = " ".join(pieces)
-        mag = c if idx == 0 else abs(c)
-        if not vars_:
-            body = _frac_latex(mag)
-        elif mag == 1:
-            body = vars_
-        elif mag == -1 and idx == 0:
-            body = "-" + vars_
-        else:
-            body = _frac_latex(mag) + r"\, " + vars_
-        if idx == 0:
-            parts.append(body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts).strip()
+    return format_terms(e.items(), "%s^{%d}", " ", _frac_latex, r"\, ")
 
 
 def weil_motive_latex(env, value) -> str:

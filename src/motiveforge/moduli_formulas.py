@@ -71,7 +71,11 @@ INPUT_BUDGET = 1000
 
 @dataclass(frozen=True)
 class ModuliSpec:
-    """Moduli-space query (genus, rank, degree, twist degree)."""
+    """Moduli-space query (genus, rank, degree, twist degree), valid by
+    construction: a space outside the paper's hypotheses (g >= 2, r in
+    1..3, gcd(r, d) = 1, dL < 2 - 2g) or above the input budget raises
+    :class:`InvalidSpec` when it is built, so every function that takes a
+    spec reads it unchecked."""
 
     g: int
     r: int
@@ -86,7 +90,7 @@ class ModuliSpec:
     def p(self) -> int:
         return -self.dL - 2 * self.g + 2
 
-    def validate(self) -> "ModuliSpec":
+    def __post_init__(self):
         if self.g < 2:
             raise InvalidSpec(f"genus {self.g} < 2")
         if self.r not in (1, 2, 3):
@@ -98,7 +102,6 @@ class ModuliSpec:
         if 1 - self.r ** 2 * self.dL > INPUT_BUDGET:
             raise InvalidSpec(f"dim M = 1 - r^2 dL = {1 - self.r ** 2 * self.dL} exceeds "
                               f"the input budget {INPUT_BUDGET}")
-        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +126,6 @@ class VHSType:
 
 def dimension(spec: ModuliSpec) -> int:
     """dim M = 1 - r^2 * dL."""
-    spec.validate()
     return 1 - spec.r ** 2 * spec.dL
 
 
@@ -193,7 +195,6 @@ def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
     not the space's, or its shape is unsupported, and :class:`EmptyStratum`
     when it is empty.
     """
-    spec.validate()
     if t.total_rank != spec.r or t.total_deg != spec.d:
         raise InvalidSpec(f"stratum {t} is not a stratum of {spec}")
     _lambda_reads(t, spec.dL)  # raises EmptyStratum for an empty stratum
@@ -201,8 +202,9 @@ def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
 
 
 def _attracting_rank(t: VHSType, spec: ModuliSpec, dim: int) -> int:
-    """N+ = dim M - dim VHS - M/2 of a nonempty stratum of a validated
-    ``spec`` of dimension ``dim``, without :func:`bb_exponent`'s checks."""
+    """N+ = dim M - dim VHS - M/2 of a nonempty stratum of ``spec``, of
+    dimension ``dim``, without :func:`bb_exponent`'s checks that the
+    stratum is one of ``spec``'s and is nonempty."""
     return dim - stratum_dimension(t, spec) - morse_index(t, -spec.dL, spec.g) // 2
 
 
@@ -371,7 +373,6 @@ def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
 
 def strata_for(spec: ModuliSpec) -> List[VHSType]:
     """All nonempty strata of the decomposition, in a fixed order."""
-    spec.validate()
     d, dL = spec.d, spec.dL
     if spec.r == 1:
         return [VHSType((1,), (d,))]
@@ -455,7 +456,6 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     The sum over the groups of one N+ and one k is multiplied once by
     L^(N+), and the total is S_0 + jac * (S_1 + jac * S_2).
     """
-    spec.validate()
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
     tops, single, pairs, triples = _strata_plan(spec.g, spec.r, spec.d, spec.dL)
@@ -500,7 +500,6 @@ def _zeta_series(env: AtomEnvironment, order: int) -> TruncatedSeries:
 
 
 def epoly_rank1(spec: ModuliSpec) -> UVLaurent:
-    spec.validate()
     g, dL = spec.g, spec.dL
     env = make_hodge_env(g)
     return UV ** (1 - dL - g) * jacobian_class(env)
@@ -508,7 +507,6 @@ def epoly_rank1(spec: ModuliSpec) -> UVLaurent:
 
 def epoly_rank2(spec: ModuliSpec) -> UVLaurent:
     """E-polynomial of the rank-2 moduli (d odd), exact in u, v."""
-    spec.validate()
     if spec.r != 2:
         raise InvalidSpec("epoly_rank2 needs r = 2")
     g, dL = spec.g, spec.dL
@@ -578,7 +576,6 @@ def _rank3_double_extraction(env: AtomEnvironment, dL: int) -> UVLaurent:
 
 def epoly_rank3(spec: ModuliSpec) -> UVLaurent:
     """E-polynomial of the rank-3 moduli (gcd(3, d) = 1), exact in u, v."""
-    spec.validate()
     if spec.r != 3:
         raise InvalidSpec("epoly_rank3 needs r = 3")
     g, dL = spec.g, spec.dL
@@ -601,7 +598,6 @@ def epoly_rank3(spec: ModuliSpec) -> UVLaurent:
 
 
 def epoly(spec: ModuliSpec) -> UVLaurent:
-    spec.validate()
     if spec.r == 1:
         return epoly_rank1(spec)
     if spec.r == 2:

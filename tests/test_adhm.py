@@ -149,7 +149,7 @@ class TestPartitionSum:
     def test_extra_pole_factor_raises(self):
         # with L = 1 the factor (1 - L^(a+1) t^h) of a zero-arm cell also
         # vanishes at t = 1, one pole more than the zero-arm cells allow
-        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1, 1, 1, 1), base="weil")
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1, 1, 1, 1))
         with pytest.raises(PoleAtOne, match=r"partition \(1,\)"):
             partition_sum(env, 1, 1)
 
@@ -289,10 +289,32 @@ class TestAdhmClass:
             return Fraction(*args)
 
         monkeypatch.setattr(adhm, "Fraction", recording)
-        env = AtomEnvironment(genus=2, lefschetz=6, betas=(2, -3, 3, -2), base="weil")
+        env = AtomEnvironment(genus=2, lefschetz=6, betas=(2, -3, 3, -2))
         for r in (1, 2, 3):
             adhm_class(env, r, 1)
         assert seen and set(seen) == {int}
+
+    def test_the_values_choose_the_route(self):
+        # no field names the realization: an int or Fraction L takes the
+        # weil route, one Fraction per coefficient, and any other L the
+        # hodge route, one TRational per coefficient; a coefficient no term
+        # reaches stays the int 0
+        def carriers(env, j):
+            coeffs = [x for n in (1, 2) for x in adhm.partition_sum(env, n, 1, j, 3).coeffs]
+            return {type(x) for x in coeffs if not (type(x) is int and x == 0)}
+
+        ints = AtomEnvironment(genus=2, lefschetz=6, betas=(2, -3, 3, -2))
+        assert type(adhm_class(ints, 2, 1)) is Fraction
+        weil, hodge = make_weil_env(2, 3), make_hodge_env(2)
+        for j in (1, 2, 3):
+            assert carriers(frobenius(ints, j), j) == {Fraction}
+            assert carriers(frobenius(weil, j), j) == {Fraction}
+            assert carriers(frobenius(hodge, j), j) == {series_engine.TRational}
+        built = AtomEnvironment(genus=2, lefschetz=hodge.lefschetz, betas=hodge.betas)
+        assert built == hodge and built is not hodge
+        for r in (1, 2, 3):
+            value = adhm_class(built, r, 1)
+            assert type(value) is UVLaurent and value == adhm_class(hodge, r, 1)
 
     def test_eval_at_one_succeeds_on_pipeline(self):
         for env in (make_weil_env(2, 41), make_hodge_env(2)):
@@ -313,7 +335,7 @@ class TestLaurentRoute:
 
     def test_extra_pole_factor_names_charge_partition_and_j(self):
         # L = 1: the factor (1 - L t) of the one cell also vanishes at t = 1
-        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4, base="weil")
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4)
         with pytest.raises(PoleAtOne, match=r"charge 1, partition \(1,\), Adams index j=1: 2 "):
             adhm_class(env, 1, 1)
 
@@ -322,7 +344,7 @@ class TestLaurentRoute:
         # is not built; with L = 1 its second pole must still be refused
         good = frobenius(make_weil_env(2, 5), 3)
         assert adhm.partition_sum(good, 1, 1, 3, 2).coeffs == [0, 0]
-        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4, base="weil")
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4)
         with pytest.raises(PoleAtOne, match=r"charge 1, partition \(1,\), Adams index j=3: 2 "):
             adhm.partition_sum(env, 1, 1, 3, 1)
 
@@ -331,7 +353,7 @@ class TestLaurentRoute:
         # it, L = 1 at the same (n, p, g, j, terms) is still refused
         adhm.partition_sum(make_weil_env(2, 5), 2, 1, 1, 2)
         hits = adhm._skeleton.cache_info().hits
-        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4, base="weil")
+        env = AtomEnvironment(genus=2, lefschetz=1, betas=(1,) * 4)
         with pytest.raises(PoleAtOne, match=r"^charge 2, partition \(2,\), Adams index j=1: 4 "
                            r"denominator factors vanish at t = 1, but only its 1 zero-arm "
                            r"cells may$"):

@@ -147,24 +147,36 @@ class TestProcessPool:
                 return map(fn, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         reports, _ = cli.run_adhm_grid([2], [1], [1, 2], [1], trials=1, seed=3,
                                        hodge=False, threads=10 ** 6)
         assert sizes == [2] and len(reports) == 2
         cli.run_adhm_grid([2], [1], [1, 2, 3], [1], trials=1, seed=3,
                           hodge=False, threads=2)
         assert sizes == [2, 2]
-        # nor larger than the host: one worker per CPU, and none at all
-        # (the cells run in-process) when the count is 1 or unknown
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        # nor larger than the CPUs the process may run on: one worker per
+        # CPU, and none at all (the cells run in-process) when there is one
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         reports, _ = cli.run_adhm_grid([2], [1], [1, 2, 3, 4, 5], [1], trials=1, seed=3,
                                        hodge=False, threads=1000)
         assert sizes == [2, 2, 3] and len(reports) == 5
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        reports, _ = cli.run_adhm_grid([2], [1], [1, 2], [1], trials=1, seed=3,
+                                       hodge=False, threads=1000)
+        assert sizes == [2, 2, 3] and len(reports) == 2
+        # without sched_getaffinity the count is os.cpu_count(), and an
+        # unknown count is one CPU
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        reports, _ = cli.run_adhm_grid([2], [1], [1, 2, 3, 4, 5], [1], trials=1, seed=3,
+                                       hodge=False, threads=1000)
+        assert sizes == [2, 2, 3, 4] and len(reports) == 5
         for count in (1, None):
             monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
             reports, _ = cli.run_adhm_grid([2], [1], [1, 2], [1], trials=1, seed=3,
                                            hodge=False, threads=1000)
-            assert sizes == [2, 2, 3] and len(reports) == 2
+            assert sizes == [2, 2, 3, 4] and len(reports) == 2
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads, monkeypatch, capsys):

@@ -180,8 +180,7 @@ def _paired(ell, first):
     int when it is one."""
     second = [Fraction(ell) / b for b in first]
     second = [int(b) if b.denominator == 1 else b for b in second]
-    return AtomEnvironment(genus=len(first), lefschetz=ell, betas=tuple(first) + tuple(second),
-                           base="weil")
+    return AtomEnvironment(genus=len(first), lefschetz=ell, betas=tuple(first) + tuple(second))
 
 
 nonzero_ints = st.integers(min_value=-50, max_value=50).filter(bool)
@@ -246,10 +245,6 @@ class TestLift:
         P, F = env.lift
         assert P == math.prod(b.denominator for b in env.betas)
         assert all(type(x) is int and x == P * e for x, e in zip(F, env.lambda_values))
-
-    def test_unknown_base_is_refused(self):
-        with pytest.raises(ValueError, match="base"):
-            AtomEnvironment(genus=2, lefschetz=2, betas=(1, 2, 2, 1), base="Weil")
 
 
 class TestFrobenius:

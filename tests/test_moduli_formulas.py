@@ -1,5 +1,7 @@
 """Moduli formulas: strata, exponents, motives, E-polynomials, Betti numbers."""
 
+import contextlib
+import io
 import math
 import pickle
 
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from motiveforge import moduli_formulas
+from motiveforge import cli, moduli_formulas
 from motiveforge.base_rings import UV, UVLaurent, exact_divide
-from motiveforge.cli import EXIT_ARITHMETIC_ERROR, main
+from motiveforge.cli import EXIT_ARITHMETIC_ERROR, EXIT_INVALID_INPUT, EXIT_PASS, main
 from motiveforge.curve_ring import h1_series, jacobian_class, make_hodge_env, make_weil_env
 from motiveforge.moduli_formulas import (
     INPUT_BUDGET,
@@ -44,24 +46,58 @@ class TestModuliSpec:
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):
-            ModuliSpec(g=1, r=2, d=1, dL=-3).validate()
+            ModuliSpec(g=1, r=2, d=1, dL=-3)
         with pytest.raises(InvalidSpec):
-            ModuliSpec(g=2, r=2, d=2, dL=-3).validate()
+            ModuliSpec(g=2, r=2, d=2, dL=-3)
         with pytest.raises(InvalidSpec):
-            ModuliSpec(g=2, r=2, d=1, dL=-2).validate()
+            ModuliSpec(g=2, r=2, d=1, dL=-2)
         with pytest.raises(InvalidSpec):
-            ModuliSpec(g=2, r=4, d=1, dL=-3).validate()
+            ModuliSpec(g=2, r=4, d=1, dL=-3)
 
     def test_input_budget(self):
         # dim M = 1 - r^2 dL exceeds g, p and |dL|, so it alone is bounded
         at_budget = ModuliSpec(g=2, r=1, d=1, dL=1 - INPUT_BUDGET)
         assert dimension(at_budget) == INPUT_BUDGET
-        for spec in (ModuliSpec(g=2, r=1, d=1, dL=-INPUT_BUDGET),
-                     ModuliSpec(g=2, r=3, d=1, dL=-(INPUT_BUDGET // 9 + 1)),
-                     ModuliSpec.from_p(10 ** 20, 2, 1, 1),
-                     ModuliSpec.from_p(2, 2, 1, 10 ** 20)):
+        for build in (lambda: ModuliSpec(g=2, r=1, d=1, dL=-INPUT_BUDGET),
+                      lambda: ModuliSpec(g=2, r=3, d=1, dL=-(INPUT_BUDGET // 9 + 1)),
+                      lambda: ModuliSpec.from_p(10 ** 20, 2, 1, 1),
+                      lambda: ModuliSpec.from_p(2, 2, 1, 10 ** 20)):
             with pytest.raises(InvalidSpec, match="input budget"):
-                spec.validate()
+                build()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_construction_refuses_exactly_the_invalid_specs(self, data):
+        # raw (g, r, d, dL) on both sides of each predicate: g at 2, r at 1
+        # and 3, gcd(r, d) at 1, dL at 2 - 2g or 1 - r^2 dL at the budget;
+        # the CLI's epoly is stubbed, so a valid spec costs nothing
+        g = data.draw(st.integers(1, 3), label="g")
+        r = data.draw(st.integers(0, 4), label="r")
+        d = data.draw(st.integers(-3, 3), label="d")
+        if data.draw(st.booleans(), label="at the budget"):
+            edge = -((INPUT_BUDGET - 1) // max(r * r, 1))
+        else:
+            edge = 1 - 2 * g
+        dL = edge + data.draw(st.integers(-1, 1), label="offset")
+        p = -dL - 2 * g + 2
+        invalid = (g < 2 or r not in (1, 2, 3) or math.gcd(r, d) != 1
+                   or dL >= 2 - 2 * g or 1 - r * r * dL > INPUT_BUDGET)
+        for build in (lambda: ModuliSpec(g=g, r=r, d=d, dL=dL),
+                      lambda: ModuliSpec.from_p(g, r, d, p)):
+            try:
+                spec = build()
+            except InvalidSpec:
+                assert invalid
+            else:
+                assert not invalid and (spec.g, spec.r, spec.d, spec.dL, spec.p) == (g, r, d, dL, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "epoly", lambda spec: UV)
+            for flags in (["--dL", str(dL)], ["--p", str(p)]):
+                argv = ["epoly", "--g", str(g), "--r", str(r), "--d", str(d)] + flags
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code == (EXIT_INVALID_INPUT if invalid else EXIT_PASS), argv
 
     def test_dimension_examples(self):
         assert dimension(ModuliSpec(g=2, r=2, d=1, dL=-3)) == 13

@@ -2,6 +2,7 @@
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 import hashlib
@@ -16,7 +17,7 @@ import subprocess
 import sys
 
 import motiveforge
-from motiveforge import curve_ring, moduli_formulas
+from motiveforge import cli, curve_ring, moduli_formulas
 from motiveforge.adhm import adhm_class, partition_sum, plog_series
 from motiveforge.cli import identity_test
 from motiveforge.curve_ring import AtomEnvironment, frobenius, make_hodge_env, make_weil_env
@@ -112,7 +113,7 @@ def test_hodge_cache_is_not_aliased():
     assert _answer_hodge(workloads, mods, queries[::-1]) == fresh
 
     env = make_hodge_env(3)
-    new = AtomEnvironment(genus=3, lefschetz=env.lefschetz, betas=env.betas, base="hodge")
+    new = AtomEnvironment(genus=3, lefschetz=env.lefschetz, betas=env.betas)
     cache = dict(env.cache)
     assert cache["jac"] == curve_ring.h1_poly(new, 1)
     for r in (2, 3):
@@ -247,19 +248,24 @@ def test_one_environment_and_one_set_of_curve_classes_per_genus(monkeypatch):
     assert counts["bundles"] == {2: 1, 3: 1}
 
 
-def test_weil_trials_share_no_environment_or_cache():
+def test_weil_trials_share_no_environment_or_cache(monkeypatch):
     # every trial builds its own environment: the same seed gives an equal
     # environment, never the same object, and no cached value is shared
-    envs = []
+    envs, seeds = [], []
 
     def lhs(env):
         envs.append(env)
         return adhm_class(env, 3, 2)
 
+    def recording(g, seed):
+        seeds.append(seed)
+        return make_weil_env(g, seed)
+
+    monkeypatch.setattr(cli, "make_weil_env", recording)
     report = identity_test(lhs, partial(motive, spec=ModuliSpec.from_p(3, 3, 1, 2)),
                            3, trials=3, seed=7, hodge=False, cell=(3, 3, 1, 2))
-    assert report.passed and len(envs) == 3
-    again = make_weil_env(3, envs[0].seed)
+    assert report.passed and len(envs) == len(seeds) == 3
+    again = make_weil_env(3, seeds[0])
     assert again == envs[0] and again is not envs[0] and not again.cache
     for a, b in combinations(envs + [again], 2):
         assert a.cache is not b.cache
@@ -287,6 +293,24 @@ def test_memos_are_keyed_by_ints_only():
                         for a in args):
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert memos and not found, found
+
+
+def test_query_and_environment_fields_are_pinned():
+    # each settable field is one more value a caller can set wrong, so a
+    # new one has to edit this test; the realization is read off the
+    # values, and each input is checked once, where it is built
+    assert [f.name for f in fields(ModuliSpec)] == ["g", "r", "d", "dL"]
+    assert [f.name for f in fields(AtomEnvironment)] == ["genus", "lefschetz", "betas"]
+    raises = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        assert "validate" not in text, path.name
+        for fn in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(fn, ast.FunctionDef):
+                raises += [(path.name, fn.name) for node in ast.walk(fn)
+                           if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                           and getattr(node.exc.func, "id", None) == "InvalidGenus"]
+    assert raises == [("curve_ring.py", "__post_init__")]
 
 
 def _private(name: str) -> bool:
