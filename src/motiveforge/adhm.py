@@ -42,6 +42,11 @@ coefficient lists is :func:`motiveforge.series_engine.truncated_product`,
 the package's one truncated-product loop.  The realizations differ only
 in how each coefficient is divided, once: weil makes one Fraction, hodge
 one :class:`motiveforge.series_engine.TRational`, divided at t = 1.
+
+The class has no degree, so :func:`adhm_class` keeps H_r(1) in the
+environment's cache (:meth:`motiveforge.curve_ring.AtomEnvironment.cached`)
+per (r, p): the hodge environment of a genus builds it once per process,
+and a weil environment, one per trial, once.
 """
 
 from __future__ import annotations
@@ -307,11 +312,18 @@ def adhm_class(env: AtomEnvironment, r: int, p: int):
     below s^(r-1) vanish and its value is the s^(r-1) coefficient.  A weil
     environment gives a Fraction; a hodge one a UVLaurent, divided once by
     the product of its denominator factors (1 - L^k).
+
+    No degree enters, so H_r(1) is read of the curve alone: it is kept in
+    the environment's cache under ("adhm", r, p) and built once per
+    environment, r and p, which for the hodge environment of a genus is
+    once per (g, r, p) in a process.  The sign and prefactor are applied
+    on every call, so each call returns a value of its own.
     """
     if r < 1 or p < 1:
         raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
-    value = eval_at_one(_connected(env, (r,), r, p)[0], r - 1)
+    value = env.cached(("adhm", r, p),
+                       lambda: eval_at_one(_connected(env, (r,), r, p)[0], r - 1))
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

@@ -34,8 +34,9 @@ Fraction per value read, the ADHM expansion divides by P itself, and
 
 What a query reads of the curve alone is built once per environment and
 kept in its :attr:`AtomEnvironment.cache`: [Jac], the Adams twins (with
-their own lifts), and the bundle classes, lambda tables and zeta series of
-:mod:`motiveforge.moduli_formulas`.  :func:`make_hodge_env` keeps one
+their own lifts), the bundle classes, lambda tables and zeta series of
+:mod:`motiveforge.moduli_formulas`, and the d-free ADHM value H_r(1) per
+(r, p) of :mod:`motiveforge.adhm`.  :func:`make_hodge_env` keeps one
 environment per genus, so every hodge query on one curve shares these
 values; :func:`make_weil_env` builds a new environment per call, so no
 value crosses from one trial to the next.
@@ -76,7 +77,9 @@ class AtomEnvironment:
     :attr:`lift` and :attr:`cache` are built on first use and kept with
     the environment; the cache holds what is read of the curve alone, so a
     hodge environment, one per genus (:func:`make_hodge_env`), builds each
-    such value once for every query at that genus.
+    such value once for every query at that genus: the bundle class once
+    per r, and the ADHM class once per (r, p), whatever the degree.  Its
+    keys are a name, or a name followed by ints, so no key holds a value.
     """
 
     genus: int

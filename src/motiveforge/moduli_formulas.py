@@ -322,8 +322,9 @@ def _cut(env: AtomEnvironment, key, order: int, build) -> TruncatedSeries:
 
 def _lambda_tables(env: AtomEnvironment,
                    reads: List[Tuple[str, int]]) -> Dict[str, TruncatedSeries]:
-    """One lambda series per class read, to the largest index read; each
-    class is ell*h1 + sum(geometric) (:func:`lambda_series`)."""
+    """One lambda series per class read, to the largest index read, cached
+    under the class's name; each class is ell*h1 + sum(geometric)
+    (:func:`lambda_series`)."""
     top: Dict[str, int] = {}
     for name, n in reads:
         top[name] = max(top.get(name, 0), n)
@@ -333,7 +334,7 @@ def _lambda_tables(env: AtomEnvironment,
         _PLUS: (1, (1, L, L * L)),
         _TWIST: (L, (1, L, L * L)),
     }
-    return {name: _cut(env, ("lambda", name), n,
+    return {name: _cut(env, name, n,
                        lambda order: lambda_series(env, *shapes[name], order))
             for name, n in top.items()}
 

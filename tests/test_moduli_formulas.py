@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motiveforge import cli, moduli_formulas
+from motiveforge.adhm import adhm_class
 from motiveforge.base_rings import UV, UVLaurent, exact_divide
 from motiveforge.cli import EXIT_ARITHMETIC_ERROR, EXIT_INVALID_INPUT, EXIT_PASS, main
 from motiveforge.curve_ring import h1_series, jacobian_class, make_hodge_env, make_weil_env
@@ -316,6 +317,18 @@ class TestMotiveEpolyConsistency:
         # d = 1 and d = 2 sum over different strata; the totals agree
         env = make_hodge_env(g)
         assert motive(env, ModuliSpec.from_p(g, 3, 1, p)) == motive(env, ModuliSpec.from_p(g, 3, 2, p))
+
+    @given(st.integers(min_value=2, max_value=4), st.sampled_from([2, 3]),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=-7, max_value=7),
+           st.integers(min_value=-7, max_value=7), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_weil_motive_d_independent_and_equal_to_adhm(self, g, r, p, d, d2, seed):
+        # in one weil environment the strata sums at two coprime degrees
+        # agree, and both equal the ADHM class, which reads no degree
+        assume(d != d2 and math.gcd(r, d) == math.gcd(r, d2) == 1)
+        env = make_weil_env(g, seed)
+        assert motive(env, ModuliSpec.from_p(g, r, d, p)) == \
+            motive(env, ModuliSpec.from_p(g, r, d2, p)) == adhm_class(env, r, p)
 
     def test_motive_rejects_genus_mismatch(self):
         env = make_weil_env(3, 1)

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 from itertools import combinations
 import json
+import math
 import os
 from pathlib import Path
 import re
@@ -17,7 +18,7 @@ import subprocess
 import sys
 
 import motiveforge
-from motiveforge import cli, curve_ring, moduli_formulas
+from motiveforge import adhm, cli, curve_ring, moduli_formulas
 from motiveforge.adhm import adhm_class, partition_sum, plog_series
 from motiveforge.cli import identity_test
 from motiveforge.curve_ring import AtomEnvironment, frobenius, make_hodge_env, make_weil_env
@@ -118,11 +119,12 @@ def test_hodge_cache_is_not_aliased():
     assert cache["jac"] == curve_ring.h1_poly(new, 1)
     for r in (2, 3):
         assert cache[("bundle", r)] == moduli_formulas._bundle_class(new, r)
-    lambdas = [key for key in cache if key[0] == "lambda"]
+    names = (moduli_formulas._CURVE, moduli_formulas._PLUS, moduli_formulas._TWIST)
+    lambdas = [key for key in cache if key in names]
     assert len(lambdas) == 3
     for key in lambdas:
         s = cache[key]
-        assert s.coeffs == moduli_formulas._lambda_tables(new, [(key[1], s.order)])[key[1]].coeffs
+        assert s.coeffs == moduli_formulas._lambda_tables(new, [(key, s.order)])[key].coeffs
     assert cache["zeta"].coeffs == moduli_formulas._zeta_series(new, cache["zeta"].order).coeffs
 
     name = moduli_formulas._CURVE
@@ -248,6 +250,40 @@ def test_one_environment_and_one_set_of_curve_classes_per_genus(monkeypatch):
     assert counts["bundles"] == {2: 1, 3: 1}
 
 
+def test_one_hodge_adhm_class_per_rank_and_twist(monkeypatch):
+    # the ADHM side reads no degree: in a serial grid the hodge environment
+    # of a genus runs the double sum once per (r, p), for every d and every
+    # pass over the grid, while each weil trial, a new environment, runs it
+    # for itself
+    make_hodge_env.cache_clear()
+    hodge = make_hodge_env(2)
+    calls = {"hodge": Counter(), "weil": 0}
+    connected = adhm._connected
+
+    def counting(env, orders, r, p):
+        if env is hodge:
+            calls["hodge"][r, p] += 1
+        elif isinstance(env.lefschetz, Fraction):
+            calls["weil"] += 1
+        return connected(env, orders, r, p)
+
+    monkeypatch.setattr(adhm, "_connected", counting)
+    trials = 2
+    for _ in range(2):
+        for d in (1, 2):
+            for p in (1, 2):
+                report = identity_test(partial(adhm_class, r=3, p=p),
+                                       partial(motive, spec=ModuliSpec.from_p(2, 3, d, p)),
+                                       2, trials=trials, seed=5, hodge=True, cell=(2, 3, d, p))
+                assert report.passed and report.hodge_equal
+    assert calls == {"hodge": {(3, 1): 1, (3, 2): 1}, "weil": 2 * 2 * 2 * trials}
+    for p in (1, 2):
+        fresh = AtomEnvironment(genus=2, lefschetz=hodge.lefschetz, betas=hodge.betas)
+        assert adhm_class(hodge, 3, p) == adhm_class(fresh, 3, p)
+        assert hodge.cache[("adhm", 3, p)] == fresh.cache[("adhm", 3, p)]
+    assert calls["hodge"] == {(3, 1): 1, (3, 2): 1}
+
+
 def test_weil_trials_share_no_environment_or_cache(monkeypatch):
     # every trial builds its own environment: the same seed gives an equal
     # environment, never the same object, and no cached value is shared
@@ -293,6 +329,29 @@ def test_memos_are_keyed_by_ints_only():
                         for a in args):
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert memos and not found, found
+
+
+def test_environment_cache_keys_are_a_name_and_ints():
+    # the rule above, for AtomEnvironment.cache: after a mixed batch, each
+    # key of a genus environment and of its Adams twins is a name or a name
+    # followed by ints, so no key holds an environment or a value
+    def named(key):
+        return type(key) is str or (type(key) is tuple and type(key[0]) is str
+                                    and all(type(x) is int for x in key[1:]))
+
+    for g in (2, 3):
+        env = make_hodge_env(g)
+        for r in (1, 2, 3):
+            for p in (1, 2):
+                adhm_class(env, r, p)
+                for d in (1, 2):
+                    if math.gcd(r, d) == 1:
+                        spec = ModuliSpec.from_p(g, r, d, p)
+                        assert epoly(spec) == motive(env, spec)
+        twins = [v for v in env.cache.values() if isinstance(v, AtomEnvironment)]
+        keys = [key for e in [env] + twins for key in e.cache]
+        assert twins and ("adhm", 3, 2) in keys and ("bundle", 3) in keys
+        assert all(named(key) for key in keys), [k for k in keys if not named(k)]
 
 
 def test_query_and_environment_fields_are_pinned():
