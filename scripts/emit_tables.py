@@ -12,7 +12,7 @@ Usage:
 import argparse
 import sys
 
-from motiveforge.cli import EXIT_INVALID_INPUT, _parse_range
+from motiveforge.cli import EXIT_INVALID_INPUT, parse_range
 from motiveforge.moduli_formulas import (
     INPUT_BUDGET, InvalidSpec, ModuliSpec, dimension, epoly, poincare)
 
@@ -37,9 +37,9 @@ def betti_count(text: str) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--g", type=_parse_range, default=[2, 3])
-    ap.add_argument("--r", type=_parse_range, default=[1, 2, 3])
-    ap.add_argument("--p", type=_parse_range, default=[1, 2])
+    ap.add_argument("--g", type=parse_range, default=[2, 3])
+    ap.add_argument("--r", type=parse_range, default=[1, 2, 3])
+    ap.add_argument("--p", type=parse_range, default=[1, 2])
     ap.add_argument("--betti-head", type=betti_count, default=6,
                     help="how many Betti numbers to tabulate")
     ap.add_argument("--format", choices=("latex", "csv"), default="csv")

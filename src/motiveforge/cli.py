@@ -220,7 +220,7 @@ def run_adhm_grid(
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str) -> List[int]:
+def parse_range(text: str) -> List[int]:
     """'2..4' -> [2, 3, 4]; '3' -> [3]; '1,2' -> [1, 2].
 
     A reversed range such as '3..2' is an error, not an empty grid that
@@ -277,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     verify = subs.add_parser("verify-adhm", help="identity-test the ADHM formula on a grid")
-    verify.add_argument("--g", type=_parse_range, default=[2], help="genus range, e.g. 2..3")
-    verify.add_argument("--r", type=_parse_range, default=[1, 2, 3], help="rank range")
-    verify.add_argument("--p", type=_parse_range, default=[1], help="twist offset range")
-    verify.add_argument("--d", type=_parse_range, default=[1], help="degree list, e.g. 1,2")
+    verify.add_argument("--g", type=parse_range, default=[2], help="genus range, e.g. 2..3")
+    verify.add_argument("--r", type=parse_range, default=[1, 2, 3], help="rank range")
+    verify.add_argument("--p", type=parse_range, default=[1], help="twist offset range")
+    verify.add_argument("--d", type=parse_range, default=[1], help="degree list, e.g. 1,2")
     verify.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--hodge", choices=("auto", "on", "off"), default="auto",

@@ -501,6 +501,9 @@ def _zeta_series(env: AtomEnvironment, order: int) -> TruncatedSeries:
 
 
 def epoly_rank1(spec: ModuliSpec) -> UVLaurent:
+    """E-polynomial of the rank-1 moduli, exact in u, v."""
+    if spec.r != 1:
+        raise InvalidSpec("epoly_rank1 needs r = 1")
     g, dL = spec.g, spec.dL
     env = make_hodge_env(g)
     return UV ** (1 - dL - g) * jacobian_class(env)

@@ -14,8 +14,8 @@ literals 0 and 1, and ``bool()`` false exactly at zero works):
 * :class:`TRational` - a ring element over an integer scale and a
   *factored* constant denominator prod (1 - c).  The hodge ADHM route's
   s-coefficients are these, with ``UVLaurent`` numerators of int
-  coefficients and c a power of L: the denominator is never expanded until
-  :func:`eval_at_one` divides by it once, and then by the scale.
+  coefficients and c a power of L: nothing is divided until
+  :func:`eval_at_one` divides by each factor 1 - c, and then by the scale.
 * :class:`BiSeries` - a bivariate Laurent window truncated by total degree.
   It builds the integer kernel of the one double coefficient extraction in
   the rank-3 E-polynomial; the ring-valued series are convolved against
@@ -214,8 +214,11 @@ def eval_at_one(h: TruncatedSeries, k: int):
     past the known coefficients raises InsufficientTruncation.
 
     A :class:`TRational` value is divided by its denominator prod (1 - c)
-    with one ``exact_divide``, whose NotDivisible means the value is no
-    Laurent polynomial in the coefficient ring, and then by its scale.
+    one factor 1 - c at a time, each a binomial 1 - L^k in the Hodge
+    realization, which is all ``exact_divide`` takes; over the unique
+    factorization domain Q[u^+-1, v^+-1] that is exact exactly when the
+    division by the product is.  A NotDivisible means the value is no
+    Laurent polynomial in the coefficient ring.  Last comes the scale.
     """
     for i in range(k):
         if h.coeff(i):
@@ -223,10 +226,10 @@ def eval_at_one(h: TruncatedSeries, k: int):
     value = h.coeff(k)
     if not isinstance(value, TRational):
         return value
-    den = 1
+    num = value.num
     for c in value.den:
-        den = den * (1 - c)
-    return exact_divide(value.num, den) * Fraction(1, value.scale)
+        num = exact_divide(num, 1 - c)
+    return num * Fraction(1, value.scale)
 
 
 # ---------------------------------------------------------------------------

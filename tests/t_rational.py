@@ -271,7 +271,7 @@ def eval_at_one(a: TRational):
     numerator must be exactly divisible by the resulting power of (1 - t)
     (otherwise the value genuinely diverges and PoleAtOne is raised).  The
     remaining denominator value prod (1 - c) * prod (m) is divided out
-    exactly in the coefficient ring.
+    exactly in the coefficient ring, one factor 1 - c at a time.
     """
     num = dict(a.num)
     pole_orders = []
@@ -294,12 +294,8 @@ def eval_at_one(a: TRational):
     scalar = 1
     for m in pole_orders:
         scalar *= m
-    denom_value = None
     for c, m in other:
-        factor = 1 - c
-        denom_value = factor if denom_value is None else denom_value * factor
-    if denom_value is not None:
-        value = exact_divide(value, denom_value)
+        value = exact_divide(value, 1 - c)
     if scalar != 1:
         value = exact_divide(value, scalar)
     return value

@@ -1,6 +1,7 @@
 """Exact arithmetic in the coefficient rings."""
 
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from motiveforge.base_rings import (
     _kronecker,
     exact_divide,
 )
+from motiveforge.series_engine import TRational, TruncatedSeries, eval_at_one
 from uv_reference import ZeroPolynomial, power_substitute, total_degree
 
 rationals = st.fractions(
@@ -91,10 +93,22 @@ def binomials(draw):
     return UVLaurent({(lo[0] + step[0], lo[1] + step[1]): lc, lo: c0}), step
 
 
+@st.composite
+def monomials(draw):
+    """lc*X^e with a lead of +-1 or not a unit."""
+    e = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return UVLaurent.monomial(*e, draw(st.sampled_from((1, -1, 2, Fraction(-2, 3)))))
+
+
+def divisors():
+    """The polynomial divisors exact_divide takes: a monomial or a binomial."""
+    return st.one_of(monomials(), binomials().map(lambda drawn: drawn[0]))
+
+
 def _two_level_divide(num, den):
     """Exact division as nested long division, by u-degree outside and by
     v-degree inside, after shifting both operands to ordinary polynomials;
-    the reference the one-pass box walk of exact_divide is compared with."""
+    the reference exact_divide is compared with."""
     if not num:
         return UVLaurent()
     nmu = min(a for (a, _), _ in num.items())
@@ -210,7 +224,7 @@ class TestUVLaurent:
         assert dense * sparse == schoolbook_product(dense, sparse)
         assert dense * (dense * Fraction(1, 3)) == schoolbook_product(dense, dense) * Fraction(1, 3)
 
-    @given(laurents(), laurents(zero_ok=False))
+    @given(laurents(), divisors())
     @settings(max_examples=60, deadline=None)
     def test_exact_divide_roundtrip(self, a, b):
         assert exact_divide(a * b, b) == a
@@ -227,6 +241,13 @@ class TestUVLaurent:
         with pytest.raises(NotDivisible):
             exact_divide(UV, UV - 1)
 
+    def test_more_than_two_terms_raise(self):
+        # a product of binomials is divided one factor at a time instead
+        for den in (1 + U + V, (1 - UV) * (1 - U * V * V)):
+            for num in (den, den * (1 + U), 0):
+                with pytest.raises(ValueError, match="more than two terms"):
+                    exact_divide(num, den)
+
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             exact_divide(UVLaurent.const(1), UVLaurent())
@@ -242,7 +263,7 @@ class TestUVLaurent:
         assert exact_divide(2 * UV - 4, Fraction(2, 3)) == 3 * UV - 6
         assert exact_divide(2, 1 + U - U) == 2
 
-    @given(laurents(max_terms=6), laurents(max_terms=4, zero_ok=False),
+    @given(laurents(max_terms=6), divisors(),
            st.fractions(min_value=-9, max_value=9, max_denominator=7)
            .filter(lambda x: x not in (0, 1, -1)))
     @settings(max_examples=80, deadline=None)
@@ -255,7 +276,7 @@ class TestUVLaurent:
             assert q == _two_level_divide(num, den)
             assert all(type(x) is int or x.denominator != 1 for _, x in q.items())
 
-    @given(laurents(max_terms=5), laurents(max_terms=4, zero_ok=False),
+    @given(laurents(max_terms=5), divisors(),
            st.integers(min_value=-7, max_value=7), st.integers(min_value=-7, max_value=7),
            rationals.filter(lambda x: x != 0))
     @settings(max_examples=80, deadline=None)
@@ -268,21 +289,24 @@ class TestUVLaurent:
         with pytest.raises(NotDivisible):
             _two_level_divide(num, b)
 
-    @given(laurents(max_terms=5, zero_ok=False), laurents(max_terms=5, zero_ok=False),
-           st.booleans())
+    @given(laurents(max_terms=5, zero_ok=False), divisors(), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_narrower_numerator_not_divisible(self, num, den, along_v):
-        # the quotient box is empty in a coordinate where num spans less than den
+        # a multiple of den spans at least as much as den in each coordinate;
+        # num's exponents are folded into fewer values than den spans
         def span(f, i):
             es = [k[i] for k, _ in f.items()]
             return max(es) - min(es)
 
         i = 1 if along_v else 0
+        assume(span(den, i))
+        num = UVLaurent({tuple(e % span(den, i) if j == i else e for j, e in enumerate(k)): x
+                         for k, x in num.items()})
         assume(span(num, i) < span(den, i))
         with pytest.raises(NotDivisible):
             exact_divide(num, den)
 
-    @given(laurents(max_terms=6), laurents(max_terms=4, zero_ok=False))
+    @given(laurents(max_terms=6), divisors())
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_two_level_reference(self, num, den):
         try:
@@ -298,8 +322,7 @@ class TestUVLaurent:
         max_size=8).map(UVLaurent)), binomials(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_binomial_divisor(self, q, binomial, data):
-        # a two-term divisor with a unit lead is divided chain by chain
-        # along its step; the rest take the box walk
+        # a two-term divisor is divided chain by chain along its step
         den, (du, dv) = binomial
         num = q * den
         got = exact_divide(num, den)
@@ -320,6 +343,34 @@ class TestUVLaurent:
                 exact_divide(changed, den)
             with pytest.raises(NotDivisible):
                 _two_level_divide(changed, den)
+
+    @given(laurents(max_terms=4, zero_ok=False), st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.integers(1, 4), max_size=2), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_eval_at_one_divides_factor_by_factor(self, q, k, j, extra, scale):
+        # a denominator with a repeated and a distinct power of L = uv is
+        # divided one factor at a time, as the product is by the reference
+        assume(k != j)
+        powers = [k, k, j] + extra
+        factors = [1 - UV ** e for e in powers]
+        product = math.prod(factors)
+        num = q * product
+
+        def at_one(numerator):
+            value = TRational(numerator, [UV ** e for e in powers], scale)
+            return eval_at_one(TruncatedSeries([value], order=0), 0)
+
+        assert at_one(num) == _two_level_divide(num, product) * Fraction(1, scale)
+        assert at_one(num) == q * Fraction(1, scale)
+        # without one copy of the repeated factor, q must supply it
+        short = q * math.prod(factors[1:])
+        try:
+            _two_level_divide(short, product)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                at_one(short)
+        else:
+            assume(False)
 
     def test_power_substitute(self):
         f = 1 - 2 * U + 3 * UV

@@ -20,10 +20,10 @@ from motiveforge.cli import (
     EXIT_IDENTITY_FAILURE,
     EXIT_INVALID_INPUT,
     EXIT_PASS,
-    _parse_range,
     _trial_seed,
     identity_test,
     main,
+    parse_range,
 )
 from motiveforge.curve_ring import jacobian_class
 from motiveforge.moduli_formulas import INPUT_BUDGET, InvalidSpec, ModuliSpec, motive
@@ -35,15 +35,15 @@ def _must_not_run(*args, **kwargs):
 
 class TestRangeParsing:
     def test_forms(self):
-        assert _parse_range("2..4") == [2, 3, 4]
-        assert _parse_range("3") == [3]
-        assert _parse_range("1,2") == [1, 2]
+        assert parse_range("2..4") == [2, 3, 4]
+        assert parse_range("3") == [3]
+        assert parse_range("1,2") == [1, 2]
 
     def test_reversed_range_rejected(self):
         with pytest.raises(argparse.ArgumentTypeError):
-            _parse_range("3..2")
+            parse_range("3..2")
         with pytest.raises(argparse.ArgumentTypeError):
-            _parse_range("1,4..2")
+            parse_range("1,4..2")
 
     @pytest.mark.parametrize("flags, value", [
         (["--d", "1,1"], 1),
@@ -413,12 +413,12 @@ class TestCommands:
         # every value of a list counts against the budget, not each range alone
         monkeypatch.setattr("motiveforge.cli._adhm_cell", _must_not_run)
         with pytest.raises(argparse.ArgumentTypeError, match="input budget"):
-            _parse_range(values)
+            parse_range(values)
         with pytest.raises(SystemExit) as exc:
             main(["verify-adhm", "--p", values, "--r", "1"])
         assert exc.value.code == EXIT_INVALID_INPUT
         assert "input budget" in capsys.readouterr().err
-        assert len(_parse_range("1..500,501..1000")) == INPUT_BUDGET
+        assert len(parse_range("1..500,501..1000")) == INPUT_BUDGET
 
     def test_over_budget_grid_exits_invalid_input(self, monkeypatch, capsys):
         # each range is within the budget, the 897,000 cells are not

@@ -25,6 +25,9 @@ from motiveforge.moduli_formulas import (
     bundle_moduli_class,
     dimension,
     epoly,
+    epoly_rank1,
+    epoly_rank2,
+    epoly_rank3,
     morse_index,
     motive,
     poincare,
@@ -54,6 +57,12 @@ class TestModuliSpec:
             ModuliSpec(g=2, r=2, d=1, dL=-2)
         with pytest.raises(InvalidSpec):
             ModuliSpec(g=2, r=4, d=1, dL=-3)
+
+    @pytest.mark.parametrize("formula, r", [(epoly_rank1, 2), (epoly_rank2, 3),
+                                            (epoly_rank3, 1)])
+    def test_epoly_rank_formulas_refuse_another_rank(self, formula, r):
+        with pytest.raises(InvalidSpec, match=f"{formula.__name__} needs r = "):
+            formula(ModuliSpec.from_p(2, r, 1, 1))
 
     def test_input_budget(self):
         # dim M = 1 - r^2 dL exceeds g, p and |dL|, so it alone is bounded

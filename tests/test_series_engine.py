@@ -413,7 +413,7 @@ class TestConstantDenominator:
         assert bool(x) == (value != 0)
         assert not x * 0 and not x + x * -1
 
-    def test_eval_at_one_divides_the_denominator_once(self):
+    def test_eval_at_one_divides_by_the_denominator_then_the_scale(self):
         value = series_engine.TRational(2 * (1 - UV) * (1 - UV ** 2), (UV, UV ** 2))
         zero = series_engine.TRational(UVLaurent(), (UV,))
         h = TruncatedSeries([zero, value], order=1)
