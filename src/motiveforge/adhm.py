@@ -37,11 +37,15 @@ s^(r-1) coefficient.  A partition's cells, shift and binomial rows are
 built once per (n, p, g, j, terms), by a bounded memo keyed by ints only
 (:func:`_skeleton`); each call adds the environment's pole check, weights
 and products, read off the environment's cached integer lift
-(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`).  Every product of
-coefficient lists is :func:`motiveforge.series_engine.truncated_product`,
-the package's one truncated-product loop.  The realizations differ only
-in how each coefficient is divided, once: weil makes one Fraction, hodge
-one :class:`motiveforge.series_engine.TRational`, divided at t = 1.
+(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`), one partition at a
+time (:func:`_quotients`).  Every product of coefficient lists is
+:func:`motiveforge.series_engine.truncated_product`, the package's one
+truncated-product loop.  The realizations differ in how the partitions'
+coefficients are divided: hodge makes one
+:class:`motiveforge.series_engine.TRational` per coefficient, divided at
+t = 1; weil sums the partitions and takes the logarithm on ints over one
+integer scale per Adams index, and makes one Fraction per s-coefficient
+of each Adams index it reads.
 
 The class has no degree, so :func:`adhm_class` keeps H_r(1) in the
 environment's cache (:meth:`motiveforge.curve_ring.AtomEnvironment.cached`)
@@ -51,9 +55,11 @@ and a weil environment, one per trial, once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -142,9 +148,18 @@ def _connected(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> L
     psi_j F_n (:func:`partition_sum`) sits at T^(j n), so the logarithm is
     taken in U = T^j to U^(top), top the largest m / j; an Adams index j
     dividing none of the orders adds nothing to them and is skipped.
+
+    On the weil route F_n comes as ints over its own scale (R_n, E_n),
+    read from the environment's cache at the terms :func:`partition_sum`
+    built it to, its order + 1; B_n = P d^(E_n) R_n.  Multiplying its s^i coefficient by
+    (R / R_n)^(i + n) d^(n (E - E_n)) lifts it to one scale, R the lcm of
+    the R_n and E the largest E_n, so the logarithm runs on ints in s / R
+    and U / B, and its U^k coefficient m_k / k makes one Fraction per
+    s^i coefficient, weighted by mu(j) / (j R^i B^k).
     """
     if not orders or min(orders) < 1:
         raise ValueError("rank must be >= 1")
+    weil = isinstance(env.lefschetz, Rational)
     zero = TruncatedSeries([], order=r - 1)
     acc = {m: zero for m in orders}
     for j in range(1, max(orders) + 1):
@@ -154,11 +169,27 @@ def _connected(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> L
             continue
         fenv = frobenius(env, j)
         top = max(reads)
-        logs = series_log(TruncatedSeries(
-            [1] + [partition_sum(fenv, n, p, j, r) for n in range(1, top + 1)], order=top))
-        weight = Fraction(mu, j)
+        charges = [partition_sum(fenv, n, p, j, r) for n in range(1, top + 1)]
+        if weil:
+            terms = charges[0].order + 1
+            scales = [fenv.cache[("scale", n, p, j, terms)] for n in range(1, top + 1)]
+            R, E = math.lcm(*(s[0] for s in scales)), max(s[1] for s in scales)
+            d = fenv.lefschetz.denominator
+            for n, ((R_n, E_n), f) in enumerate(zip(scales, charges), 1):
+                u, c = R // R_n, d ** (n * (E - E_n))
+                charges[n - 1] = TruncatedSeries(
+                    [x * c * u ** (i + n) for i, x in enumerate(f.coeffs)], order=f.order)
+            B = fenv.lift[0] * d ** E * R
+        logs = series_log(TruncatedSeries([1] + charges, order=top))
         for k in reads:
-            acc[j * k] = acc[j * k] + logs.coeff(k) * weight
+            term = logs.coeff(k)
+            if weil:
+                scale = j * B ** k
+                term = TruncatedSeries([Fraction(mu * x.numerator, x.denominator * scale * R ** i)
+                                        for i, x in enumerate(term.coeffs)], order=term.order)
+            else:
+                term = term * Fraction(mu, j)
+            acc[j * k] = acc[j * k] + term
     clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
     return [acc[m] * clearing for m in orders]
 
@@ -212,10 +243,11 @@ def _skeleton(n: int, p: int, g: int, j: int, terms: int) -> Tuple[tuple, ...]:
     return tuple(out)
 
 
-def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> TruncatedSeries:
-    """s^(j n) psi_j F_n: psi_j of the charge-n term F_n, expanded at
-    t = 1 + s and weighted by s^(T-degree), from the j-th Frobenius
-    environment, to s^(terms - 1).
+def _quotients(env: AtomEnvironment, n: int, p: int, j: int, terms: int):
+    """The pole check of every partition of n, then, for each whose shift
+    keeps a coefficient below s^terms, (shift, kscale, pole scale,
+    constants c, P_0, Q_k): :func:`partition_sum`'s expansion of its term
+    on plain lists from :func:`_skeleton`'s rows, for both realizations.
 
     psi_j is t -> t^j on top of the Frobenius environment.  A cell of arm a
     and hook h, x its base t-exponent, gives sum_i w_i t^(j (x + h i)),
@@ -224,35 +256,24 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
     (u - c) - c sum_k C(j h, k) s^k, over s when c == u.  Only the zero-arm
     cells' first factors may vanish at t = 1 (PoleAtOne names any other's
     charge, partition and j), so a partition's weighted term is a power
-    series shifted by j n - (zero-arm cells), built below s^terms only, on
-    plain lists from :func:`_skeleton`'s rows.  With P_0 the denominator's
-    constant term,
-    num / den = sum_k Q_k / P_0^(k+1) s^k, where
+    series shifted by j n - (zero-arm cells).  With P_0 the denominator's
+    constant term, num / den = sum_k Q_k / P_0^(k+1) s^k, where
     Q_k = num_k P_0^k - sum_{i=1..k} den_i Q_(k-i) P_0^(i-1) stays in the
-    coefficient ring; each coefficient is divided once, by the route the
-    environment's L selects:
-
-    * weil, L an int or a Fraction: the environment's lift gives P, the
-      product of the atom denominators, and the ints F_i = P e_i; with
-      L = n / d, the weights of a cell get P d^(a (p + 2g)) and each
-      factor is d^m - n^m t^(j h), so the Q_k are ints and each makes one
-      Fraction, over P_0^(k+1) P^n d^kscale (d^(-kscale) times Q_k when
-      kscale < 0);
-    * hodge, any other L (a UVLaurent): P = d = 1, so
-      P_0 = prod_poles(-j h) prod (1 - c) over the other factors' powers c
-      of L, and Q_k / P_0^(k+1) is the :class:`TRational` Q_k over the
-      scale prod_poles(-j h)^(k+1) and k + 1 copies of the c.
+    coefficient ring.  On the weil route, L an int or a Fraction n / d, the
+    environment's lift gives P, the product of the atom denominators, and
+    the ints F_i = P e_i; the weights of a cell get P d^(a (p + 2g)) and
+    each factor is d^m - n^m t^(j h), so the Q_k are ints and the term's
+    true coefficients are Q_k / (P_0^(k+1) P^n d^kscale).  On the hodge
+    route P = d = 1 and P_0 = (pole scale) prod (1 - c).
     """
-    weil = isinstance(env.lefschetz, (int, Fraction))
-    P, e = env.lift
+    L = env.lefschetz
+    ell, d = (L.numerator, L.denominator) if isinstance(L, Rational) else (L, 1)
+    e = env.lift[1]
     top = len(e) - 1
-    d = getattr(env.lefschetz, "denominator", 1)
-    ell = env.lefschetz if d == 1 else env.lefschetz.numerator
     units = [d ** m for m in range(n + 1)]
     ells = [ell ** m for m in range(n + 1)]
     vanish = [c == u for c, u in zip(ells, units)]
     weights: Dict[int, List] = {}
-    total: List = [0] * terms
     for parts, arms, rest in _skeleton(n, p, env.genus, j, terms):
         poles, allowed = sum(vanish[a] + vanish[a + 1] for a in arms), arms.count(0)
         if poles != allowed:
@@ -283,15 +304,43 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
             for i in range(1, k + 1):
                 acc = acc - dens[i] * q[k - i] * powers[i - 1]
             q.append(acc)
-        if weil:
-            up, down = d ** max(-kscale, 0), P ** n * d ** max(kscale, 0) * p0
-            coeffs = [Fraction(x * up, powers[k] * down) for k, x in enumerate(q)]
-        else:
-            constants = [ells[m] for m, _ in factors]
-            coeffs = [TRational(x, constants * (k + 1), pole_scale ** (k + 1))
-                      for k, x in enumerate(q)]
-        for k, x in enumerate(coeffs, shift):
-            total[k] = total[k] + x
+        yield shift, kscale, pole_scale, [ells[m] for m, _ in factors], p0, q
+
+
+def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> TruncatedSeries:
+    """s^(j n) psi_j F_n: psi_j of the charge-n term F_n, expanded at
+    t = 1 + s and weighted by s^(T-degree), from the j-th Frobenius
+    environment, to s^(terms - 1), summed over the partitions of
+    :func:`_quotients` by the route the environment's L selects:
+
+    * weil, L an int or a Fraction: the ints Phi_n over the term's scale
+      (R, E), R the lcm of the partitions' P_0 and E the least int >= 0
+      with n E >= kscale for each, left in the environment's cache under
+      ("scale", n, p, j, terms); the s^i coefficient of the term is
+      Phi_n[i] / (R^i B^n) with B = P d^E R, so a partition adds
+      Q_k d^(n E - kscale) (R / P_0)^(k+1) R^(shift + n - 1) at i = k + shift,
+      a bare int: no Fraction is made here;
+    * hodge, any other L (a UVLaurent): Q_k / P_0^(k+1) is the
+      :class:`TRational` Q_k over the scale (pole scale)^(k+1) and k + 1
+      copies of the c.
+    """
+    quotients = list(_quotients(env, n, p, j, terms))
+    total: List = [0] * terms
+    if isinstance(env.lefschetz, Rational):
+        R = math.lcm(*(p0 for *_, p0, _ in quotients))
+        E = max([0] + [-(-kscale // n) for _, kscale, *_ in quotients])
+        env.cache[("scale", n, p, j, terms)] = R, E
+        d = env.lefschetz.denominator
+        for shift, kscale, _, _, p0, q in quotients:
+            c, u = d ** (n * E - kscale) * R ** (shift + n - 1), R // p0
+            for k, x in enumerate(q, shift):
+                c *= u
+                total[k] += x * c
+    else:
+        for shift, _, pole_scale, constants, _, q in quotients:
+            for k, x in enumerate(q):
+                coeff = TRational(x, constants * (k + 1), pole_scale ** (k + 1))
+                total[k + shift] = total[k + shift] + coeff
     return TruncatedSeries(total, order=terms - 1)
 
 

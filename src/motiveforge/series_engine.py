@@ -128,21 +128,21 @@ def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
     """Formal logarithm of a series with constant term 1, truncated at s.order.
 
-    Uses the standard recurrence l_n = a_n - (1/n) * sum_{k<n} k * l_k * a_{n-k}
-    so only exact scalar divisions by integers occur.
+    Runs the recurrence m_n = n a_n - sum_{k<n} m_k a_(n-k) for m_n = n l_n,
+    which stays in the coefficient ring (int coefficients give int m_n),
+    and divides once per coefficient: l_n = m_n * (1/n), the only Fraction.
     """
     if s.coeff(0) != 1:
         raise BadConstantTerm("constant term is not 1")
-    order = s.order
-    a = [s.coeff(n) for n in range(order + 1)]
-    log_coeffs: List = [0] * (order + 1)
-    for n in range(1, order + 1):
-        acc = a[n]
+    a = s.coeffs
+    m: List = [0]
+    for n in range(1, s.order + 1):
+        acc = a[n] * n
         for k in range(1, n):
-            term = log_coeffs[k] * a[n - k]
-            acc = acc - term * Fraction(k, n)
-        log_coeffs[n] = acc
-    return TruncatedSeries(log_coeffs, order=order)
+            acc = acc - m[k] * a[n - k]
+        m.append(acc)
+    return TruncatedSeries([x * Fraction(1, n) if n > 1 else x for n, x in enumerate(m)],
+                           order=s.order)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,9 @@ class TRational:
     :func:`eval_at_one`.  A sum is formed over the lcm of the two scales
     and the multiset union of the denominators, a product over the product
     of the scales and the concatenation; a Fraction factor moves its
-    denominator into the scale, so int numerators stay ints.  Nothing
+    denominator into the scale, so int numerators stay ints: the
+    logarithm's 1/n, once per coefficient (:func:`series_log`), and the
+    Moebius weight mu(j)/j.  Nothing
     cancels, and zero carries no denominator.  The name dates from when
     the class was a rational function in t; it is kept because the
     benchmark's traced runs wrap its ``__add__`` and ``__mul__`` and count

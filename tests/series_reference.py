@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from motiveforge.series_engine import TruncatedSeries
+from motiveforge.series_engine import BadConstantTerm, TruncatedSeries
 
 
 def inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -20,6 +20,22 @@ def inverse(s: TruncatedSeries) -> TruncatedSeries:
             acc = acc + a[k] * q[n - k]
         q.append(-acc * lead)
     return TruncatedSeries(q, order=s.order)
+
+
+def log(s: TruncatedSeries) -> TruncatedSeries:
+    """Formal logarithm of a series with constant term 1 by the recurrence
+    l_n = a_n - sum_{k<n} (k/n) l_k a_(n-k), each term weighted by k/n:
+    the reference ``series_log`` is checked against."""
+    if s.coeff(0) != 1:
+        raise BadConstantTerm("constant term is not 1")
+    a = s.coeffs
+    out: List = [0] * (s.order + 1)
+    for n in range(1, s.order + 1):
+        acc = a[n]
+        for k in range(1, n):
+            acc = acc - out[k] * a[n - k] * Fraction(k, n)
+        out[n] = acc
+    return TruncatedSeries(out, order=s.order)
 
 
 def product(a, b, length: int) -> List:

@@ -210,6 +210,47 @@ class TestPlogSeries:
             )
             assert d_sub == pl_twisted
 
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=4),
+           st.one_of(st.tuples(st.just("seed"), st.integers(min_value=0, max_value=10 ** 6)),
+                     st.tuples(st.just("ints"), st.just(6)),
+                     st.tuples(st.just("L"), st.sampled_from(
+                         [2, -2, Fraction(2), Fraction(1, 2), Fraction(-1, 2)]))),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_every_weil_h_m_matches_the_t_rational_reference(self, g, r, p, source, rng):
+        # the weil logarithm runs on ints over one scale per Adams index,
+        # lifted from each charge term's own; every h_m = s^(m-1) H_m, so
+        # several reads per index, equals the reference H_m at t = 1 + s.
+        # A small L makes the factors d^k - n^k small and sharing primes, so
+        # the scale's R is a true lcm; int atoms have P = d = 1
+        env = _weil_env(g, source, rng)
+        got = adhm.plog_series(env, r, p)
+        for m, (h, H) in enumerate(zip(got, plog_series(env, r, p)), 1):
+            assert H.is_polynomial() and h.order == r - 1
+            assert h.coeffs == [_at_one_plus_s(H, i - m + 1) for i in range(r)]
+
+
+def _weil_env(g, source, rng):
+    """A weil environment from ("seed", s), make_weil_env's; ("ints", L),
+    int atoms dividing the int L, paired to it; or ("L", L), random
+    Fraction atoms paired to L."""
+    kind, value = source
+    if kind == "seed":
+        return make_weil_env(g, value)
+    if kind == "ints":
+        first = [rng.choice([-1, 1]) * rng.choice([x for x in range(1, value + 1) if value % x == 0])
+                 for _ in range(g)]
+        return AtomEnvironment(genus=g, lefschetz=value, betas=tuple(first + [value // b for b in first]))
+    first = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(g)]
+    return AtomEnvironment(genus=g, lefschetz=value, betas=tuple(first + [value / b for b in first]))
+
+
+def _at_one_plus_s(H, k):
+    """The s^k coefficient of the Laurent polynomial H(t) at t = 1 + s, 0
+    for k < 0."""
+    return sum(c * _binomial_row(e, k + 1)[k] for e, c in H.num.items()) if k >= 0 else 0
+
 
 class TestAdhmClass:
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=6),
@@ -294,10 +335,29 @@ class TestAdhmClass:
             adhm_class(env, r, 1)
         assert seen and set(seen) == {int}
 
+    @pytest.mark.parametrize("g", [2, 5])
+    def test_weil_makes_fractions_per_adams_read_not_per_partition(self, monkeypatch, g):
+        # the sum over partitions, the logarithm and the Moebius sum run on
+        # ints: adhm makes a Fraction only where an Adams index's U^(r/j)
+        # coefficient is read, one per s-coefficient, so at most r per read
+        made = []
+
+        def recording(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(adhm, "Fraction", recording)
+        for r in (1, 2, 3):
+            reads = sum(1 for j in range(1, r + 1) if r % j == 0 and mobius(j))
+            for p in (1, 2, 3):
+                made.clear()
+                value = adhm_class(make_weil_env(g, 10 * r + p), r, p)
+                assert type(value) is Fraction and 0 < len(made) <= r * reads, (r, p, made)
+
     def test_the_values_choose_the_route(self):
         # no field names the realization: an int or Fraction L takes the
-        # weil route, one Fraction per coefficient, and any other L the
-        # hodge route, one TRational per coefficient; a coefficient no term
+        # weil route, ints over the term's scale, and any other L the hodge
+        # route, one TRational per coefficient; a coefficient no term
         # reaches stays the int 0
         def carriers(env, j):
             coeffs = [x for n in (1, 2) for x in adhm.partition_sum(env, n, 1, j, 3).coeffs]
@@ -307,8 +367,8 @@ class TestAdhmClass:
         assert type(adhm_class(ints, 2, 1)) is Fraction
         weil, hodge = make_weil_env(2, 3), make_hodge_env(2)
         for j in (1, 2, 3):
-            assert carriers(frobenius(ints, j), j) == {Fraction}
-            assert carriers(frobenius(weil, j), j) == {Fraction}
+            assert carriers(frobenius(ints, j), j) == {int}
+            assert carriers(frobenius(weil, j), j) == {int}
             assert carriers(frobenius(hodge, j), j) == {series_engine.TRational}
         built = AtomEnvironment(genus=2, lefschetz=hodge.lefschetz, betas=hodge.betas)
         assert built == hodge and built is not hodge
@@ -411,18 +471,28 @@ class TestLaurentRoute:
            st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_scaled_charge_term_matches_fraction_reference(self, g, n, p, j, terms, seed):
-        # every s-coefficient of the weighted charge term built over ints
-        # scaled by powers of D, each partition only to the coefficients its
-        # shift keeps, equals the one built to full length on the plain
+        # every s-coefficient of the weighted charge term built over ints,
+        # each partition only to the coefficients its shift keeps, equals,
+        # over the term's scale, the one built to full length on the plain
         # Fraction atoms
         env = frobenius(make_weil_env(g, seed), j)
         got = adhm.partition_sum(env, n, p, j, terms)
         want = _charge_at_one_over_fractions(env, n, p, j, terms)
         assert got.order == want.order == terms - 1
+        unscaled = _unscaled(env, got, n, p, j, terms)
         for k in range(terms):
-            # only the shift's leading zeros are ints
-            assert got.coeff(k) == want.coeff(k)
-            assert type(got.coeff(k)) is Fraction or got.coeff(k) == 0
+            # every coefficient is an int, the leading zeros of the shift too
+            assert unscaled[k] == want.coeff(k)
+            assert type(got.coeff(k)) is int
+
+
+def _unscaled(env, series, n, p, j, terms):
+    """The s-coefficients of a weil charge term: the ints of
+    adhm.partition_sum over the scale (R, E) it keeps in the environment's
+    cache, Phi_n[i] / (R^i B^n) with B = P d^E R."""
+    R, E = env.cache[("scale", n, p, j, terms)]
+    B = env.lift[0] * env.lefschetz.denominator ** E * R
+    return [Fraction(x, R ** i * B ** n) for i, x in enumerate(series.coeffs)]
 
 
 def _binomial_row(e, count):

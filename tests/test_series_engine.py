@@ -19,7 +19,7 @@ from motiveforge.series_engine import (
     TruncatedSeries,
     series_log,
 )
-from series_reference import geometric, inverse, product
+from series_reference import geometric, inverse, log, product
 from t_rational import (
     TRational,
     _tp_divide_factor,
@@ -105,6 +105,36 @@ class TestTruncatedSeries:
     def test_log_requires_unit_constant(self):
         with pytest.raises(BadConstantTerm):
             series_log(TruncatedSeries([2, 1], order=3))
+
+    @given(st.sampled_from(["int", "Fraction", "UVLaurent"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_log_matches_the_k_over_n_recurrence(self, kind, data):
+        # one recurrence m_n = n a_n - sum m_k a_(n-k), divided by n once,
+        # against the k/n-weighted one of series_reference; on ints the
+        # m_n stay ints: the only Fractions made are the 1/n of n >= 2
+        ring = {"int": st.integers(-9, 9),
+                "Fraction": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                "UVLaurent": ring_elements.filter(lambda x: isinstance(x, UVLaurent))}[kind]
+        tail = data.draw(st.lists(ring, max_size=6))
+        s = TruncatedSeries([1] + tail, order=len(tail))
+        made = []
+
+        def recording(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series_engine, "Fraction", recording)
+            got = series_log(s)
+        want = log(s)
+        assert got.order == want.order and got.coeffs == want.coeffs
+        assert made == [(1, n) for n in range(2, s.order + 1)]
+        if kind == "int":
+            assert all((x * n).denominator == 1 for n, x in enumerate(got.coeffs))
+        bad = TruncatedSeries([data.draw(ring.filter(lambda x: x != 1))] + tail, order=len(tail))
+        for f in (series_log, log):
+            with pytest.raises(BadConstantTerm, match="constant term is not 1"):
+                f(bad)
 
     @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
                     min_size=1, max_size=5))
