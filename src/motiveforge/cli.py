@@ -259,10 +259,11 @@ def _add_spec_flags(sub) -> None:
     sub.add_argument("--g", type=int, required=True, help="genus, at least 2")
     sub.add_argument("--r", type=int, required=True, help="rank, 1..3")
     sub.add_argument("--d", type=int, default=1, help="degree, coprime to r")
-    sub.add_argument("--p", type=int, default=1,
-                     help="twist offset: twist degree is -(2g-2+p)")
-    sub.add_argument("--dL", type=int, default=None,
-                     help="twist degree directly (overrides --p)")
+    twist = sub.add_mutually_exclusive_group()
+    twist.add_argument("--p", type=int, default=1,
+                       help="twist offset: twist degree is -(2g-2+p)")
+    twist.add_argument("--dL", type=int, default=None,
+                       help="twist degree directly, in place of --p")
     sub.add_argument("--format", choices=("json", "csv", "latex"), default="json")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -314,11 +315,25 @@ def _check_writable(path: str) -> None:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to the file ``out``, or to stdout and flush it, so a
+    failed write raises here and not at interpreter exit: as
+    :class:`InvalidSpec`, the exit code of an unwritable ``--out``."""
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out and sys.stdout is sys.__stdout__:
+            # the interpreter flushes its stdout again at exit: what the
+            # failed write left in the buffer goes to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        where = f"--out {out}" if out else "stdout"
+        raise InvalidSpec(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _cmd_verify_adhm(args) -> int:

@@ -99,9 +99,9 @@ class ModuliSpec:
             raise InvalidSpec(f"gcd(r, d) = gcd({self.r}, {self.d}) != 1")
         if self.dL >= 2 - 2 * self.g:
             raise InvalidSpec(f"twist degree {self.dL} must be < {2 - 2 * self.g}")
-        if 1 - self.r ** 2 * self.dL > INPUT_BUDGET:
-            raise InvalidSpec(f"dim M = 1 - r^2 dL = {1 - self.r ** 2 * self.dL} exceeds "
-                              f"the input budget {INPUT_BUDGET}")
+        dim = dimension(self)
+        if dim > INPUT_BUDGET:
+            raise InvalidSpec(f"dim M = 1 - r^2 dL = {dim} exceeds the input budget {INPUT_BUDGET}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,24 +170,6 @@ def _vhs12_degrees(t: VHSType) -> Tuple[int, int]:
     return t.degs[0] - d, -d
 
 
-def stratum_dimension(t: VHSType, spec: ModuliSpec) -> int:
-    """Dimension of a nonempty stratum of one of the supported shapes."""
-    g, d, dL = spec.g, spec.d, spec.dL
-    ranks = t.ranks
-    if len(ranks) == 1:
-        return ranks[0] ** 2 * (g - 1) + 1
-    if ranks == (1, 1):
-        d1 = t.degs[0]
-        return (d - 2 * d1 - dL) + g
-    if ranks in ((1, 2), (2, 1)):
-        d1, dd = _vhs12_degrees(t)
-        return 3 * g - 2 - 3 * d1 + dd - 2 * dL
-    if ranks == (1, 1, 1):
-        d1, d2 = t.degs[0], t.degs[1]
-        return (-d1 + d2 - dL) + (d - d1 - 2 * d2 - dL) + g
-    raise InvalidSpec(f"unsupported stratum shape {ranks}")
-
-
 def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
     """Rank N+ of the attracting affine bundle over a stratum of ``spec``.
 
@@ -197,15 +179,14 @@ def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
     """
     if t.total_rank != spec.r or t.total_deg != spec.d:
         raise InvalidSpec(f"stratum {t} is not a stratum of {spec}")
-    _lambda_reads(t, spec.dL)  # raises EmptyStratum for an empty stratum
     return _attracting_rank(t, spec, dimension(spec))
 
 
 def _attracting_rank(t: VHSType, spec: ModuliSpec, dim: int) -> int:
-    """N+ = dim M - dim VHS - M/2 of a nonempty stratum of ``spec``, of
-    dimension ``dim``, without :func:`bb_exponent`'s checks that the
-    stratum is one of ``spec``'s and is nonempty."""
-    return dim - stratum_dimension(t, spec) - morse_index(t, -spec.dL, spec.g) // 2
+    """N+ = dim M - dim VHS - M/2 of a stratum of ``spec``, of dimension
+    ``dim``, without :func:`bb_exponent`'s check that the stratum is one of
+    ``spec``'s."""
+    return dim - _stratum_facts(t, spec.g, spec.dL)[1] - morse_index(t, -spec.dL, spec.g) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +257,24 @@ _PLUS = "[X] + L^2"
 _TWIST = "[X]*L + 1"
 
 
-def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
-    """(class, lambda index) pairs the class of a stratum reads.
-
-    A bundle stratum (one part) reads none.  Raises :class:`EmptyStratum`
-    for an empty stratum and :class:`InvalidSpec` for an unsupported shape.
+def _stratum_facts(t: VHSType, g: int, dL: int) -> Tuple[int, int, List[Tuple[str, int]]]:
+    """(k, dimension, reads) of a stratum in genus g: its class is jac^k times
+    a class that reads the lambda-powers ``reads``, (class, lambda index)
+    pairs.  A bundle stratum reads none; a (1,1) or (1,1,1) stratum is Jac
+    times the symmetric powers of X it reads, of dimension g plus its
+    indices.  Raises :class:`EmptyStratum` for an empty stratum and
+    :class:`InvalidSpec` for an unsupported shape.
     """
     ranks = t.ranks
     d = t.total_deg
     if len(ranks) == 1:
-        return []
+        return 0, ranks[0] ** 2 * (g - 1) + 1, []
     if ranks == (1, 1):
         d1 = t.degs[0]
         if not (2 * d1 > d and 2 * d1 <= d - dL):
             raise EmptyStratum(f"(1,1) stratum empty at d1 = {d1}")
-        return [(_CURVE, d - 2 * d1 - dL)]
+        i = d - 2 * d1 - dL
+        return 1, g + i, [(_CURVE, i)]
     if ranks in ((1, 2), (2, 1)):
         d1, dd = _vhs12_degrees(t)
         if not (3 * d1 > dd and 6 * d1 < 2 * dd - 3 * dL):  # dd/3 < d1 < dd/3 - dL/2
@@ -298,14 +282,14 @@ def _lambda_reads(t: VHSType, dL: int) -> List[Tuple[str, int]]:
         index = dd - dd // 3 - 2 * d1 - dL - 1
         if index < 0:
             raise EmptyStratum("negative lambda index in (1,2) stratum")
-        return [(_PLUS, index), (_TWIST, index)]
+        return 2, 3 * g - 2 - 3 * d1 + dd - 2 * dL, [(_PLUS, index), (_TWIST, index)]
     if ranks == (1, 1, 1):
         d1, d2 = t.degs[0], t.degs[1]
         i1 = -d1 + d2 - dL
         i2 = d - d1 - 2 * d2 - dL
         if i1 < 0 or i2 < 0 or 3 * d1 <= d or 3 * (d1 + d2) <= 2 * d:
             raise EmptyStratum(f"(1,1,1) stratum empty at degrees {t.degs}")
-        return [(_CURVE, i1), (_CURVE, i2)]
+        return 1, g + i1 + i2, [(_CURVE, i1), (_CURVE, i2)]
     raise InvalidSpec(f"unsupported stratum shape {ranks}")
 
 
@@ -340,32 +324,32 @@ def _lambda_tables(env: AtomEnvironment,
 
 
 def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
-               tables: Dict[str, TruncatedSeries]) -> Tuple[int, object]:
-    """Class of a stratum as (k, c), meaning jac^k * c.  Lambda-powers are read from ``tables`` (see :func:`_lambda_tables`) at
-    the stratum's ``reads`` (:func:`_lambda_reads`)."""
+               tables: Dict[str, TruncatedSeries]):
+    """The class c of a stratum of class jac^k * c (:func:`_stratum_facts`),
+    with its lambda-powers read from ``tables`` (:func:`_lambda_tables`) at
+    the stratum's ``reads``."""
     if len(t.ranks) == 1:
-        return 0, bundle_moduli_class(env, t.ranks[0], t.total_deg)
+        return bundle_moduli_class(env, t.ranks[0], t.total_deg)
     lam = [tables[name].coeff(n) for name, n in reads]
     if t.ranks == (1, 1):
-        return 1, lam[0]
+        return lam[0]
     if t.ranks == (1, 1, 1):
-        return 1, lam[0] * lam[1]
+        return lam[0] * lam[1]
     d1, dd = _vhs12_degrees(t)
     L = env.lefschetz
     lead = L ** (2 * (dd // 3) - dd + d1 + env.genus + 1)
     # Dividing this cofactor, not cofactor * jac^2, fails in the same cases:
     # hodge L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
     # jac = (1-u)^g (1-v)^g; weil L != 1 is a scalar.
-    return 2, exact_divide(lead * lam[0] - lam[1], L - 1)
+    return exact_divide(lead * lam[0] - lam[1], L - 1)
 
 
 def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
     """Class of a variation-of-Hodge-structure stratum in the realization:
-    the factored form of :func:`_vhs_class` multiplied out, from lambda
-    series built for this one stratum."""
-    reads = _lambda_reads(t, dL)
-    k, c = _vhs_class(env, t, reads, _lambda_tables(env, reads))
-    return jacobian_class(env) ** k * c
+    jac^k * c (:func:`_vhs_class`) multiplied out, from lambda series built
+    for this one stratum."""
+    k, _, reads = _stratum_facts(t, env.genus, dL)
+    return jacobian_class(env) ** k * _vhs_class(env, t, reads, _lambda_tables(env, reads))
 
 
 # ---------------------------------------------------------------------------
@@ -395,97 +379,88 @@ def strata_for(spec: ModuliSpec) -> List[VHSType]:
 @lru_cache(maxsize=256)
 def _strata_plan(g: int, r: int, d: int, dL: int) -> tuple:
     """The part of :func:`motive` no environment changes, for the valid
-    spec (g, r, d, dL): (tops, single, pairs, triples), where
+    spec (g, r, d, dL): (tops, n_plus, single, triples), where
 
     - tops holds (class, top lambda index) per class read;
-    - single holds (N+, strata) per group of bundle, (1,2) and (2,1) strata
-      with one N+ and one number of parts, each stratum evaluated on its own;
-    - pairs holds (N+, [X] indices) per group of (1,1) strata;
-    - triples holds (N+, groups) per group of (1,1,1) strata, with one
-      (i1, lo, hi) per first read ([X], i1): the strata of that first read
-      read [X] at lo, lo + 3, ..., hi, since i2 = d - 3 d1 - 2 i1 - 3 dL.
+    - n_plus holds, at index k, the one N+ of the strata of class jac^k * c
+      (:func:`_stratum_facts`);
+    - single holds (k, stratum, reads) per bundle, (1,1), (1,2) and (2,1)
+      stratum, each evaluated on its own;
+    - triples holds one (i1, lo, hi) per first read ([X], i1) of the
+      (1,1,1) strata: the strata of that first read read [X] at lo, lo + 3,
+      ..., hi, since i2 = d - 3 d1 - 2 i1 - 3 dL.
 
-    Raises :class:`StrataPlanError` when a (1,1,1) group's second reads
-    are not one stride-3 progression.
+    Raises :class:`StrataPlanError` when two strata of one k have different
+    N+, or when the second reads of one first read are not one stride-3
+    progression.
     """
     spec = ModuliSpec(g, r, d, dL)
-    dim = dimension(spec)
     tops: Dict[str, int] = {}
-    single: Dict[Tuple[int, int], list] = {}
-    pairs: Dict[int, list] = {}
-    triples: Dict[int, Dict[int, list]] = {}
+    n_plus: Dict[int, int] = {}
+    single = []
+    seconds: Dict[int, List[int]] = {}
     for t in strata_for(spec):
-        reads = _lambda_reads(t, dL)
+        k, _, reads = _stratum_facts(t, g, dL)
         for name, n in reads:
             tops[name] = max(tops.get(name, 0), n)
-        n_plus = _attracting_rank(t, spec, dim)
-        if t.ranks == (1, 1):
-            pairs.setdefault(n_plus, []).append(reads[0][1])
-        elif t.ranks == (1, 1, 1):
-            triples.setdefault(n_plus, {}).setdefault(reads[0][1], []).append(reads[1][1])
+        exponent = _attracting_rank(t, spec, dimension(spec))
+        if n_plus.setdefault(k, exponent) != exponent:
+            raise StrataPlanError(f"strata of k = {k} (class jac^k * c) have N+ = {n_plus[k]} "
+                                  f"and {exponent} (stratum ranks {t.ranks}, degrees {t.degs})")
+        if t.ranks == (1, 1, 1):
+            seconds.setdefault(reads[0][1], []).append(reads[1][1])
         else:
-            single.setdefault((n_plus, len(t.ranks)), []).append(t)
-    for groups in triples.values():
-        for i1, seconds in groups.items():
-            if sorted(seconds) != list(range(min(seconds), max(seconds) + 1, 3)):
-                raise StrataPlanError(f"(1,1,1) strata with first read {i1} read [X] at "
-                                      f"{sorted(seconds)}, not one stride-3 progression")
-    return (tuple(tops.items()),
-            tuple((n_plus, tuple(strata)) for (n_plus, _), strata in single.items()),
-            tuple((n_plus, tuple(indices)) for n_plus, indices in pairs.items()),
-            tuple((n_plus, tuple((i1, min(s), max(s)) for i1, s in groups.items()))
-                  for n_plus, groups in triples.items()))
+            single.append((k, t, reads))
+    for i1, s in seconds.items():
+        if sorted(s) != list(range(min(s), max(s) + 1, 3)):
+            raise StrataPlanError(f"(1,1,1) strata with first read {i1} read [X] at "
+                                  f"{sorted(s)}, not one stride-3 progression")
+    return (tuple(tops.items()), tuple(n_plus[k] for k in range(len(n_plus))), tuple(single),
+            tuple((i1, min(s), max(s)) for i1, s in seconds.items()))
 
 
 def motive(env: AtomEnvironment, spec: ModuliSpec):
     """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
 
-    The strata come from :func:`_strata_plan`, grouped by (k, first read,
-    N+), with a stratum class jac^k * c (:func:`_vhs_class`) and the first
-    read the lambda factor (1,1,1) classes share.  One lambda series is
-    built per class read, to its top index.
+    The strata come from :func:`_strata_plan`, with a stratum class jac^k * c
+    (:func:`_vhs_class`) and one N+ per k.  One lambda series is built per
+    class read, to its top index.  S_k, the sum of the c of the strata of
+    one k, is built as follows.
 
-    - Bundle, (1,2) and (2,1) strata are evaluated one at a time, so the
-      exact division of each (1,2) cofactor is checked per stratum; a
+    - Bundle, (1,1), (1,2) and (2,1) strata are evaluated one at a time, so
+      the exact division of each (1,2) cofactor is checked per stratum; a
       NotDivisible or ZeroDivisionError there is re-raised naming the
       stratum's ranks and degrees.
-    - The (1,1) group is summed directly.
-    - The (1,1,1) groups read [X] = sum X_i x^i: with partial sums
-      P_i = X_i + P_(i-3), the group of first read i1 is
+    - The (1,1,1) strata read [X] = sum X_i x^i: with partial sums
+      P_i = X_i + P_(i-3), those of first read i1 sum to
       X_i1 * (P_hi - P_(lo-3)).
 
-    The sum over the groups of one N+ and one k is multiplied once by
-    L^(N+), and the total is S_0 + jac * (S_1 + jac * S_2).
+    Each S_k is multiplied once by L^(N+), and the total is
+    S_0 + jac * (S_1 + jac * S_2).
     """
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
-    tops, single, pairs, triples = _strata_plan(spec.g, spec.r, spec.d, spec.dL)
+    tops, n_plus, single, triples = _strata_plan(spec.g, spec.r, spec.d, spec.dL)
     tables = _lambda_tables(env, tops)
-    L = env.lefschetz
-    sums = [0, 0, 0]
-    for n_plus, strata in single:
-        s = 0
-        for t in strata:  # one group shares k
-            try:
-                k, c = _vhs_class(env, t, _lambda_reads(t, spec.dL), tables)
-            except (NotDivisible, ZeroDivisionError) as exc:
-                raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
-            s = s + c
-        sums[k] = sums[k] + L ** n_plus * s
-    xs = tables.get(_CURVE)
-    for n_plus, indices in pairs:
-        sums[1] = sums[1] + L ** n_plus * sum(map(xs.coeff, indices))
+    sums = [0] * len(n_plus)
+    for k, t, reads in single:
+        try:
+            sums[k] = sums[k] + _vhs_class(env, t, reads, tables)
+        except (NotDivisible, ZeroDivisionError) as exc:
+            raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
     if triples:
+        xs = tables[_CURVE]
         partial = [0, 0, 0]  # partial[i + 3] = X_i + X_(i-3) + ...
         for x in xs.coeffs:
             partial.append(partial[-3] + x)
-    for n_plus, groups in triples:
-        s = 0
-        for i1, lo, hi in groups:
-            s = s + xs.coeff(i1) * (partial[hi + 3] - partial[lo])
-        sums[1] = sums[1] + L ** n_plus * s
+        for i1, lo, hi in triples:
+            sums[1] = sums[1] + xs.coeff(i1) * (partial[hi + 3] - partial[lo])
+    L = env.lefschetz
     jac = jacobian_class(env)
-    return sums[0] + jac * (sums[1] + jac * sums[2])
+    total = L ** n_plus[-1] * sums[-1]
+    for k in range(len(n_plus) - 2, -1, -1):
+        total = L ** n_plus[k] * sums[k] + jac * total
+    return total
 
 
 # ---------------------------------------------------------------------------

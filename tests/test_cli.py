@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -31,6 +32,13 @@ from motiveforge.moduli_formulas import INPUT_BUDGET, InvalidSpec, ModuliSpec, m
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("ran after the input should have been refused")
+
+
+class _FullDevice(io.StringIO):
+    """A writer whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestRangeParsing:
@@ -258,6 +266,55 @@ class TestErrorPaths:
         code = main(["epoly", "--g", "2", "--r", "2", "--d", "2", "--out", str(out)])
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["betti", "--g", "2", "--r", "1", "--format", "csv"],
+        ["verify-adhm", "--g", "2", "--r", "1", "--trials", "1"],
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failed_write_exits_invalid_input(self, command, to_file, monkeypatch, tmp_path,
+                                              capsys):
+        # a write that fails after the computation is invalid input, as an
+        # unwritable --out is, not a traceback read as an identity failure
+        import motiveforge.cli as cli_mod
+
+        if to_file:
+            out = tmp_path / "x.out"
+            command = command + ["--out", str(out)]
+            where = f"--out {out}"
+            monkeypatch.setattr(cli_mod, "open", lambda path, mode, **kwargs: _FullDevice()
+                                if mode == "w" else open(path, mode, **kwargs), raising=False)
+        else:
+            where = "stdout"
+            monkeypatch.setattr(sys, "stdout", _FullDevice())
+        assert main(command) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == \
+            f"invalid input: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_full_stdout_exits_invalid_input(self):
+        # stdout is flushed where it is written, so its failure is not left
+        # to interpreter exit; a buffered stdout shows the difference
+        src = str(Path(motiveforge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "motiveforge", "betti", "--g", "2", "--r", "1",
+                 "--format", "csv"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert proc.stderr == f"invalid input: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_p_and_dL_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["epoly", "--g", "2", "--r", "2", "--p", "5", "--dL", "-3"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "argument --dL: not allowed with argument --p" in captured.err
+        assert captured.out == ""
 
     def test_arithmetic_error_exit(self, monkeypatch):
         import motiveforge.cli as cli_mod

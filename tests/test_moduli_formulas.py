@@ -206,6 +206,10 @@ class TestMorseIndexAndExponents:
         for t in strata_for(spec):
             n_plus = moduli_formulas._attracting_rank(t, spec, dimension(spec))
             assert n_plus == bb_exponent(t, spec) == literal[t.ranks]
+        # the plan keeps one N+ per power k of jac: bundle, (1,1) or (1,1,1),
+        # then (1,2) and (2,1)
+        per_k = [literal[(r,)], literal[(1, 1) if r == 2 else (1, 1, 1)], literal[(1, 2)]]
+        assert moduli_formulas._strata_plan(g, r, d, dL)[1] == tuple(per_k[:r])
 
     def test_empty_stratum_raises(self):
         spec = ModuliSpec(g=2, r=2, d=1, dL=-3)
@@ -407,8 +411,8 @@ class TestStrataPlan:
                     seconds = {}
                     for d1, d2 in triple_stratum_degrees(d, dL):
                         seconds.setdefault(-d1 + d2 - dL, []).append(d - d1 - 2 * d2 - dL)
-                    (n_plus, groups), = moduli_formulas._strata_plan(g, 3, d, dL)[3]
-                    assert n_plus == -6 * dL + 3 - 3 * g
+                    _, n_plus, _, groups = moduli_formulas._strata_plan(g, 3, d, dL)
+                    assert n_plus[1] == -6 * dL + 3 - 3 * g
                     assert {i1: list(range(lo, hi + 1, 3)) for i1, lo, hi in groups} == \
                         {i1: sorted(s) for i1, s in seconds.items()}, (g, p, d)
 
@@ -439,6 +443,32 @@ class TestStrataPlan:
             assert main(["motive", "--g", "6", "--r", "3", "--d", "1", "--p", "4"]) == \
                 EXIT_ARITHMETIC_ERROR
             assert "not one stride-3 progression" in capsys.readouterr().err
+        finally:
+            moduli_formulas._strata_plan.cache_clear()
+
+    def test_a_shifted_exponent_in_one_k_is_refused(self, monkeypatch, capsys):
+        # raise N+ of one (1,1,1) stratum by one: its k = 1 no longer has
+        # one exponent, and the plan names k and both exponents
+        rank = moduli_formulas._attracting_rank
+        spec = ModuliSpec.from_p(6, 3, 1, 4)
+        shifted = moduli_formulas.strata_for(spec)[-1]
+        assert shifted.ranks == (1, 1, 1)
+
+        def shift_one(t, spec, dim):
+            return rank(t, spec, dim) + (t == shifted)
+
+        monkeypatch.setattr(moduli_formulas, "_attracting_rank", shift_one)
+        n_plus = -6 * spec.dL + 3 - 3 * spec.g
+        moduli_formulas._strata_plan.cache_clear()
+        try:
+            with pytest.raises(moduli_formulas.StrataPlanError,
+                               match=rf"k = 1 \(.*\) have N\+ = {n_plus} and {n_plus + 1} "):
+                motive(make_weil_env(6, 5), spec)
+            assert main(["motive", "--g", "6", "--r", "3", "--d", "1", "--p", "4"]) == \
+                EXIT_ARITHMETIC_ERROR
+            err = capsys.readouterr().err
+            assert f"k = 1 (class jac^k * c) have N+ = {n_plus} and {n_plus + 1} " in err
+            assert "Traceback" not in err
         finally:
             moduli_formulas._strata_plan.cache_clear()
 
