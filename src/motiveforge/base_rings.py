@@ -19,7 +19,8 @@ caches, the hodge divisions of the benchmark's workloads and of a
 ``verify-adhm --hodge on`` grid at g = 7, 8 were all of such binomials,
 each with a lead coefficient of +-1.  Integer operands stay ints when the
 divisor's lex-leading coefficient is +-1, and a ``Fraction`` appears only
-otherwise.
+otherwise.  Two ints, such as the weil divisions by n^k - d^k for
+L = n / d, give their int quotient, so those divisions are checked too.
 A failed division means some upstream polynomiality claim is violated (or
 a formula was transcribed wrongly), so it raises :class:`NotDivisible`
 instead of returning an approximation.
@@ -302,8 +303,9 @@ def exact_divide(num: Union[UVLaurent, Rat],
                  den: Union[UVLaurent, Rat]) -> Union[UVLaurent, Rat]:
     """Exact quotient q with q * den == num, else raise NotDivisible.
 
-    Scalar operands (int or Fraction) are accepted: two scalars give their
-    rational quotient, an int when it is integral; a scalar beside a
+    Scalar operands (int or Fraction) are accepted: two ints give their int
+    quotient, or NotDivisible; two scalars of which one is a Fraction give
+    their rational quotient, an int when it is integral; a scalar beside a
     ``UVLaurent`` is read as a constant polynomial.
 
     A polynomial divisor has one or two terms; three or more raise
@@ -322,6 +324,11 @@ def exact_divide(num: Union[UVLaurent, Rat],
     if not isinstance(den, UVLaurent):
         if den == 0:
             raise ZeroDivisionError("division by zero scalar")
+        if type(num) is int and type(den) is int:
+            q, rem = divmod(num, den)
+            if rem:
+                raise NotDivisible("no exact quotient: nonzero int remainder")
+            return q
         if not isinstance(num, UVLaurent):
             return _norm(Fraction(num) / Fraction(den))
         den = UVLaurent.const(den)

@@ -353,15 +353,18 @@ def _cmd_verify_adhm(args) -> int:
         "skipped": skipped,
         "all_pass": all_pass,
     }
-    _emit(export.dump_json(payload), args.out)
     if not all_pass:
+        # named before the report is written: a failed write must not hide it
         first = next(rep for rep in reports if not rep.passed)
-        print(
-            f"identity failure at cell g={first.g} r={first.r} d={first.d} p={first.p}",
-            file=sys.stderr,
-        )
-        return EXIT_IDENTITY_FAILURE
-    return EXIT_PASS
+        print(f"identity failure at cell g={first.g} r={first.r} d={first.d} p={first.p}",
+              file=sys.stderr)
+    try:
+        _emit(export.dump_json(payload), args.out)
+    except InvalidSpec as exc:
+        if all_pass:
+            raise
+        print(exc, file=sys.stderr)  # the identity failure outranks the lost report
+    return EXIT_PASS if all_pass else EXIT_IDENTITY_FAILURE
 
 
 def _payload(command: str, spec: ModuliSpec, **fields) -> Dict:

@@ -27,19 +27,21 @@ recurrence, as its lift (:attr:`AtomEnvironment.lift`): with P the product
 of the atoms' denominators (1 for int or UVLaurent atoms), the F_i = P e_i
 are ints.  One P serves every e_i, since each product of distinct atoms
 has a denominator dividing P; a power D^i of their lcm would grow with i.
-Every reading of h1 goes through the lift: in a weil environment
-:func:`lambda_series` and :func:`h1_poly` run on ints and make one
-Fraction per value read, the ADHM expansion divides by P itself, and
+Every reading of h1 goes through the lift.  In a weil environment
+:func:`h1_numerator` and :func:`lifted_lambda_series` run on ints and
+return numerators over P and powers of the argument's denominator, which
+the strata route divides once per class; :func:`lambda_series` makes one
+Fraction per coefficient; the ADHM expansion divides by P itself; and
 :attr:`AtomEnvironment.lambda_values` is F_i / P.
 
 What a query reads of the curve alone is built once per environment and
-kept in its :attr:`AtomEnvironment.cache`: [Jac], the Adams twins (with
-their own lifts), the bundle classes, lambda tables and zeta series of
-:mod:`motiveforge.moduli_formulas`, and the d-free ADHM value H_r(1) per
-(r, p) of :mod:`motiveforge.adhm`.  :func:`make_hodge_env` keeps one
-environment per genus, so every hodge query on one curve shares these
-values; :func:`make_weil_env` builds a new environment per call, so no
-value crosses from one trial to the next.
+kept in its :attr:`AtomEnvironment.cache`: J = P [Jac], the Adams twins
+(with their own lifts), the numerators of the bundle classes and lambda
+tables and the zeta series of :mod:`motiveforge.moduli_formulas`, and the
+d-free ADHM value H_r(1) per (r, p) of :mod:`motiveforge.adhm`.
+:func:`make_hodge_env` keeps one environment per genus, so every hodge
+query on one curve shares these values; :func:`make_weil_env` builds a new
+environment per call, so no value crosses from one trial to the next.
 
 Adams operators act on this model by raising atoms to j-th powers
 (:func:`frobenius`); the accompanying substitution t -> t^j on series is
@@ -204,61 +206,68 @@ def frobenius(env: AtomEnvironment, j: int) -> AtomEnvironment:
     ))
 
 
-def h1_poly(env: AtomEnvironment, arg):
-    """prod_k (1 + b_k * arg) = sum_i e_i * arg^i: the generating value of
-    the exterior powers of the weight-one part, evaluated at a ring element.
-
-    One Horner pass over the lift gives sum_i F_i a^i q^(2g - i), with
-    arg = a / q for a Fraction and q = 1 otherwise.  At a Fraction, or at
-    an int in an environment with P > 1, the value is one Fraction over
-    P q^(2g); otherwise P = q = 1 and the sum is the value."""
-    P, F = env.lift
-    a, q = (arg.numerator, arg.denominator) if isinstance(arg, Fraction) else (arg, 1)
+def h1_numerator(env: AtomEnvironment, a, q=1):
+    """sum_i F_i a^i q^(2g - i) = P q^(2g) h1(a / q), h1(x) = prod_k (1 + b_k x)
+    the generating value of the exterior powers of the weight-one part, by
+    one Horner pass over the lift: an int when a, q and the F_i are ints,
+    h1(a) itself when P = q = 1."""
+    F = env.lift[1]
     num, power = F[-1], 1
     for F_i in reversed(F[:-1]):
         power *= q
         num = num * a + F_i * power
-    if isinstance(arg, Fraction) or (P != 1 and isinstance(arg, int)):
-        return Fraction(num, P * power)
     return num
 
 
+def jacobian_numerator(env: AtomEnvironment):
+    """J = sum_i F_i = P [Jac(X)] (:func:`h1_numerator` at 1), built once
+    per environment."""
+    return env.cached("jac", lambda: h1_numerator(env, 1))
+
+
 def jacobian_class(env: AtomEnvironment):
-    """[Jac(X)] = prod_k (1 + b_k), built once per environment."""
-    return env.cached("jac", lambda: h1_poly(env, 1))
+    """[Jac(X)] = prod_k (1 + b_k) = J / P (:func:`jacobian_numerator`)."""
+    P, J = env.lift[0], jacobian_numerator(env)
+    return J if P == 1 else Fraction(J, P)
 
 
-def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> TruncatedSeries:
-    """The lambda series of ell*h1 + sum(geometric) to x^order:
-    sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x), Macdonald's
-    formula (with ell = 1, geometric = (1, L) the zeta function of X).
-    Each geometric factor is one :meth:`TruncatedSeries.over_geometric`.
-
-    With m the lcm of the denominators of ell and the c, the recurrences
-    run on ints in y = x / m: the y^i coefficient of the P e_i ell^i x^i
-    is F_i (m ell)^i, each c becomes m c, and each x^k coefficient, k >= 1,
-    is one Fraction N_k / (P m^k).  When P = m = 1 they run on the atoms'
-    own ring."""
+def lifted_lambda_series(env: AtomEnvironment, ell, geometric,
+                         order: int) -> Tuple[TruncatedSeries, int]:
+    """(N, m): the recurrences of :func:`lambda_series`, one
+    :meth:`TruncatedSeries.over_geometric` per geometric factor, on the
+    lift.  With m the lcm of the denominators of ell and the c, they run on
+    ints in y = x / m: the y^i coefficient of the P e_i ell^i x^i is
+    F_i (m ell)^i and each c becomes m c, so the x^k coefficient of the
+    lambda series is N_k / (P m^k), N_0 = P; when P = m = 1, N is it."""
     if order < 0:
         raise ValueError("order must be >= 0")
     P, F = env.lift
-    top = min(order, len(F) - 1)
     m = math.lcm(*(x.denominator for x in (ell, *geometric) if isinstance(x, Fraction)))
-    lifted = P != 1 or m != 1
-    if lifted:
+    if P != 1 or m != 1:
         ell = ell.numerator * (m // ell.denominator)
         geometric = [c.numerator * (m // c.denominator) for c in geometric]
     coeffs: List[object] = []
     power = 1
-    for i in range(top + 1):
+    for i in range(min(order, len(F) - 1) + 1):
         coeffs.append(F[i] * power)
         power = power * ell
     s = TruncatedSeries(coeffs, order=order)
     for c in geometric:
         s = s.over_geometric(c, 1)
-    if lifted:
+    return s, m
+
+
+def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> TruncatedSeries:
+    """The lambda series of ell*h1 + sum(geometric) to x^order:
+    sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x), Macdonald's
+    formula (with ell = 1, geometric = (1, L) the zeta function of X), on
+    the lift (:func:`lifted_lambda_series`): when P or m is not 1, each x^k
+    coefficient, k >= 1, is one Fraction N_k / (P m^k)."""
+    s, m = lifted_lambda_series(env, ell, geometric, order)
+    P = env.lift[0]
+    if P != 1 or m != 1:
         s.coeffs[0], scale = 1, P
-        for k in range(1, order + 1 if geometric else top + 1):
+        for k in range(1, order + 1 if geometric else min(order, 2 * env.genus) + 1):
             scale *= m
             s.coeffs[k] = Fraction(s.coeffs[k], scale)
     return s

@@ -32,15 +32,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Dict, List, Tuple
 
 from .base_rings import UV, NotDivisible, UVLaurent, exact_divide
 from .curve_ring import (
     AtomEnvironment,
-    h1_poly,
+    h1_numerator,
     h1_series,
     jacobian_class,
-    lambda_series,
+    jacobian_numerator,
+    lifted_lambda_series,
     make_hodge_env,
 )
 from .series_engine import BiSeries, TruncatedSeries
@@ -218,36 +220,66 @@ def triple_stratum_degrees(d: int, dL: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
-    """Class of the moduli of stable bundles of rank r and coprime degree d.
+    """Class of the moduli of stable bundles of rank r and coprime degree d:
+    that of the bundle stratum (:func:`_vhs_class`), an int when integral.
 
     The class depends on the environment and r alone: d is only checked
     to be coprime to r, on every call, and the class is built once per
     environment and rank."""
     if r == 1:
         return jacobian_class(env)
-    if math.gcd(r, d) != 1:
-        raise InvalidSpec(f"gcd({r}, {d}) != 1")
-    return env.cached(("bundle", r), lambda: _bundle_class(env, r))
+    value = _over_scale(env, r, *_vhs_class(env, VHSType((r,), (d,)), [], {}))
+    return value.numerator if isinstance(value, Fraction) and value.denominator == 1 else value
+
+
+def _lifted(L):
+    """(n, d) with L = n / d: d = 1 unless L is a Fraction."""
+    return (L.numerator, L.denominator) if isinstance(L, Rational) else (L, 1)
+
+
+def _up(x, d, e):
+    """x * d^e, with no product when d = 1 (hodge, or an int L)."""
+    return x if d == 1 else x * d ** e
+
+
+def _add(x, y, d):
+    """x + y for x = (num, b) standing for num / d^b, over the larger b."""
+    (u, bu), (v, bv) = x, y
+    if d != 1 and bu != bv:
+        u, v = (u * d ** (bv - bu), v) if bu < bv else (u, v * d ** (bu - bv))
+    return u + v, max(bu, bv)
+
+
+def _over_scale(env, a, num, b):
+    """num / (P^a d^b): one Fraction when L is a Fraction or P > 1, else num."""
+    P, L = env.lift[0], env.lefschetz
+    if isinstance(L, Rational) and (P != 1 or not isinstance(L, int)):
+        return Fraction(num, P ** a * L.denominator ** b)
+    return num
 
 
 def _bundle_class(env: AtomEnvironment, r: int):
-    L = env.lefschetz
-    jac = jacobian_class(env)
+    """(N, b): the rank-r bundle class is N / (P^r d^b), L = n / d, built on
+    the lift's numerators: [Jac] = J / P (:func:`jacobian_numerator`), and
+    h1(L), h1(L^2) over P d^(2g), P d^(4g) (:func:`h1_numerator`).  Each
+    factor L^k - 1 = (n^k - d^k) / d^k is an exact division by n^k - d^k."""
+    g = env.genus
+    n, d = _lifted(env.lefschetz)
+    jac = jacobian_numerator(env)
+    pl = h1_numerator(env, n, d)
     if r == 2:
-        num = jac * h1_poly(env, L) - L ** env.genus * jac * jac
-        return exact_divide(exact_divide(num, L - 1), L * L - 1)
+        num = jac * pl - _up(n ** g * jac * jac, d, g)
+        return exact_divide(exact_divide(num, n - d), n * n - d * d), 2 * g - 3
     if r == 3:
-        g = env.genus
-        pl = h1_poly(env, L)
-        pl2 = h1_poly(env, L * L)
+        pl2 = h1_numerator(env, n * n, d * d)
         num = jac * (
-            L ** (3 * g - 1) * (1 + L + L * L) * jac * jac
-            - L ** (2 * g - 1) * (1 + L) * (1 + L) * jac * pl
+            _up(n ** (3 * g - 1) * (_up(d + n, d, 1) + n * n) * jac * jac, d, 3 * g - 1)
+            - _up(n ** (2 * g - 1) * (d + n) * (d + n) * jac * pl, d, 2 * g - 1)
             + pl * pl2
         )
-        for f in (L - 1, L * L - 1, L * L - 1, L ** 3 - 1):
+        for f in (n - d, n * n - d * d, n * n - d * d, n ** 3 - d ** 3):
             num = exact_divide(num, f)
-        return num
+        return num, 6 * g - 8
     raise InvalidSpec(f"rank {r} not supported")
 
 
@@ -307,8 +339,9 @@ def _cut(env: AtomEnvironment, key, order: int, build) -> TruncatedSeries:
 def _lambda_tables(env: AtomEnvironment,
                    reads: List[Tuple[str, int]]) -> Dict[str, TruncatedSeries]:
     """One lambda series per class read, to the largest index read, cached
-    under the class's name; each class is ell*h1 + sum(geometric)
-    (:func:`lambda_series`)."""
+    under the class's name, as the numerators N of
+    :func:`lifted_lambda_series`: with L = n / d, x^k of [X] is N_k over
+    P d^k, and of [X] + L^2 and [X]*L + 1 over P d^(2k)."""
     top: Dict[str, int] = {}
     for name, n in reads:
         top[name] = max(top.get(name, 0), n)
@@ -319,29 +352,37 @@ def _lambda_tables(env: AtomEnvironment,
         _TWIST: (L, (1, L, L * L)),
     }
     return {name: _cut(env, name, n,
-                       lambda order: lambda_series(env, *shapes[name], order))
+                       lambda order: lifted_lambda_series(env, *shapes[name], order)[0])
             for name, n in top.items()}
 
 
 def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
                tables: Dict[str, TruncatedSeries]):
-    """The class c of a stratum of class jac^k * c (:func:`_stratum_facts`),
-    with its lambda-powers read from ``tables`` (:func:`_lambda_tables`) at
-    the stratum's ``reads``."""
+    """(c, b): the class of a stratum of class jac^k * c (:func:`_stratum_facts`)
+    and total rank r has c / (P^(r-k) d^b) as its c, L = n / d, with its
+    lambda-powers read from ``tables`` (:func:`_lambda_tables`) at the
+    stratum's ``reads``.  A bundle stratum's degree is checked coprime to
+    its rank, and its class built once per environment and rank."""
     if len(t.ranks) == 1:
-        return bundle_moduli_class(env, t.ranks[0], t.total_deg)
+        r = t.ranks[0]
+        if r == 1:
+            return jacobian_numerator(env), 0
+        if math.gcd(r, t.total_deg) != 1:
+            raise InvalidSpec(f"gcd({r}, {t.total_deg}) != 1")
+        return env.cached(("bundle", r), lambda: _bundle_class(env, r))
     lam = [tables[name].coeff(n) for name, n in reads]
     if t.ranks == (1, 1):
-        return lam[0]
+        return lam[0], reads[0][1]
     if t.ranks == (1, 1, 1):
-        return lam[0] * lam[1]
+        return lam[0] * lam[1], reads[0][1] + reads[1][1]
     d1, dd = _vhs12_degrees(t)
-    L = env.lefschetz
-    lead = L ** (2 * (dd // 3) - dd + d1 + env.genus + 1)
-    # Dividing this cofactor, not cofactor * jac^2, fails in the same cases:
-    # hodge L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
-    # jac = (1-u)^g (1-v)^g; weil L != 1 is a scalar.
-    return exact_divide(lead * lam[0] - lam[1], L - 1)
+    n, d = _lifted(env.lefschetz)
+    e = 2 * (dd // 3) - dd + d1 + env.genus + 1
+    # L^e lam+ - lam_tw over (L - 1) = (n - d) / d; e >= g.  Dividing this
+    # cofactor, not cofactor * jac^2, fails in the same cases: hodge
+    # L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
+    # jac = (1-u)^g (1-v)^g; a weil n - d is checked on the ints.
+    return exact_divide(n ** e * lam[0] - _up(lam[1], d, e), n - d), 2 * reads[0][1] + e - 1
 
 
 def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
@@ -349,7 +390,8 @@ def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
     jac^k * c (:func:`_vhs_class`) multiplied out, from lambda series built
     for this one stratum."""
     k, _, reads = _stratum_facts(t, env.genus, dL)
-    return jacobian_class(env) ** k * _vhs_class(env, t, reads, _lambda_tables(env, reads))
+    c, b = _vhs_class(env, t, reads, _lambda_tables(env, reads))
+    return _over_scale(env, t.total_rank, jacobian_numerator(env) ** k * c, b)
 
 
 # ---------------------------------------------------------------------------
@@ -424,43 +466,51 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
 
     The strata come from :func:`_strata_plan`, with a stratum class jac^k * c
     (:func:`_vhs_class`) and one N+ per k.  One lambda series is built per
-    class read, to its top index.  S_k, the sum of the c of the strata of
-    one k, is built as follows.
+    class read, to its top index.  With L = n / d, every value is the
+    lift's numerator over P^a d^b, kept as (num, b): a sum lifts the
+    smaller b by a power of d (:func:`_add`), and L^(N+) multiplies num by
+    n^(N+) and adds N+ to b.  S_k, the sum of the c of the strata of one k,
+    is built as follows.
 
     - Bundle, (1,1), (1,2) and (2,1) strata are evaluated one at a time, so
       the exact division of each (1,2) cofactor is checked per stratum; a
       NotDivisible or ZeroDivisionError there is re-raised naming the
       stratum's ranks and degrees.
-    - The (1,1,1) strata read [X] = sum X_i x^i: with partial sums
-      P_i = X_i + P_(i-3), those of first read i1 sum to
-      X_i1 * (P_hi - P_(lo-3)).
+    - The (1,1,1) strata read [X] = sum X_i x^i, X_i over P d^i: with
+      partial sums Q_i = X_i + d^3 Q_(i-3), those of first read i1 sum to
+      X_i1 * (Q_hi - d^(hi - lo + 3) Q_(lo-3)), over P^2 d^(i1 + hi).
 
-    Each S_k is multiplied once by L^(N+), and the total is
-    S_0 + jac * (S_1 + jac * S_2).
+    Each S_k is multiplied once by L^(N+), and the total,
+    S_0 + jac * (S_1 + jac * S_2), is over P^r: one Fraction on a weil
+    environment (:func:`_over_scale`).  On hodge P = d = 1, nothing is
+    rescaled and the total is the value.
     """
     if env.genus != spec.g:
         raise InvalidSpec("environment genus differs from spec genus")
     tops, n_plus, single, triples = _strata_plan(spec.g, spec.r, spec.d, spec.dL)
     tables = _lambda_tables(env, tops)
-    sums = [0] * len(n_plus)
+    n, d = _lifted(env.lefschetz)
+    sums = [(0, 0)] * len(n_plus)
     for k, t, reads in single:
         try:
-            sums[k] = sums[k] + _vhs_class(env, t, reads, tables)
+            sums[k] = _add(sums[k], _vhs_class(env, t, reads, tables), d)
         except (NotDivisible, ZeroDivisionError) as exc:
             raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
     if triples:
         xs = tables[_CURVE]
-        partial = [0, 0, 0]  # partial[i + 3] = X_i + X_(i-3) + ...
+        partial = [0, 0, 0]  # partial[i + 3] = Q_i, over P d^i
         for x in xs.coeffs:
-            partial.append(partial[-3] + x)
+            partial.append(_up(partial[-3], d, 3) + x)
         for i1, lo, hi in triples:
-            sums[1] = sums[1] + xs.coeff(i1) * (partial[hi + 3] - partial[lo])
-    L = env.lefschetz
-    jac = jacobian_class(env)
-    total = L ** n_plus[-1] * sums[-1]
+            group = xs.coeff(i1) * (partial[hi + 3] - _up(partial[lo], d, hi + 3 - lo))
+            sums[1] = _add(sums[1], (group, i1 + hi), d)
+    jac = jacobian_numerator(env)
+    s, b = sums[-1]
+    total, top = n ** n_plus[-1] * s, b + n_plus[-1]
     for k in range(len(n_plus) - 2, -1, -1):
-        total = L ** n_plus[k] * sums[k] + jac * total
-    return total
+        s, b = sums[k]
+        total, top = _add((n ** n_plus[k] * s, b + n_plus[k]), (jac * total, top), d)
+    return _over_scale(env, spec.r, total, top)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,27 @@ class TestUVLaurent:
         assert exact_divide(2 * UV - 4, Fraction(2, 3)) == 3 * UV - 6
         assert exact_divide(2, 1 + U - U) == 2
 
+    def test_exact_divide_ints(self):
+        # two ints give the int quotient or NotDivisible, never a Fraction
+        for num, den, quotient in ((12, -4, -3), (-12, -4, 3), (0, 7, 0), (3 << 300, 1 << 300, 3)):
+            q = exact_divide(num, den)
+            assert q == quotient and type(q) is int
+        for num, den in ((7, 2), (-7, -2), (7, -2), (1 << 300, 3)):
+            with pytest.raises(NotDivisible, match="nonzero int remainder"):
+                exact_divide(num, den)
+        with pytest.raises(ZeroDivisionError):
+            exact_divide(3, 0)
+        assert exact_divide(Fraction(7), 2) == exact_divide(7, Fraction(2)) == Fraction(7, 2)
+
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 9, 10 ** 9).filter(bool),
+           st.integers(-10 ** 9, 10 ** 9))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_divide_ints_checks_the_remainder(self, q, den, offset):
+        assert exact_divide(q * den, den) == q
+        if offset % den:
+            with pytest.raises(NotDivisible):
+                exact_divide(q * den + offset, den)
+
     @given(laurents(max_terms=6), divisors(),
            st.fractions(min_value=-9, max_value=9, max_denominator=7)
            .filter(lambda x: x not in (0, 1, -1)))

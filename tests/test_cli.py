@@ -291,6 +291,28 @@ class TestErrorPaths:
         assert capsys.readouterr().err == \
             f"invalid input: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_identity_failure_outranks_a_failed_write(self, to_file, monkeypatch, tmp_path,
+                                                      capsys):
+        # the failing cell is named before the report is written, and a
+        # write that then fails still exits 1: the failure outranks the report
+        import motiveforge.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "adhm_class", lambda env, r, p: 0)
+        command = ["verify-adhm", "--g", "2", "--r", "1", "--trials", "1", "--hodge", "off"]
+        if to_file:
+            out = tmp_path / "x.json"
+            command += ["--out", str(out)]
+            where = f"--out {out}"
+            monkeypatch.setattr(cli_mod, "open", lambda path, mode, **kwargs: _FullDevice()
+                                if mode == "w" else open(path, mode, **kwargs), raising=False)
+        else:
+            where = "stdout"
+            monkeypatch.setattr(sys, "stdout", _FullDevice())
+        assert main(command) == EXIT_IDENTITY_FAILURE
+        assert capsys.readouterr().err == (f"identity failure at cell g=2 r=1 d=1 p=1\n"
+                                           f"cannot write {where}: {os.strerror(errno.ENOSPC)}\n")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
     def test_full_stdout_exits_invalid_input(self):
         # stdout is flushed where it is written, so its failure is not left

@@ -17,7 +17,8 @@ from motiveforge.curve_ring import (
     AtomEnvironment,
     InvalidGenus,
     frobenius,
-    h1_poly,
+    h1_numerator,
+    jacobian_numerator,
     jacobian_class,
     lambda_series,
     make_hodge_env,
@@ -113,12 +114,14 @@ class TestEnvironments:
         for g in (2, 3):
             env = make_hodge_env(g)
             expected = ((1 - U * U * V) * (1 - U * V * V)) ** g
-            assert h1_poly(env, UV) == expected
+            assert h1_numerator(env, UV) == expected
 
-    def test_h1_poly_degenerate_arguments(self):
+    def test_h1_numerator_degenerate_arguments(self):
+        # P h1(0) = P and P h1(1) = P [Jac]
         for env in (make_hodge_env(2), make_weil_env(2, 9)):
-            assert h1_poly(env, 0) == 1
-            assert h1_poly(env, 1) == jacobian_class(env)
+            P = env.lift[0]
+            assert h1_numerator(env, 0) == P
+            assert h1_numerator(env, 1) == jacobian_numerator(env) == P * jacobian_class(env)
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_each_environment_has_its_own_lambda_values(self, g):
@@ -136,12 +139,13 @@ class TestEnvironments:
 
     @given(st.integers(min_value=2, max_value=5), seeds)
     @settings(max_examples=20, deadline=None)
-    def test_h1_poly_is_the_atom_product(self, g, seed):
+    def test_h1_numerator_is_the_lifted_atom_product(self, g, seed):
         for env, arg in ((make_hodge_env(g), UV * U), (make_weil_env(g, seed), Fraction(seed, 7))):
             expected = 1
             for b in env.betas:
                 expected = expected * (1 + b * arg)
-            assert h1_poly(env, arg) == expected
+            a, q = (arg.numerator, arg.denominator) if isinstance(arg, Fraction) else (arg, 1)
+            assert h1_numerator(env, a, q) == env.lift[0] * q ** (2 * g) * expected
 
     def test_invalid_genus(self):
         with pytest.raises(InvalidGenus):
@@ -227,8 +231,12 @@ class TestLift:
         for ell, geo in shapes:
             assert repr(lambda_series(env, ell, geo, order).coeffs) == \
                 repr(series_reference.lambda_series(atoms, ell, geo, order).coeffs)
+        P = env.lift[0]
         for arg in (1, L, L * L, data.draw(scalars, label="arg")):
-            assert repr(h1_poly(env, arg)) == repr(series_reference.h1_poly(atoms, arg))
+            a, q = (arg.numerator, arg.denominator) if isinstance(arg, Fraction) else (arg, 1)
+            num = h1_numerator(env, a, q)
+            assert num == P * q ** (2 * env.genus) * series_reference.h1_poly(atoms, arg)
+            assert P == 1 or type(num) is int
 
     def test_int_atoms_keep_int_values(self):
         # P = 1: the lift runs on the atoms themselves, so the e_i and the
@@ -238,7 +246,7 @@ class TestLift:
         P, F = env.lift
         assert P == 1 and all(type(x) is int for x in F)
         assert env.lambda_values is F
-        assert all(type(x) is int for x in (h1_poly(env, 2), jacobian_class(env)))
+        assert all(type(x) is int for x in (h1_numerator(env, 2), jacobian_class(env)))
 
     def test_lift_clears_the_denominators(self):
         env = make_weil_env(3, 8)
@@ -268,7 +276,7 @@ class TestFrobenius:
         env = make_hodge_env(2)
         for j in (2, 3):
             fenv = frobenius(env, j)
-            for value_of in (jacobian_class, lambda e: h1_poly(e, e.lefschetz),
+            for value_of in (jacobian_class, lambda e: h1_numerator(e, e.lefschetz),
                              lambda e: sym_power_class(e, 1, (1, e.lefschetz), 3)):
                 assert value_of(fenv) == power_substitute(value_of(env), j)
 

@@ -4,6 +4,9 @@ import contextlib
 import io
 import math
 import pickle
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,9 +14,10 @@ from hypothesis import strategies as st
 
 from motiveforge import cli, moduli_formulas
 from motiveforge.adhm import adhm_class
-from motiveforge.base_rings import UV, UVLaurent, exact_divide
+from motiveforge.base_rings import UV, NotDivisible, UVLaurent, exact_divide
 from motiveforge.cli import EXIT_ARITHMETIC_ERROR, EXIT_INVALID_INPUT, EXIT_PASS, main
-from motiveforge.curve_ring import h1_series, jacobian_class, make_hodge_env, make_weil_env
+from motiveforge.curve_ring import (AtomEnvironment, frobenius, h1_series, jacobian_class,
+                                   make_hodge_env, make_weil_env)
 from motiveforge.moduli_formulas import (
     INPUT_BUDGET,
     EmptyStratum,
@@ -35,9 +39,11 @@ from motiveforge.moduli_formulas import (
     triple_stratum_degrees,
     vhs_class,
 )
-from motiveforge.series_engine import BiSeries, series_product
+from motiveforge.series_engine import BiSeries, TruncatedSeries, series_product
 from series_reference import geometric
 from uv_reference import swap_uv, total_degree
+
+import strata_reference
 
 U2V = UVLaurent.monomial(2, 1)
 UV2 = UVLaurent.monomial(1, 2)
@@ -350,12 +356,102 @@ class TestMotiveEpolyConsistency:
 
 
 def _stratum_sum(env, spec):
-    """sum over strata of L^(N+) * vhs_class, each stratum on its own."""
-    L = env.lefschetz
-    total = 0
-    for t in strata_for(spec):
-        total = total + L ** bb_exponent(t, spec) * vhs_class(env, t, spec.dL)
-    return total
+    """sum over strata of L^(N+) [VHS], each stratum on its own, in the
+    ring's own arithmetic (tests/strata_reference.py); its value and type."""
+    value = strata_reference.motive(env, spec)
+    return value, type(value)
+
+
+def _paired_int_env(g, seed):
+    """An environment of int atoms paired as b_i * b_(g+i) = L."""
+    rng = random.Random(seed)
+    lefschetz = rng.choice((-1, 1)) * rng.choice((6, 12, 30, 60))
+    first = [rng.choice((-1, 1)) * rng.choice([k for k in range(1, 61) if lefschetz % k == 0])
+             for _ in range(g)]
+    return AtomEnvironment(genus=g, lefschetz=lefschetz,
+                           betas=tuple(first + [lefschetz // b for b in first]))
+
+
+class TestWeilMotiveOnTheLift:
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_the_reference_sum_on_weil_frobenius_and_int_atoms(self, g):
+        # motive runs on the lift's ints over P^a d^b; the reference on
+        # Fractions (ints for int atoms): the same value and type
+        envs = [make_weil_env(g, 41 * g), frobenius(make_weil_env(g, 7 * g), 2),
+                frobenius(make_weil_env(g, 5 * g), 3), _paired_int_env(g, g)]
+        for r, d in ((1, 1), (2, -1), (3, 1), (3, 2)):
+            for p in (1, 2) if g > 5 else (1, 2, 4):
+                spec = ModuliSpec.from_p(g, r, d, p)
+                for env in envs:
+                    value = motive(env, spec)
+                    assert (value, type(value)) == _stratum_sum(env, spec), (g, r, d, p, env.lefschetz)
+        assert type(value) is int
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_vhs_class_is_the_reference_stratum_class(self, seed):
+        # one stratum on its own: jac^k * c over P^r d^b, one Fraction on weil
+        for g, r, d, p in ((2, 2, 1, 3), (3, 3, 1, 2), (3, 3, -1, 1), (4, 3, 2, 1)):
+            env = make_hodge_env(g) if seed is None else make_weil_env(g, seed + g)
+            spec = ModuliSpec.from_p(g, r, d, p)
+            for t in strata_for(spec):
+                value = vhs_class(env, t, spec.dL)
+                expected = strata_reference.stratum_class(env, t, spec.dL)
+                assert (value, type(value)) == (expected, type(expected)), t
+
+    def test_weil_motive_makes_one_fraction_per_call(self, monkeypatch):
+        # the lambda tables, [Jac] and the bundle classes hold ints, and the
+        # sum over strata makes its one Fraction at the end
+        made = []
+
+        def recording(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(moduli_formulas, "Fraction", recording)
+        for g in (2, 5):
+            for r, d in ((1, 1), (2, 1), (3, 1), (3, -2)):
+                for p in (1, 3):
+                    env = make_weil_env(g, 100 * g + 10 * r + p)
+                    made.clear()
+                    assert type(motive(env, ModuliSpec.from_p(g, r, d, p))) is Fraction
+                    assert len(made) == 1, (g, r, d, p, made)
+                    for key, value in env.cache.items():
+                        values = (value.coeffs if isinstance(value, TruncatedSeries)
+                                  else value if isinstance(value, tuple) else [value])
+                        assert all(type(x) is int for x in values), key
+
+    @pytest.mark.parametrize("mutation", ["scale", "numerator"])
+    def test_an_off_by_one_in_a_12_stratum_is_not_divisible(self, mutation, monkeypatch):
+        # [X]*L + 1 read over one more power of d than its scale says, or
+        # [X] + L^2 with one more in each numerator: the (1,2) cofactor's
+        # division by n - d on the ints fails and names the stratum
+        env = make_weil_env(4, 2)
+        tables = moduli_formulas._lambda_tables
+        d = env.lefschetz.denominator
+
+        def off_by_one(env, reads):
+            out = tables(env, reads)
+            name = moduli_formulas._TWIST if mutation == "scale" else moduli_formulas._PLUS
+            if name in out:
+                out[name] = TruncatedSeries([x * d if mutation == "scale" else x + 1
+                                             for x in out[name].coeffs], order=out[name].order)
+            return out
+
+        monkeypatch.setattr(moduli_formulas, "_lambda_tables", off_by_one)
+        for deg, degrees in ((1, "(1, 0)"), (2, "(1, 1)")):
+            with pytest.raises(NotDivisible,
+                               match=rf"\[stratum ranks \(1, 2\), degrees {re.escape(degrees)}\]"):
+                motive(env, ModuliSpec.from_p(4, 3, deg, 2))
+
+    def test_an_unpaired_environment_fails_the_bundle_division(self):
+        # b_1 b_4 != L: the bundle classes' numerators are no multiples of
+        # n^k - d^k, and the failure names the bundle stratum
+        env = AtomEnvironment(genus=3, lefschetz=Fraction(-5, 2), betas=(
+            Fraction(1, 3), Fraction(2, 7), Fraction(-9, 4),
+            Fraction(-5, 6), Fraction(-35, 4), Fraction(10, 9)))
+        for r in (2, 3):
+            with pytest.raises(NotDivisible, match=rf"\[stratum ranks \({r},\), degrees \(1,\)\]"):
+                motive(env, ModuliSpec.from_p(3, r, 1, 1))
 
 
 class TestSharedLambdaTables:
@@ -365,11 +461,12 @@ class TestSharedLambdaTables:
     @settings(max_examples=30, deadline=None)
     def test_motive_is_the_sum_of_public_stratum_classes(self, g, r, p, d, seed):
         # motive reads every stratum from one lambda series per class read;
-        # vhs_class builds its own for its single stratum
+        # the reference multiplies out each stratum on its own
         assume(math.gcd(r, d) == 1)
         spec = ModuliSpec.from_p(g, r, d, p)
         env = make_hodge_env(g) if seed is None else make_weil_env(g, seed)
-        assert motive(env, spec) == _stratum_sum(env, spec)
+        value = motive(env, spec)
+        assert (value, type(value)) == _stratum_sum(env, spec)
 
     @pytest.mark.parametrize("seed", [None, 11])
     @pytest.mark.parametrize("d", [1, 2])
@@ -377,7 +474,8 @@ class TestSharedLambdaTables:
         # g=6, r=3, p=4: 120 strata, 105 of them (1,1,1) in 21 groups
         env = make_hodge_env(6) if seed is None else make_weil_env(6, seed)
         spec = ModuliSpec.from_p(6, 3, d, 4)
-        assert motive(env, spec) == _stratum_sum(env, spec)
+        value = motive(env, spec)
+        assert (value, type(value)) == _stratum_sum(env, spec)
 
     def test_hodge_motive_makes_few_large_products(self, monkeypatch):
         # jac and each first lambda read of a (1,1,1) stratum multiply once
@@ -484,7 +582,7 @@ class TestStrataPlan:
         cold = motive(env, spec)
         warm = motive(env, spec)
         assert moduli_formulas._strata_plan.cache_info().hits == 1
-        assert cold == warm == _stratum_sum(env, spec)
+        assert (cold, type(cold)) == (warm, type(warm)) == _stratum_sum(env, spec)
 
 
 def _five_window_product(env, dL):

@@ -117,7 +117,7 @@ def test_hodge_cache_is_not_aliased():
     env = make_hodge_env(3)
     new = AtomEnvironment(genus=3, lefschetz=env.lefschetz, betas=env.betas)
     cache = dict(env.cache)
-    assert cache["jac"] == curve_ring.h1_poly(new, 1)
+    assert cache["jac"] == curve_ring.h1_numerator(new, 1)
     for r in (2, 3):
         assert cache[("bundle", r)] == moduli_formulas._bundle_class(new, r)
     names = (moduli_formulas._CURVE, moduli_formulas._PLUS, moduli_formulas._TWIST)
@@ -139,22 +139,35 @@ def test_hodge_cache_is_not_aliased():
 
 def test_closed_form_and_strata_routes_share_no_series():
     # the closed-form extractions read h1 through A(x) = _zeta_series; the
-    # stratification route builds its own lambda series from the cached e_i
+    # stratification route builds its own lambda series from the cached e_i.
+    # strata lists every function of the module that motive and vhs_class
+    # reach, the lift's helpers and the bundle classes included
     path = next(p for p in SOURCES if p.name == "moduli_formulas.py")
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    strata = ["motive", "_strata_plan", "_lambda_tables", "_vhs_class", "vhs_class"]
+
+    def names(name):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(bodies[name]) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    strata = ["motive", "vhs_class", "_strata_plan", "strata_for", "triple_stratum_degrees",
+              "_stratum_facts", "_vhs12_degrees", "_attracting_rank", "morse_index", "dimension",
+              "_lambda_tables", "_cut", "_vhs_class", "_bundle_class",
+              "_lifted", "_up", "_add", "_over_scale"]
+    reached, todo = set(), ["motive", "vhs_class"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [n for n in names(name) & set(bodies) if n not in reached]
     closed = ["epoly_rank2", "_zeta_series"] + [n for n in bodies if n.startswith("_rank3_")]
     rules = [(strata, {"_zeta_series", "h1_series"}),
-             (closed, {"lambda_series", "_lambda_tables", "sym_power_class"})]
+             (closed, {"lambda_series", "lifted_lambda_series", "_lambda_tables",
+                       "sym_power_class"})]
     found = []
-    for names, banned in rules:
-        for name in names:
-            used = {node.id if isinstance(node, ast.Name) else node.attr
-                    for node in ast.walk(bodies[name])
-                    if isinstance(node, (ast.Name, ast.Attribute))}
-            found += [f"{name} names {b}" for b in sorted(used & banned)]
-    assert len(closed) == 4 and not found, found
+    for route, banned in rules:
+        for name in route:
+            found += [f"{name} names {b}" for b in sorted(names(name) & banned)]
+    assert sorted(strata) == sorted(reached) and len(closed) == 4 and not found, found
 
 
 def test_weil_adhm_builds_no_trational(monkeypatch):
@@ -401,7 +414,7 @@ def test_references_use_no_private_package_names():
     # imports a _-prefixed motiveforge name or reads one off a module
     found = []
     references = [TESTS / name for name in ("t_rational.py", "series_reference.py",
-                                            "uv_reference.py")]
+                                            "strata_reference.py", "uv_reference.py")]
     for path in references + SCRIPTS:
         name = path.name
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=name)
