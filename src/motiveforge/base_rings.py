@@ -29,15 +29,19 @@ A product of two ``UVLaurent`` with at least 16 terms each, every
 coefficient an int, is one integer product (Kronecker substitution, Harvey,
 arXiv:0712.4046): each operand is packed into an int with one slot of
 whole bytes per exponent pair, at least bit_length(max|a| * max|b| *
-min(#a, #b)) + 2 bits wide.  Smaller products, products with a ``Fraction``
-coefficient, and sparse ones, whose exponent box has more than half a slot
-per term pair, take the schoolbook loop.  Both give the same coefficients.
+min(#a, #b)) + 2 bits wide.  On a little-endian host a slot of at most 8
+bytes is widened to 1, 2, 4 or 8 and written and read through a cast
+``memoryview``; a wider one stays byte-sliced.  Smaller products, products
+with a ``Fraction`` coefficient, and sparse ones, whose exponent box has
+more than half a slot per term pair, take the schoolbook loop.  Both give
+the same coefficients.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Callable, Dict, Iterable, Iterator, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -71,10 +75,12 @@ def _kronecker(a: Dict[ExponentPair, int], b: Dict[ExponentPair, int]):
 
     Each operand is shifted to its minimum exponents and packed with term
     (u, v) at slot u*w + v, the v-stride w wide enough that v-sums never
-    reach the next u; positive and negative coefficients go into two byte
-    buffers, whose ints are subtracted.  Every product coefficient is below
-    max|a| * max|b| * min(#a, #b) in size, so after adding 2**(bits-1) to
-    each slot all of them are non-negative and one ``to_bytes`` reads them.
+    reach the next u.  A slot holds its coefficient in two's complement, and
+    with ``bias`` holding half = 2**(8*nb - 1) in every slot, the buffer's
+    int XOR bias, minus bias, is the operand.  Every product coefficient is
+    below max|a| * max|b| * min(#a, #b) in size, so the product plus bias
+    holds each plus half in its slot, and one ``to_bytes`` reads them: a
+    narrow slot after XOR bias, in two's complement, a wide one less half.
     """
     aus, avs = zip(*a)
     bus, bvs = zip(*b)
@@ -86,23 +92,33 @@ def _kronecker(a: Dict[ExponentPair, int], b: Dict[ExponentPair, int]):
         return None
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     nb = (bound.bit_length() + 9) // 8
-
-    def pack(c, u0, v0):
-        pos, neg = bytearray(n * nb), bytearray(n * nb)
-        for (u, v), x in c.items():
-            i = ((u - u0) * w + v - v0) * nb
-            if x > 0:
-                pos[i:i + nb] = x.to_bytes(nb, "little")
-            else:
-                neg[i:i + nb] = (-x).to_bytes(nb, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
+    fmt = None
+    if nb <= 8 and sys.byteorder == "little":
+        nb = 1 << (nb - 1).bit_length()
+        fmt = {1: "b", 2: "h", 4: "i", 8: "q"}[nb]
     half = 1 << (8 * nb - 1)
     bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
-    digits = (pack(a, ua, va) * pack(b, ub, vb) + bias).to_bytes(n * nb, "little")
-    slots = [int.from_bytes(digits[i:i + nb], "little") for i in range(0, n * nb, nb)]
+
+    def pack(c, u0, v0):
+        buf = bytearray(n * nb)
+        if fmt:
+            slots = memoryview(buf).cast(fmt)
+            for (u, v), x in c.items():
+                slots[(u - u0) * w + v - v0] = x
+        else:
+            for (u, v), x in c.items():
+                i = ((u - u0) * w + v - v0) * nb
+                buf[i:i + nb] = x.to_bytes(nb, "little", signed=True)
+        return (int.from_bytes(buf, "little") ^ bias) - bias
+
+    total = pack(a, ua, va) * pack(b, ub, vb) + bias
+    if fmt:
+        slots = memoryview((total ^ bias).to_bytes(n * nb, "little")).cast(fmt).tolist()
+    else:
+        digits = total.to_bytes(n * nb, "little")
+        slots = [int.from_bytes(digits[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
     box = product(range(ua + ub, ua + ub + rows), range(va + vb, va + vb + w))
-    return {k: x - half for k, x in zip(box, slots) if x != half}
+    return dict(compress(zip(box, slots), slots))
 
 
 class UVLaurent:
@@ -176,9 +192,9 @@ class UVLaurent:
         for k, x in o._c.items():
             s = c.get(k, 0) + x
             if s:
-                c[k] = _norm(s)
+                c[k] = s if type(s) is int else _norm(s)
             else:
-                c.pop(k, None)
+                del c[k]  # a zero sum: k was a key, as no stored value is 0
         return UVLaurent._raw(c)
 
     __radd__ = __add__
@@ -224,25 +240,23 @@ class UVLaurent:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return UVLaurent._raw({k: _norm(x) for k, x in out.items() if x})
+        return UVLaurent._raw({k: x if type(x) is int else _norm(x) for k, x in out.items() if x})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            if len(self._c) != 1:
-                raise NotDivisible("negative power of a non-monomial")
+        if len(self._c) == 1:
             ((a, b), x), = self._c.items()
-            return UVLaurent._raw({(a * n, b * n): _norm(Fraction(1) / Fraction(x) ** (-n))})
-        result = UVLaurent.const(1)
-        base = self
+            return UVLaurent._raw({(a * n, b * n): _norm(x ** n if n >= 0 else Fraction(x) ** n)})
+        if n < 0:
+            raise NotDivisible("negative power of a non-monomial")
+        result, base = UVLaurent.const(1), self
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     def __eq__(self, other):
@@ -261,7 +275,7 @@ class UVLaurent:
 
         Example: ``-3/2*u^2*v^-1 + 1``.
         """
-        return format_terms(self._c.items(), "%s^%d", "*", str, "*")
+        return format_terms(sorted(self._c.items(), reverse=True))
 
     def __str__(self) -> str:
         return self.text()
@@ -270,26 +284,28 @@ class UVLaurent:
         return f"UVLaurent({self.text()})"
 
 
-def format_terms(items: Iterable[Tuple[ExponentPair, Rat]], power: str, join: str,
-                 number: Callable[[Rat], str], times: str) -> str:
-    """The terms c u^a v^b of ``items``, sorted by (a, b) descending, as one
-    line: u^a is ``power % ("u", a)`` (bare u when a = 1), a term's
-    variables are joined by ``join``, and its coefficient is
-    ``number(c) + times`` before them, dropped when it is 1 and a bare
-    sign when -1.  Each term after the first is " + " or " - " and |c|'s
-    term; no terms give "0"."""
+def format_terms(items: Iterable[Tuple[ExponentPair, Rat]], power: str = "%s^%d",
+                 join: str = "*", number: Callable[[Rat], str] = str, times: str = "*") -> str:
+    """The terms c u^a v^b of ``items``, given sorted by (a, b) descending,
+    as one line (by default in :meth:`UVLaurent.text`'s form): u^a is
+    ``power % ("u", a)`` (bare u when a = 1), a term's variables are joined
+    by ``join``, and its coefficient is ``number(c) + times`` before them,
+    dropped when it is 1 and a bare sign when -1.  Each term after the
+    first is " + " or " - " and |c|'s term; no terms give "0"."""
     parts = []
-    for idx, ((a, b), x) in enumerate(sorted(items, reverse=True)):
-        vars_ = join.join(name if k == 1 else power % (name, k)
-                          for name, k in (("u", a), ("v", b)) if k)
-        mag = x if idx == 0 else abs(x)
+    for (a, b), x in items:
+        us = "" if not a else "u" if a == 1 else power % ("u", a)
+        vs = "" if not b else "v" if b == 1 else power % ("v", b)
+        vars_ = us + join + vs if us and vs else us or vs
+        if parts:
+            parts.append(" + " if x > 0 else " - ")
+            x = x if x > 0 else -x
         if not vars_:
-            body = number(mag)
-        elif abs(mag) == 1:
-            body = vars_ if mag == 1 else "-" + vars_
+            parts.append(number(x))
+        elif x == 1 or x == -1:
+            parts.append(vars_ if x == 1 else "-" + vars_)
         else:
-            body = number(mag) + times + vars_
-        parts.append(body if idx == 0 else (" + " if x > 0 else " - ") + body)
+            parts.append(number(x) + times + vars_)
     return "".join(parts) or "0"
 
 

@@ -12,12 +12,10 @@ SCHEMA_VERSION = 1
 
 
 def poly_to_json(e: UVLaurent) -> Dict:
+    items = sorted(e.items(), reverse=True)
     return {
-        "text": e.text(),
-        "terms": [
-            {"u": a, "v": b, "coeff": str(c)}
-            for (a, b), c in sorted(e.items(), reverse=True)
-        ],
+        "text": format_terms(items),
+        "terms": [{"u": a, "v": b, "coeff": str(c)} for (a, b), c in items],
     }
 
 
@@ -30,7 +28,7 @@ def poly_to_csv(e: UVLaurent) -> str:
 
 def poly_to_latex(e: UVLaurent) -> str:
     """Render a u, v Laurent polynomial as LaTeX."""
-    return format_terms(e.items(), "%s^{%d}", " ", _frac_latex, r"\, ")
+    return format_terms(sorted(e.items(), reverse=True), "%s^{%d}", " ", _frac_latex, r"\, ")
 
 
 def weil_motive_latex(env, value) -> str:

@@ -345,14 +345,10 @@ def _lambda_tables(env: AtomEnvironment,
     top: Dict[str, int] = {}
     for name, n in reads:
         top[name] = max(top.get(name, 0), n)
-    L = env.lefschetz
-    shapes = {
-        _CURVE: (1, (1, L)),
-        _PLUS: (1, (1, L, L * L)),
-        _TWIST: (L, (1, L, L * L)),
-    }
-    return {name: _cut(env, name, n,
-                       lambda order: lifted_lambda_series(env, *shapes[name], order)[0])
+    L = env.lefschetz  # a shape's L * L is made only when its table is built
+    return {name: _cut(env, name, n, lambda order: lifted_lambda_series(
+                env, L if name == _TWIST else 1, (1, L) if name == _CURVE else (1, L, L * L),
+                order)[0])
             for name, n in top.items()}
 
 
@@ -650,7 +646,7 @@ def poincare(e: UVLaurent) -> List[int]:
     diag: Dict[int, object] = {}
     for (a, b), c in e.items():
         k = a + b
-        diag[k] = diag.get(k, 0) + c * (-1) ** k
+        diag[k] = diag.get(k, 0) + (-c if k & 1 else c)
     diag = {k: c for k, c in diag.items() if c != 0}
     if not diag:
         raise NegativeBetti("zero E-polynomial has no Betti numbers")

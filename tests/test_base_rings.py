@@ -17,8 +17,9 @@ from motiveforge.base_rings import (
     _kronecker,
     exact_divide,
 )
+from motiveforge.export import _frac_latex, poly_to_json, poly_to_latex
 from motiveforge.series_engine import TRational, TruncatedSeries, eval_at_one
-from uv_reference import ZeroPolynomial, power_substitute, total_degree
+from uv_reference import ZeroPolynomial, format_terms, power_substitute, total_degree
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -224,6 +225,35 @@ class TestUVLaurent:
         assert dense * sparse == schoolbook_product(dense, sparse)
         assert dense * (dense * Fraction(1, 3)) == schoolbook_product(dense, dense) * Fraction(1, 3)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+    def test_packed_slots_at_each_width_bound(self, width):
+        # operands of 16 terms of size m, m as large as a slot of ``width``
+        # bytes allows before widening: the middle coefficient of a product
+        # of two rows of equal signs is +-16 m^2, the bound the slot is
+        # sized for
+        m = 2 ** (4 * width - 3) - 1
+        assert (16 * m * m).bit_length() + 9 >= 8 * width > (16 * m * m).bit_length() + 1
+        alternating = {(0, j): (-1) ** j * m for j in range(16)}
+        for sa in (1, -1):
+            for sb in (1, -1):
+                same = {(0, j): sa * m for j in range(16)}
+                for a, b in ((same, {(0, j): sb * m for j in range(16)}), (same, alternating),
+                             ({(j % 2, j // 2 - 4): sb * m for j in range(16)}, same)):
+                    expected = schoolbook_product(UVLaurent(a), UVLaurent(b))
+                    assert _kronecker(a, b) == dict(expected.items())
+                    assert _kronecker(b, a) == dict(expected.items())
+
+    @given(laurents(max_terms=4, zero_ok=False), st.integers(-4, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_a_monomial_is_one_term(self, f, n):
+        m = UVLaurent(dict([next(iter(f.items()))]))
+        ((a, b), x), = m.items()
+        expected = math.prod([m] * n, start=UVLaurent.const(1)) if n >= 0 else \
+            UVLaurent.monomial(a * n, b * n, Fraction(x) ** n)
+        got = m ** n
+        assert got == expected and list(got.items()) == list(expected.items())
+        assert all(type(c) is type(expected.coeff(*k)) for k, c in got.items())
+
     @given(laurents(), divisors())
     @settings(max_examples=60, deadline=None)
     def test_exact_divide_roundtrip(self, a, b):
@@ -402,6 +432,22 @@ class TestUVLaurent:
         assert f.text() == "-3/2*u^2*v^-1 + 1"
         assert UVLaurent().text() == "0"
         assert (U - V).text() == "u - v"
+
+    @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           st.one_of(st.sampled_from((1, -1, Fraction(1), Fraction(-1, 3))),
+                                     rationals, st.integers(-10 ** 6, 10 ** 6)),
+                           max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_text_matches_the_reference(self, terms):
+        # text, LaTeX and JSON against the formatter that sorted its own
+        # items: +-1 and Fraction coefficients, zero and negative exponents
+        f = UVLaurent(terms)
+        items = list(f.items())
+        text = format_terms(items, "%s^%d", "*", str, "*")
+        assert f.text() == str(f) == text
+        assert poly_to_latex(f) == format_terms(items, "%s^{%d}", " ", _frac_latex, r"\, ")
+        assert poly_to_json(f) == {"text": text, "terms": [
+            {"u": a, "v": b, "coeff": str(c)} for (a, b), c in sorted(items, reverse=True)]}
 
 
 class TestBigRational:

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -494,6 +495,27 @@ class TestSharedLambdaTables:
         monkeypatch.setattr(UVLaurent, "__rmul__", counting_mul)
         motive(env, spec)
         assert 0 < len(large) <= 30
+
+    def test_warm_lambda_tables_make_no_products(self, monkeypatch):
+        # the shapes of the lambda series are built only with a table: once
+        # motive has run, reading its tables again multiplies nothing
+        env = make_hodge_env(6)
+        spec = ModuliSpec.from_p(6, 3, 1, 4)
+        motive(env, spec)
+        mul = UVLaurent.__mul__
+        callers = []
+
+        def recording_mul(a, b):
+            frame = sys._getframe(1)
+            while frame is not None:
+                callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            return mul(a, b)
+
+        monkeypatch.setattr(UVLaurent, "__mul__", recording_mul)
+        monkeypatch.setattr(UVLaurent, "__rmul__", recording_mul)
+        motive(env, spec)
+        assert "motive" in callers and "_lambda_tables" not in callers
 
 
 class TestStrataPlan:
