@@ -27,18 +27,17 @@ One carrier runs the double sum for both realizations: H_r(1) is all
 that is needed, so every term is a power series in s = t - 1 known
 through s^(r-1).  The T^n coefficient is weighted by s^n (T -> sT); the
 logarithm's T^m coefficient is weighted-homogeneous of degree m, so the
-weight carries through it.  :func:`partition_sum` gives s^(jn) psi_j F_n,
-whose pole of order at most n at t = 1 the weight absorbs.  One builder,
-:func:`_connected`, takes the double sum and clears it to
-h_m = s^(m-1) H_m at the T-orders its caller reads: 1..r for
-:func:`plog_series`, r alone for :func:`adhm_class`, where
-:func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off the
+weight carries through it.  :func:`partition_sum` gives s^(jn) psi_j
+F_n, whose pole of order at most n at t = 1 the weight absorbs.
+:func:`plog_series` takes the double sum and clears it to h_m = s^(m-1)
+H_m at the T-orders its caller reads: r alone for :func:`adhm_class`,
+where :func:`motiveforge.series_engine.eval_at_one` reads H_r(1) off the
 s^(r-1) coefficient.  A partition's cells, shift and binomial rows are
 built once per (n, p, g, j, terms), by a bounded memo keyed by ints only
-(:func:`_skeleton`); each call adds the environment's pole check, weights
-and products, read off the environment's cached integer lift
-(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`), one partition at a
-time (:func:`_quotients`).  Every product of coefficient lists is
+(:func:`_skeleton`); each call adds the environment's pole check,
+weights and products, read off the environment's cached integer lift
+(:attr:`motiveforge.curve_ring.AtomEnvironment.lift`), one partition at
+a time (:func:`_quotients`).  Every product of coefficient lists is
 :func:`motiveforge.series_engine.truncated_product`, the package's one
 truncated-product loop.  The realizations differ in how the partitions'
 coefficients are divided: hodge makes one
@@ -139,8 +138,11 @@ def mobius(j: int) -> int:
     return out
 
 
-def _connected(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> List:
-    """h_m = s^(m-1) H_m to s^(r-1) per m in ``orders`` (each at least 1).
+def plog_series(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> List:
+    """h_m = s^(m-1) H_m to s^(r-1) per m in ``orders`` (each at least 1),
+    H_m the plethystic-log coefficients cleared by (1-t)(1-Lt), as power
+    series in s = t - 1.
+
     With the charge terms weighted by s^(T-degree), the T^m coefficient of
     sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n) is s^m C_m, and
     H_m = (1-t)(1-Lt) C_m = s ((L-1) + L s) C_m, so h_m is it times (L-1) + L s.
@@ -344,23 +346,16 @@ def partition_sum(env: AtomEnvironment, n: int, p: int, j: int, terms: int) -> T
     return TruncatedSeries(total, order=terms - 1)
 
 
-def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TruncatedSeries]:
-    """h_1 .. h_r, h_m = s^(m-1) H_m, with H_m the plethystic-log
-    coefficients cleared by (1-t)(1-Lt), as power series in s = t - 1
-    known through s^(r-1) (:func:`_connected` at the T-orders 1..r)."""
-    return _connected(env, range(1, r + 1), r, p)
-
-
 def adhm_class(env: AtomEnvironment, r: int, p: int):
     """Conjectural class of the twisted moduli space of rank r, any coprime
     degree: (-1)^(p r) L^(r^2 (g-1) + p r (r+1)/2) H_r(1).
 
-    H_r(1) is :func:`eval_at_one` of h_r = s^(r-1) H_r, the last series of
-    :func:`plog_series`, built alone: only the Adams indices dividing r
-    enter.  H_r is a Laurent polynomial in t, so the coefficients of h_r
-    below s^(r-1) vanish and its value is the s^(r-1) coefficient.  A weil
-    environment gives a Fraction; a hodge one a UVLaurent, divided once by
-    the product of its denominator factors (1 - L^k).
+    H_r(1) is :func:`eval_at_one` of h_r = s^(r-1) H_r, the one series
+    :func:`plog_series` builds at the T-order r: only the Adams indices
+    dividing r enter.  H_r is a Laurent polynomial in t, so the coefficients
+    of h_r below s^(r-1) vanish and its value is the s^(r-1) coefficient.  A
+    weil environment gives a Fraction; a hodge one a UVLaurent, divided once
+    by the product of its denominator factors (1 - L^k).
 
     No degree enters, so H_r(1) is read of the curve alone: it is kept in
     the environment's cache under ("adhm", r, p) and built once per
@@ -372,7 +367,7 @@ def adhm_class(env: AtomEnvironment, r: int, p: int):
         raise ValueError(f"adhm_class needs r, p >= 1, got r={r}, p={p}")
     g = env.genus
     value = env.cached(("adhm", r, p),
-                       lambda: eval_at_one(_connected(env, (r,), r, p)[0], r - 1))
+                       lambda: eval_at_one(plog_series(env, (r,), r, p)[0], r - 1))
     sign = (-1) ** (p * r)
     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
     return sign * prefactor * value

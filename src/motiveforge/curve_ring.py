@@ -28,11 +28,11 @@ of the atoms' denominators (1 for int or UVLaurent atoms), the F_i = P e_i
 are ints.  One P serves every e_i, since each product of distinct atoms
 has a denominator dividing P; a power D^i of their lcm would grow with i.
 Every reading of h1 goes through the lift.  In a weil environment
-:func:`h1_numerator` and :func:`lifted_lambda_series` run on ints and
-return numerators over P and powers of the argument's denominator, which
-the strata route divides once per class; :func:`lambda_series` makes one
-Fraction per coefficient; the ADHM expansion divides by P itself; and
-:attr:`AtomEnvironment.lambda_values` is F_i / P.
+:func:`h1_numerator` and :func:`lambda_series` run on ints and return
+numerators over P and powers of the argument's denominator, which the
+strata route divides once per class; :func:`sym_power_class` makes one
+Fraction for the one value it reads; the ADHM expansion divides by P
+itself; and :attr:`AtomEnvironment.lambda_values` is F_i / P.
 
 What a query reads of the curve alone is built once per environment and
 kept in its :attr:`AtomEnvironment.cache`: J = P [Jac], the Adams twins
@@ -231,18 +231,20 @@ def jacobian_class(env: AtomEnvironment):
     return J if P == 1 else Fraction(J, P)
 
 
-def lifted_lambda_series(env: AtomEnvironment, ell, geometric,
-                         order: int) -> Tuple[TruncatedSeries, int]:
-    """(N, m): the recurrences of :func:`lambda_series`, one
-    :meth:`TruncatedSeries.over_geometric` per geometric factor, on the
-    lift.  With m the lcm of the denominators of ell and the c, they run on
-    ints in y = x / m: the y^i coefficient of the P e_i ell^i x^i is
-    F_i (m ell)^i and each c becomes m c, so the x^k coefficient of the
-    lambda series is N_k / (P m^k), N_0 = P; when P = m = 1, N is it."""
+def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> TruncatedSeries:
+    """N, the lambda series of ell*h1 + sum(geometric) to x^order on the
+    lift: sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x),
+    Macdonald's formula (with ell = 1, geometric = (1, L) the zeta function
+    of X), one :meth:`TruncatedSeries.over_geometric` per geometric factor.
+    With m the lcm of the denominators of ell and the c (:func:`_denominator`),
+    the recurrences run on ints in y = x / m: the y^i coefficient of the
+    P e_i ell^i x^i is F_i (m ell)^i and each c becomes m c, so the x^k
+    coefficient of the lambda series is N_k / (P m^k), N_0 = P; when
+    P = m = 1, N is it."""
     if order < 0:
         raise ValueError("order must be >= 0")
     P, F = env.lift
-    m = math.lcm(*(x.denominator for x in (ell, *geometric) if isinstance(x, Fraction)))
+    m = _denominator(ell, geometric)
     if P != 1 or m != 1:
         ell = ell.numerator * (m // ell.denominator)
         geometric = [c.numerator * (m // c.denominator) for c in geometric]
@@ -254,30 +256,22 @@ def lifted_lambda_series(env: AtomEnvironment, ell, geometric,
     s = TruncatedSeries(coeffs, order=order)
     for c in geometric:
         s = s.over_geometric(c, 1)
-    return s, m
-
-
-def lambda_series(env: AtomEnvironment, ell, geometric, order: int) -> TruncatedSeries:
-    """The lambda series of ell*h1 + sum(geometric) to x^order:
-    sum_i e_i ell^i x^i * prod_{c in geometric} 1/(1 - c*x), Macdonald's
-    formula (with ell = 1, geometric = (1, L) the zeta function of X), on
-    the lift (:func:`lifted_lambda_series`): when P or m is not 1, each x^k
-    coefficient, k >= 1, is one Fraction N_k / (P m^k)."""
-    s, m = lifted_lambda_series(env, ell, geometric, order)
-    P = env.lift[0]
-    if P != 1 or m != 1:
-        s.coeffs[0], scale = 1, P
-        for k in range(1, order + 1 if geometric else min(order, 2 * env.genus) + 1):
-            scale *= m
-            s.coeffs[k] = Fraction(s.coeffs[k], scale)
     return s
 
 
+def _denominator(ell, geometric) -> int:
+    """m, the lcm of the denominators of ell and the c in geometric."""
+    return math.lcm(*(x.denominator for x in (ell, *geometric) if isinstance(x, Fraction)))
+
+
 def sym_power_class(env: AtomEnvironment, ell, geometric, n: int):
-    """lambda^n of ell*h1 + sum(geometric): x^n in :func:`lambda_series`."""
+    """lambda^n of ell*h1 + sum(geometric): N_n / (P m^n), N the
+    :func:`lambda_series` to x^n, one Fraction when P or m is not 1."""
     if n < 0:
         raise ValueError("lambda index must be >= 0")
-    return lambda_series(env, ell, geometric, n).coeff(n)
+    num = lambda_series(env, ell, geometric, n).coeff(n)
+    scale = env.lift[0] * _denominator(ell, geometric) ** n
+    return num if scale == 1 else Fraction(num, scale)
 
 
 def h1_series(env: AtomEnvironment, order: int) -> TruncatedSeries:

@@ -43,6 +43,8 @@ def weil_motive_latex(env, value) -> str:
 
 
 def _frac_latex(x) -> str:
+    if type(x) is int:
+        return str(x)
     f = Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)

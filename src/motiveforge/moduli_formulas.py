@@ -42,7 +42,7 @@ from .curve_ring import (
     h1_series,
     jacobian_class,
     jacobian_numerator,
-    lifted_lambda_series,
+    lambda_series,
     make_hodge_env,
 )
 from .series_engine import BiSeries, TruncatedSeries
@@ -175,20 +175,14 @@ def _vhs12_degrees(t: VHSType) -> Tuple[int, int]:
 def bb_exponent(t: VHSType, spec: ModuliSpec) -> int:
     """Rank N+ of the attracting affine bundle over a stratum of ``spec``.
 
-    Raises :class:`InvalidSpec` when the stratum's total rank or degree is
-    not the space's, or its shape is unsupported, and :class:`EmptyStratum`
-    when it is empty.
+    N+ = dim M - dim VHS - M/2.  Raises :class:`InvalidSpec` when the
+    stratum's total rank or degree is not the space's, or its shape is
+    unsupported, and :class:`EmptyStratum` when it is empty.
     """
     if t.total_rank != spec.r or t.total_deg != spec.d:
         raise InvalidSpec(f"stratum {t} is not a stratum of {spec}")
-    return _attracting_rank(t, spec, dimension(spec))
-
-
-def _attracting_rank(t: VHSType, spec: ModuliSpec, dim: int) -> int:
-    """N+ = dim M - dim VHS - M/2 of a stratum of ``spec``, of dimension
-    ``dim``, without :func:`bb_exponent`'s check that the stratum is one of
-    ``spec``'s."""
-    return dim - _stratum_facts(t, spec.g, spec.dL)[1] - morse_index(t, -spec.dL, spec.g) // 2
+    dim_vhs = _stratum_facts(t, spec.g, spec.dL)[1]
+    return dimension(spec) - dim_vhs - morse_index(t, -spec.dL, spec.g) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +215,14 @@ def triple_stratum_degrees(d: int, dL: int) -> List[Tuple[int, int]]:
 
 def bundle_moduli_class(env: AtomEnvironment, r: int, d: int):
     """Class of the moduli of stable bundles of rank r and coprime degree d:
-    that of the bundle stratum (:func:`_vhs_class`), an int when integral.
+    that of the bundle stratum (:func:`vhs_class`), an int when integral.
 
     The class depends on the environment and r alone: d is only checked
     to be coprime to r, on every call, and the class is built once per
     environment and rank."""
     if r == 1:
         return jacobian_class(env)
-    value = _over_scale(env, r, *_vhs_class(env, VHSType((r,), (d,)), [], {}))
+    value = _over_scale(env, r, *vhs_class(env, VHSType((r,), (d,)), [], {}))
     return value.numerator if isinstance(value, Fraction) and value.denominator == 1 else value
 
 
@@ -339,21 +333,21 @@ def _cut(env: AtomEnvironment, key, order: int, build) -> TruncatedSeries:
 def _lambda_tables(env: AtomEnvironment,
                    reads: List[Tuple[str, int]]) -> Dict[str, TruncatedSeries]:
     """One lambda series per class read, to the largest index read, cached
-    under the class's name, as the numerators N of
-    :func:`lifted_lambda_series`: with L = n / d, x^k of [X] is N_k over
-    P d^k, and of [X] + L^2 and [X]*L + 1 over P d^(2k)."""
+    under the class's name, as the numerators N of :func:`lambda_series`:
+    with L = n / d, x^k of [X] is N_k over P d^k, and of [X] + L^2 and
+    [X]*L + 1 over P d^(2k)."""
     top: Dict[str, int] = {}
     for name, n in reads:
         top[name] = max(top.get(name, 0), n)
     L = env.lefschetz  # a shape's L * L is made only when its table is built
-    return {name: _cut(env, name, n, lambda order: lifted_lambda_series(
+    return {name: _cut(env, name, n, lambda order: lambda_series(
                 env, L if name == _TWIST else 1, (1, L) if name == _CURVE else (1, L, L * L),
-                order)[0])
+                order))
             for name, n in top.items()}
 
 
-def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
-               tables: Dict[str, TruncatedSeries]):
+def vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
+              tables: Dict[str, TruncatedSeries]):
     """(c, b): the class of a stratum of class jac^k * c (:func:`_stratum_facts`)
     and total rank r has c / (P^(r-k) d^b) as its c, L = n / d, with its
     lambda-powers read from ``tables`` (:func:`_lambda_tables`) at the
@@ -379,15 +373,6 @@ def _vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
     # L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
     # jac = (1-u)^g (1-v)^g; a weil n - d is checked on the ints.
     return exact_divide(n ** e * lam[0] - _up(lam[1], d, e), n - d), 2 * reads[0][1] + e - 1
-
-
-def vhs_class(env: AtomEnvironment, t: VHSType, dL: int):
-    """Class of a variation-of-Hodge-structure stratum in the realization:
-    jac^k * c (:func:`_vhs_class`) multiplied out, from lambda series built
-    for this one stratum."""
-    k, _, reads = _stratum_facts(t, env.genus, dL)
-    c, b = _vhs_class(env, t, reads, _lambda_tables(env, reads))
-    return _over_scale(env, t.total_rank, jacobian_numerator(env) ** k * c, b)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +426,7 @@ def _strata_plan(g: int, r: int, d: int, dL: int) -> tuple:
         k, _, reads = _stratum_facts(t, g, dL)
         for name, n in reads:
             tops[name] = max(tops.get(name, 0), n)
-        exponent = _attracting_rank(t, spec, dimension(spec))
+        exponent = bb_exponent(t, spec)
         if n_plus.setdefault(k, exponent) != exponent:
             raise StrataPlanError(f"strata of k = {k} (class jac^k * c) have N+ = {n_plus[k]} "
                                   f"and {exponent} (stratum ranks {t.ranks}, degrees {t.degs})")
@@ -461,7 +446,7 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     """[M(r, d)] in the realization: sum over strata of L^(N+) [VHS].
 
     The strata come from :func:`_strata_plan`, with a stratum class jac^k * c
-    (:func:`_vhs_class`) and one N+ per k.  One lambda series is built per
+    (:func:`vhs_class`) and one N+ per k.  One lambda series is built per
     class read, to its top index.  With L = n / d, every value is the
     lift's numerator over P^a d^b, kept as (num, b): a sum lifts the
     smaller b by a power of d (:func:`_add`), and L^(N+) multiplies num by
@@ -489,7 +474,7 @@ def motive(env: AtomEnvironment, spec: ModuliSpec):
     sums = [(0, 0)] * len(n_plus)
     for k, t, reads in single:
         try:
-            sums[k] = _add(sums[k], _vhs_class(env, t, reads, tables), d)
+            sums[k] = _add(sums[k], vhs_class(env, t, reads, tables), d)
         except (NotDivisible, ZeroDivisionError) as exc:
             raise type(exc)(f"{exc} [stratum ranks {t.ranks}, degrees {t.degs}]") from exc
     if triples:

@@ -225,7 +225,7 @@ class TestPlogSeries:
         # A small L makes the factors d^k - n^k small and sharing primes, so
         # the scale's R is a true lcm; int atoms have P = d = 1
         env = _weil_env(g, source, rng)
-        got = adhm.plog_series(env, r, p)
+        got = adhm.plog_series(env, range(1, r + 1), r, p)
         for m, (h, H) in enumerate(zip(got, plog_series(env, r, p)), 1):
             assert H.is_polynomial() and h.order == r - 1
             assert h.coeffs == [_at_one_plus_s(H, i - m + 1) for i in range(r)]
@@ -315,7 +315,8 @@ class TestAdhmClass:
         for env in (make_hodge_env(g), make_weil_env(g, 50 + g)):
             for r in (1, 2, 3):
                 for p in (1, 2, 3):
-                    full = series_engine.eval_at_one(adhm.plog_series(env, r, p)[r - 1], r - 1)
+                    full = series_engine.eval_at_one(
+                        adhm.plog_series(env, range(1, r + 1), r, p)[r - 1], r - 1)
                     prefactor = env.lefschetz ** (r * r * (g - 1) + p * (r * (r + 1) // 2))
                     assert adhm_class(env, r, p) == (-1) ** (p * r) * prefactor * full
 
@@ -380,7 +381,7 @@ class TestAdhmClass:
         for env in (make_weil_env(2, 41), make_hodge_env(2)):
             for r in (1, 2, 3):
                 # h_m = s^(m-1) H_m for every m <= r
-                for m, h in enumerate(adhm.plog_series(env, r, 2), 1):
+                for m, h in enumerate(adhm.plog_series(env, range(1, r + 1), r, 2), 1):
                     series_engine.eval_at_one(h, m - 1)
 
 

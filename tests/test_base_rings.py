@@ -19,7 +19,7 @@ from motiveforge.base_rings import (
 )
 from motiveforge.export import _frac_latex, poly_to_json, poly_to_latex
 from motiveforge.series_engine import TRational, TruncatedSeries, eval_at_one
-from uv_reference import ZeroPolynomial, format_terms, power_substitute, total_degree
+from uv_reference import ZeroPolynomial, format_terms, frac_latex, power_substitute, total_degree
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -445,9 +445,17 @@ class TestUVLaurent:
         items = list(f.items())
         text = format_terms(items, "%s^%d", "*", str, "*")
         assert f.text() == str(f) == text
-        assert poly_to_latex(f) == format_terms(items, "%s^{%d}", " ", _frac_latex, r"\, ")
+        assert poly_to_latex(f) == format_terms(items, "%s^{%d}", " ", frac_latex, r"\, ")
         assert poly_to_json(f) == {"text": text, "terms": [
             {"u": a, "v": b, "coeff": str(c)} for (a, b), c in sorted(items, reverse=True)]}
+
+    @given(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.integers(max_value=-1), rationals,
+                     st.fractions()))
+    @settings(max_examples=200, deadline=None)
+    def test_latex_coefficient_matches_the_reference(self, x):
+        # ints take the short path, Fractions (integral ones too) the
+        # general one; both must print as the one-Fraction reference
+        assert _frac_latex(x) == frac_latex(x)
 
 
 class TestBigRational:

@@ -371,7 +371,7 @@ class TestErrorPaths:
         divide = formulas.exact_divide
 
         def refuse_in_a_12_stratum(num, den):
-            # the (1,2) stratum class divides in _vhs_class, whose local t is
+            # the (1,2) stratum class divides in vhs_class, whose local t is
             # the stratum; every other division goes through
             if getattr(sys._getframe(1).f_locals.get("t"), "ranks", None) == (1, 2):
                 raise NotDivisible("synthetic")

@@ -87,6 +87,14 @@ def class_shapes(env: AtomEnvironment):
             (cx.scale(L).plus_geometric(1), L, (1, L, L * L))]
 
 
+def lambda_scale(env: AtomEnvironment, ell, geometric, k: int):
+    """P m^k, the scale :func:`lambda_series` leaves on its x^k numerator:
+    P the lift's, m the lcm of the denominators of ell and the geometric
+    values."""
+    m = math.lcm(*(x.denominator for x in (ell, *geometric) if isinstance(x, Fraction)))
+    return env.lift[0] * m ** k
+
+
 def h1_power_sums(env: AtomEnvironment, upto: int):
     """Power sums p_1 .. p_upto of the atoms (index 0 unused)."""
     return [None] + [sum((b ** j for b in env.betas), 0) for j in range(1, upto + 1)]
@@ -228,10 +236,15 @@ class TestLift:
         shapes = [(1, (1, L)), (1, (1, L, L * L)), (L, (1, L, L * L)),
                   (data.draw(scalars, label="ell"),
                    tuple(data.draw(st.lists(scalars, max_size=3), label="geometric")))]
-        for ell, geo in shapes:
-            assert repr(lambda_series(env, ell, geo, order).coeffs) == \
-                repr(series_reference.lambda_series(atoms, ell, geo, order).coeffs)
         P = env.lift[0]
+        for ell, geo in shapes:
+            num = lambda_series(env, ell, geo, order).coeffs
+            ref = series_reference.lambda_series(atoms, ell, geo, order).coeffs
+            if lambda_scale(env, ell, geo, 1) == 1:
+                assert repr(num) == repr(ref)
+            else:
+                assert num == [lambda_scale(env, ell, geo, k) * x for k, x in enumerate(ref)]
+                assert P == 1 or all(type(x) is int for x in num)
         for arg in (1, L, L * L, data.draw(scalars, label="arg")):
             a, q = (arg.numerator, arg.denominator) if isinstance(arg, Fraction) else (arg, 1)
             num = h1_numerator(env, a, q)
@@ -306,13 +319,15 @@ class TestLambdaOperations:
         ref, ell, geometric = data.draw(st.sampled_from(class_shapes(env)), label="shape")
         s = lambda_series(env, ell, geometric, order)
         assert s.order == order
-        assert coeffs(s) == coeffs(reference_lambda_series(ref, order))
+        assert coeffs(s) == [lambda_scale(env, ell, geometric, k) * x
+                             for k, x in enumerate(coeffs(reference_lambda_series(ref, order)))]
 
     def test_point_series(self):
-        # ell = 0 leaves e_0 = 1 alone, so one geometric 1 is the point
+        # ell = 0 leaves e_0 = 1 alone, so one geometric 1 is the point:
+        # every numerator is P
         for env in (make_hodge_env(2), make_weil_env(2, 11)):
             s = lambda_series(env, 0, (1,), 5)
-            assert coeffs(s) == [1] * 6
+            assert coeffs(s) == [env.lift[0]] * 6
 
     def test_curve_series_is_zeta(self):
         # coefficients of Z(x) = P(x) / ((1-x)(1-Lx)) match the series
@@ -328,7 +343,7 @@ class TestLambdaOperations:
                 for i in range(min(n, len(e) - 1) + 1):
                     for jj in range(n - i + 1):
                         expected = expected + e[i] * L ** jj
-                assert s.coeff(n) == expected
+                assert s.coeff(n) == lambda_scale(env, 1, (1, L), n) * expected
 
     @given(seeds, st.integers(min_value=0, max_value=5), st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -339,9 +354,10 @@ class TestLambdaOperations:
         ell = env.lefschetz if twist else 1
         a = (env.betas[0], 1)
         b = (env.lefschetz, env.betas[1])
-        combined = lambda_series(env, ell, a + b, order)
-        product = lambda_series(env, ell, a, order) * lambda_series(env, 0, b, order)
-        assert coeffs(combined) == coeffs(product)
+        for n in range(order + 1):
+            assert sym_power_class(env, ell, a + b, n) == sum(
+                sym_power_class(env, ell, a, i) * sym_power_class(env, 0, b, n - i)
+                for i in range(n + 1))
         # the reference's finite and geometric atoms convolve the same way
         x = SplitClass(((env.betas[0], FINITE), (1, GEOMETRIC)))
         y = SplitClass(((env.lefschetz, GEOMETRIC), (env.betas[1], FINITE)))

@@ -18,7 +18,7 @@ from motiveforge.adhm import adhm_class
 from motiveforge.base_rings import UV, NotDivisible, UVLaurent, exact_divide
 from motiveforge.cli import EXIT_ARITHMETIC_ERROR, EXIT_INVALID_INPUT, EXIT_PASS, main
 from motiveforge.curve_ring import (AtomEnvironment, frobenius, h1_series, jacobian_class,
-                                   make_hodge_env, make_weil_env)
+                                   jacobian_numerator, make_hodge_env, make_weil_env)
 from motiveforge.moduli_formulas import (
     INPUT_BUDGET,
     EmptyStratum,
@@ -202,8 +202,8 @@ class TestMorseIndexAndExponents:
            st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_attracting_rank_helper_matches_bb_exponent(self, g, r, d, p):
-        # motive takes N+ from the unchecked helper, bb_exponent checks
-        # first; both give the literal exponent of the stratum's shape
+        # bb_exponent, which the plan of motive reads, gives the literal
+        # exponent of the stratum's shape
         assume(math.gcd(r, d) == 1)
         spec = ModuliSpec.from_p(g, r, d, p)
         dL = spec.dL
@@ -211,8 +211,7 @@ class TestMorseIndexAndExponents:
                    (3,): -9 * dL + 9 - 9 * g, (1, 2): -7 * dL + 5 - 5 * g,
                    (2, 1): -7 * dL + 5 - 5 * g, (1, 1, 1): -6 * dL + 3 - 3 * g}
         for t in strata_for(spec):
-            n_plus = moduli_formulas._attracting_rank(t, spec, dimension(spec))
-            assert n_plus == bb_exponent(t, spec) == literal[t.ranks]
+            assert bb_exponent(t, spec) == literal[t.ranks]
         # the plan keeps one N+ per power k of jac: bundle, (1,1) or (1,1,1),
         # then (1,2) and (2,1)
         per_k = [literal[(r,)], literal[(1, 1) if r == 2 else (1, 1, 1)], literal[(1, 2)]]
@@ -257,7 +256,11 @@ class TestStratumClasses:
         d, d1 = 1, 2
         assert d - 2 * d1 - dL == 0
         t = VHSType((1, 1), (d1, d - d1))
-        assert vhs_class(env, t, dL) == jacobian_class(env)
+        k, _, reads = moduli_formulas._stratum_facts(t, env.genus, dL)
+        c, b = vhs_class(env, t, reads, moduli_formulas._lambda_tables(env, reads))
+        # jac^k * c over P^2 d^b is jac
+        P, L = env.lift[0], env.lefschetz
+        assert jacobian_numerator(env) ** k * c == jacobian_class(env) * P ** 2 * L.denominator ** b
 
     def test_vhs_21_equals_dual_12(self):
         env = make_weil_env(2, 4)
@@ -265,7 +268,11 @@ class TestStratumClasses:
         d, d1 = 1, 1
         t21 = VHSType((2, 1), (d1, d - d1))
         t12 = VHSType((1, 2), (d1 - d, -d1))
-        assert vhs_class(env, t21, dL) == vhs_class(env, t12, dL)
+        classes = []
+        for t in (t21, t12):
+            k, _, reads = moduli_formulas._stratum_facts(t, env.genus, dL)
+            classes.append((k, vhs_class(env, t, reads, moduli_formulas._lambda_tables(env, reads))))
+        assert classes[0] == classes[1]
 
     def test_vhs_111_zero_indices_give_jacobian(self):
         env = make_weil_env(2, 6)
@@ -275,12 +282,18 @@ class TestStratumClasses:
         d = 3 * d1 + 3 * dL
         t = VHSType((1, 1, 1), (d1, d2, d - d1 - d2))
         assert -d1 + d2 - dL == 0 and d - d1 - 2 * d2 - dL == 0
-        assert vhs_class(env, t, dL) == jacobian_class(env)
+        k, _, reads = moduli_formulas._stratum_facts(t, env.genus, dL)
+        c, b = vhs_class(env, t, reads, moduli_formulas._lambda_tables(env, reads))
+        # jac^k * c over P^3 d^b is jac
+        P, L = env.lift[0], env.lefschetz
+        assert jacobian_numerator(env) ** k * c == jacobian_class(env) * P ** 3 * L.denominator ** b
 
     def test_empty_vhs_raises(self):
+        # a stratum's reads, which vhs_class takes, come from its facts,
+        # and those refuse an empty stratum
         env = make_weil_env(2, 6)
         with pytest.raises(EmptyStratum):
-            vhs_class(env, VHSType((1, 1), (0, 1)), -3)
+            moduli_formulas._stratum_facts(VHSType((1, 1), (0, 1)), env.genus, -3)
 
 
 class TestMotiveEpolyConsistency:
@@ -390,14 +403,18 @@ class TestWeilMotiveOnTheLift:
 
     @pytest.mark.parametrize("seed", [None, 3])
     def test_vhs_class_is_the_reference_stratum_class(self, seed):
-        # one stratum on its own: jac^k * c over P^r d^b, one Fraction on weil
+        # one stratum on its own: jac^k * c over P^r d^b, c an int on weil
         for g, r, d, p in ((2, 2, 1, 3), (3, 3, 1, 2), (3, 3, -1, 1), (4, 3, 2, 1)):
             env = make_hodge_env(g) if seed is None else make_weil_env(g, seed + g)
+            P, L = env.lift[0], env.lefschetz
+            scale = L.denominator if seed is not None else 1
             spec = ModuliSpec.from_p(g, r, d, p)
             for t in strata_for(spec):
-                value = vhs_class(env, t, spec.dL)
+                k, _, reads = moduli_formulas._stratum_facts(t, g, spec.dL)
+                c, b = vhs_class(env, t, reads, moduli_formulas._lambda_tables(env, reads))
                 expected = strata_reference.stratum_class(env, t, spec.dL)
-                assert (value, type(value)) == (expected, type(expected)), t
+                assert jacobian_numerator(env) ** k * c == expected * P ** r * scale ** b, t
+                assert seed is None or type(c) is int, t
 
     def test_weil_motive_makes_one_fraction_per_call(self, monkeypatch):
         # the lambda tables, [Jac] and the bundle classes hold ints, and the
@@ -569,15 +586,15 @@ class TestStrataPlan:
     def test_a_shifted_exponent_in_one_k_is_refused(self, monkeypatch, capsys):
         # raise N+ of one (1,1,1) stratum by one: its k = 1 no longer has
         # one exponent, and the plan names k and both exponents
-        rank = moduli_formulas._attracting_rank
+        rank = moduli_formulas.bb_exponent
         spec = ModuliSpec.from_p(6, 3, 1, 4)
         shifted = moduli_formulas.strata_for(spec)[-1]
         assert shifted.ranks == (1, 1, 1)
 
-        def shift_one(t, spec, dim):
-            return rank(t, spec, dim) + (t == shifted)
+        def shift_one(t, spec):
+            return rank(t, spec) + (t == shifted)
 
-        monkeypatch.setattr(moduli_formulas, "_attracting_rank", shift_one)
+        monkeypatch.setattr(moduli_formulas, "bb_exponent", shift_one)
         n_plus = -6 * spec.dL + 3 - 3 * spec.g
         moduli_formulas._strata_plan.cache_clear()
         try:

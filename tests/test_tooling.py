@@ -65,6 +65,33 @@ def test_benchmark_traced_layers_exist():
     assert spans.LAYER_FUNCTIONS and spans.LAYER_OPERATORS and not missing, missing
 
 
+def test_every_traced_layer_runs():
+    # a traced name that only a wrapper or a test calls reads 0 in the
+    # benchmark; a cold slice of its workloads (one grid cell with its
+    # exact hodge check, one hodge query) must call every traced layer but
+    # the two that only the benchmark names
+    spans = _load(SPANS, "perfbench_spans")
+    modules = {path.stem: importlib.import_module(f"motiveforge.{path.stem}")
+               for path in SOURCES if not path.stem.startswith("_")}
+    make_hodge_env.cache_clear()
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        # each call looks its layer up on the module, where the tracer sits
+        spec = ModuliSpec.from_p(2, 3, 1, 1)
+        report = cli.identity_test(lambda env: adhm.adhm_class(env, 3, 1),
+                                   lambda env: moduli_formulas.motive(env, spec),
+                                   2, trials=1, seed=0, hodge=True, cell=(2, 3, 1, 1))
+        e = moduli_formulas.epoly(spec)
+        moduli_formulas.poincare(e)
+        modules["export"].poly_to_json(e)
+    finally:
+        tracer.uninstall()
+    assert report.passed and report.hodge_equal
+    idle = sorted(name for name, (calls, _, _) in tracer.summary().items() if not calls)
+    assert idle == ["curve_ring.sym_power_class", "series_engine.series_product"], idle
+
+
 def test_benchmark_reference_digests():
     # each workload's seed-0 outputs, hashed as the benchmark hashes a
     # pass, equal its reference digest: an output change fails here too
@@ -151,9 +178,8 @@ def test_closed_form_and_strata_routes_share_no_series():
                 for node in ast.walk(bodies[name]) if isinstance(node, (ast.Name, ast.Attribute))}
 
     strata = ["motive", "vhs_class", "_strata_plan", "strata_for", "triple_stratum_degrees",
-              "_stratum_facts", "_vhs12_degrees", "_attracting_rank", "morse_index", "dimension",
-              "_lambda_tables", "_cut", "_vhs_class", "_bundle_class",
-              "_lifted", "_up", "_add", "_over_scale"]
+              "_stratum_facts", "_vhs12_degrees", "bb_exponent", "morse_index", "dimension",
+              "_lambda_tables", "_cut", "_bundle_class", "_lifted", "_up", "_add", "_over_scale"]
     reached, todo = set(), ["motive", "vhs_class"]
     while todo:
         name = todo.pop()
@@ -161,8 +187,7 @@ def test_closed_form_and_strata_routes_share_no_series():
         todo += [n for n in names(name) & set(bodies) if n not in reached]
     closed = ["epoly_rank2", "_zeta_series"] + [n for n in bodies if n.startswith("_rank3_")]
     rules = [(strata, {"_zeta_series", "h1_series"}),
-             (closed, {"lambda_series", "lifted_lambda_series", "_lambda_tables",
-                       "sym_power_class"})]
+             (closed, {"lambda_series", "_lambda_tables", "sym_power_class"})]
     found = []
     for route, banned in rules:
         for name in route:
@@ -193,7 +218,7 @@ def test_hodge_adhm_carrier_stays_integral():
         env = make_hodge_env(g)
         for r in (1, 2, 3):
             for p in (1, 2):
-                series = plog_series(env, r, p) + [
+                series = plog_series(env, range(1, r + 1), r, p) + [
                     partition_sum(frobenius(env, j), n, p, j, r)
                     for j in range(1, r + 1) for n in range(1, r // j + 1)]
                 found = [x for h in series for x in h.coeffs if not integral(x)]
@@ -272,16 +297,16 @@ def test_one_hodge_adhm_class_per_rank_and_twist(monkeypatch):
     make_hodge_env.cache_clear()
     hodge = make_hodge_env(2)
     calls = {"hodge": Counter(), "weil": 0}
-    connected = adhm._connected
+    plog = adhm.plog_series
 
     def counting(env, orders, r, p):
         if env is hodge:
             calls["hodge"][r, p] += 1
         elif isinstance(env.lefschetz, Fraction):
             calls["weil"] += 1
-        return connected(env, orders, r, p)
+        return plog(env, orders, r, p)
 
-    monkeypatch.setattr(adhm, "_connected", counting)
+    monkeypatch.setattr(adhm, "plog_series", counting)
     trials = 2
     for _ in range(2):
         for d in (1, 2):

@@ -1,6 +1,8 @@
-"""Operations on ``UVLaurent`` that only the tests use."""
+"""Operations on ``UVLaurent`` and its coefficients that only the tests use."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from motiveforge.base_rings import UVLaurent
 
@@ -44,3 +46,13 @@ def format_terms(items, power, join, number, times):
             body = number(mag) + times + vars_
         parts.append(body if idx == 0 else (" + " if x > 0 else " - ") + body)
     return "".join(parts) or "0"
+
+
+def frac_latex(x) -> str:
+    """A rational coefficient as LaTeX, through one Fraction: the reference
+    for the package's coefficient formatter."""
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    sign = "-" if f < 0 else ""
+    return sign + r"\frac{%d}{%d}" % (abs(f.numerator), f.denominator)
