@@ -173,7 +173,8 @@ def run_adhm_grid(
     recorded as skipped rather than failed.  The grid size (at most
     INPUT_BUDGET cells), every cell (g, r and p of a skipped one), the
     trial count (at most INPUT_BUDGET) and the thread count are checked
-    before any cell runs (InvalidSpec).  With
+    before any cell runs (InvalidSpec), and so is a grid whose every cell
+    is skipped: it would pass without running anything.  With
     ``threads > 1`` the cells go to a process pool of at most one worker
     per cell and per CPU this process may run on
     (``os.sched_getaffinity``, else ``os.cpu_count()``)."""
@@ -201,6 +202,8 @@ def run_adhm_grid(
                                         "reason": "gcd(r, d) != 1"})
                         continue
                     cells.append((g, r, d, p, trials, seed, hodge))
+    if not cells:
+        raise InvalidSpec(f"every cell of the grid has gcd(r, d) != 1 ({len(skipped)} skipped)")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

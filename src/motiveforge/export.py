@@ -28,7 +28,7 @@ def poly_to_csv(e: UVLaurent) -> str:
 
 def poly_to_latex(e: UVLaurent) -> str:
     """Render a u, v Laurent polynomial as LaTeX."""
-    return format_terms(sorted(e.items(), reverse=True), "%s^{%d}", " ", _frac_latex, r"\, ")
+    return format_terms(sorted(e.items(), reverse=True), "%s^{%d}", " ", r"\, ")
 
 
 def weil_motive_latex(env, value) -> str:

@@ -57,7 +57,7 @@ class EmptyStratum(ValueError):
 
 
 class NegativeBetti(ArithmeticError):
-    """A Betti coefficient came out negative or non-integral."""
+    """A Betti coefficient came out negative."""
 
 
 class StrataPlanError(ArithmeticError):
@@ -370,7 +370,7 @@ def vhs_class(env: AtomEnvironment, t: VHSType, reads: List[Tuple[str, int]],
     e = 2 * (dd // 3) - dd + d1 + env.genus + 1
     # L^e lam+ - lam_tw over (L - 1) = (n - d) / d; e >= g.  Dividing this
     # cofactor, not cofactor * jac^2, fails in the same cases: hodge
-    # L - 1 = uv - 1 is prime in Q[u^+-1, v^+-1] and does not divide
+    # L - 1 = uv - 1 is prime in Z[u^+-1, v^+-1] and does not divide
     # jac = (1-u)^g (1-v)^g; a weil n - d is checked on the ints.
     return exact_divide(n ** e * lam[0] - _up(lam[1], d, e), n - d), 2 * reads[0][1] + e - 1
 
@@ -624,11 +624,11 @@ def poincare(e: UVLaurent) -> List[int]:
 
     The compactly supported polynomial E(-t, -t) = sum b_k^c t^k is read
     backwards through Poincare duality (b_k = b^c_{2D - k}, D = dim), so the
-    returned list starts with b_0.  Every coefficient must be a nonnegative
-    integer; a violation means the input was not the E-polynomial of a
-    smooth variety with pure structure.
+    returned list starts with b_0.  The coefficients are ints, as every
+    ``UVLaurent``'s are, and must be nonnegative; a negative one means the
+    input was not the E-polynomial of a smooth variety with pure structure.
     """
-    diag: Dict[int, object] = {}
+    diag: Dict[int, int] = {}
     for (a, b), c in e.items():
         k = a + b
         diag[k] = diag.get(k, 0) + (-c if k & 1 else c)
@@ -639,10 +639,6 @@ def poincare(e: UVLaurent) -> List[int]:
     out: List[int] = []
     for k in range(top + 1):
         bk = diag.get(top - k, 0)
-        if isinstance(bk, Fraction):
-            if bk.denominator != 1:
-                raise NegativeBetti(f"non-integral Betti coefficient b_{k} = {bk}")
-            bk = bk.numerator
         if bk < 0:
             raise NegativeBetti(f"negative Betti coefficient b_{k} = {bk}")
         out.append(bk)

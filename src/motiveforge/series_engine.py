@@ -13,9 +13,9 @@ literals 0 and 1, and ``bool()`` false exactly at zero works):
   package's one truncated-product loop.
 * :class:`TRational` - a ring element over an integer scale and a
   *factored* constant denominator prod (1 - c).  The hodge ADHM route's
-  s-coefficients are these, with ``UVLaurent`` numerators of int
-  coefficients and c a power of L: nothing is divided until
-  :func:`eval_at_one` divides by each factor 1 - c, and then by the scale.
+  s-coefficients are these, with ``UVLaurent`` numerators and c a power of
+  L: nothing is divided until :func:`eval_at_one` divides by each factor
+  1 - c, and then by the scale, each division exact over the integers.
 * :class:`BiSeries` - a bivariate Laurent window truncated by total degree.
   It builds the integer kernel of the one double coefficient extraction in
   the rank-3 E-polynomial; the ring-valued series are convolved against
@@ -155,18 +155,18 @@ class TRational:
     constants c.
 
     The hodge ADHM route carries the reciprocals of its partitions'
-    denominator constant terms in it, with ``UVLaurent`` numerators of int
-    coefficients and every c a power of L, so no division happens before
-    :func:`eval_at_one`.  A sum is formed over the lcm of the two scales
-    and the multiset union of the denominators, a product over the product
-    of the scales and the concatenation; a Fraction factor moves its
-    denominator into the scale, so int numerators stay ints: the
-    logarithm's 1/n, once per coefficient (:func:`series_log`), and the
-    Moebius weight mu(j)/j.  Nothing
-    cancels, and zero carries no denominator.  The name dates from when
-    the class was a rational function in t; it is kept because the
-    benchmark's traced runs wrap its ``__add__`` and ``__mul__`` and count
-    the factors of ``den``.
+    denominator constant terms in it, with ``UVLaurent`` numerators (int
+    coefficients only) and every c a power of L, so no division happens
+    before :func:`eval_at_one`.  A sum is formed over the lcm of the two
+    scales and the multiset union of the denominators, a product over the
+    product of the scales and the concatenation; a Fraction factor moves
+    its denominator into the scale, so numerators never meet a Fraction:
+    the logarithm's 1/n, once per coefficient (:func:`series_log`), and the
+    Moebius weight mu(j)/j.  Nothing cancels.  Zero carries no denominator,
+    and a zero term, a Fraction 0 included (an empty coefficient times 1/n),
+    leaves a sum unchanged.  The name dates from when the class was a
+    rational function in t; it is kept because the benchmark's traced runs
+    wrap its ``__add__`` and ``__mul__`` and count the factors of ``den``.
     """
 
     __slots__ = ("num", "den", "scale")
@@ -178,6 +178,8 @@ class TRational:
     def __add__(self, other):
         if not isinstance(other, TRational):
             other = TRational(other)
+        if not other.num:
+            return self
         mine, theirs = Counter(self.den), Counter(other.den)
         a, b = self.num, other.num
         scale = self.scale
@@ -218,9 +220,10 @@ def eval_at_one(h: TruncatedSeries, k: int):
     A :class:`TRational` value is divided by its denominator prod (1 - c)
     one factor 1 - c at a time, each a binomial 1 - L^k in the Hodge
     realization, which is all ``exact_divide`` takes; over the unique
-    factorization domain Q[u^+-1, v^+-1] that is exact exactly when the
-    division by the product is.  A NotDivisible means the value is no
-    Laurent polynomial in the coefficient ring.  Last comes the scale.
+    factorization domain Z[u^+-1, v^+-1], each factor primitive, that is
+    exact exactly when the division by the product is.  Last comes the
+    scale, divided exactly from every coefficient.  A NotDivisible means
+    the value is no Laurent polynomial over the integers.
     """
     for i in range(k):
         if h.coeff(i):
@@ -231,7 +234,7 @@ def eval_at_one(h: TruncatedSeries, k: int):
     num = value.num
     for c in value.den:
         num = exact_divide(num, 1 - c)
-    return num * Fraction(1, value.scale)
+    return exact_divide(num, value.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ products keep every denominator factor; only the constructor cancels
 factors against the numerator, so a pipeline reduces once, at its end.
 
 :func:`partition_sum` and :func:`plog_series` build the charge terms and
-H_1(t) .. H_r(t) in it, the cells' t-exponents and denominator factors
-built here from the partitions' arm, leg and hook data independently of
-the package's expansion at t = 1.  The Moebius / Adams sum is taken here
-too, its logarithm by the power series of log(1 + X) rather than the
-package's recurrence, and :func:`eval_at_one` evaluates at t = 1 by
-dividing out the poles.
+W H_1(t) .. W H_r(t) in it, W = r! (:func:`log_scale`), the cells'
+t-exponents and denominator factors built here from the partitions' arm,
+leg and hook data independently of the package's expansion at t = 1.  The
+Moebius / Adams sum is taken here too, its logarithm by the power series
+of log(1 + X) rather than the package's recurrence, every weight an int
+over W, so a Hodge numerator never meets a Fraction.  :func:`eval_at_one`
+evaluates at t = 1 by dividing out the poles, and :func:`h_at_one` divides
+W H_r(1) by W exactly.
 """
 
 from __future__ import annotations
@@ -334,9 +336,19 @@ def partition_sum(env: AtomEnvironment, n: int, p: int) -> TRational:
     return total
 
 
-def _log_one_plus(terms: Dict[int, TRational], top: int) -> Dict[int, TRational]:
-    """U^1 .. U^top coefficients of log(1 + X), X = sum_n terms[n] U^n, by
-    the power sum sum_m (-1)^(m+1) X^m / m: X^m starts at U^m, so m <= top."""
+def log_scale(r: int) -> int:
+    """W = r!, a multiple of every j m <= r: each weight mu(j) (-1)^(m+1) / (j m)
+    of :func:`plog_series` is an int over it."""
+    w = 1
+    for k in range(2, r + 1):
+        w *= k
+    return w
+
+
+def _log_one_plus(terms: Dict[int, TRational], top: int, scale: int) -> Dict[int, TRational]:
+    """``scale`` times the U^1 .. U^top coefficients of log(1 + X),
+    X = sum_n terms[n] U^n, by the power sum sum_m (-1)^(m+1) X^m / m:
+    X^m starts at U^m, so m <= top, and each m divides ``scale``."""
     out = {k: TRational.from_scalar(0) for k in range(1, top + 1)}
     power = {0: TRational.from_scalar(1)}  # X^(m-1), truncated at U^top
     for m in range(1, top + 1):
@@ -347,22 +359,24 @@ def _log_one_plus(terms: Dict[int, TRational], top: int) -> Dict[int, TRational]
                     nxt[a + n] = nxt.get(a + n, TRational.from_scalar(0)) + x * y
         power = nxt
         for k, x in power.items():
-            out[k] = out[k] + x * Fraction((-1) ** (m + 1), m)
+            out[k] = out[k] + x * ((-1) ** (m + 1) * (scale // m))
     return out
 
 
 def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
-    """H_1(t) .. H_r(t): plethystic-log coefficients cleared by (1-t)(1-Lt).
+    """W H_1(t) .. W H_r(t), W = :func:`log_scale` (r): plethystic-log
+    coefficients cleared by (1-t)(1-Lt).
 
     The T^m coefficient of sum_j mu(j)/j psi_j log(1 + sum_n F_n T^n): psi_j
     F_n is the charge term built on the j-th Frobenius environment with
     t -> t^j, at T^(j n), so the logarithm runs in U = T^j to U^(r // j).
-    Rational scalars mu(j)/(j m) are carried exactly.  TRational sums and
+    The scalars mu(j)/(j m), j m <= r, are carried exactly as the ints
+    mu(j) W / (j m).  TRational sums and
     products cancel nothing, so each H_n is reduced once, by one explicit
     TRational construction after clearing (1-t)(1-Lt); for honest inputs
     that leaves an actual Laurent polynomial in t.
     """
-    L = env.lefschetz
+    L, W = env.lefschetz, log_scale(r)
     acc = {m: TRational.from_scalar(0) for m in range(1, r + 1)}
     for j in range(1, r + 1):
         mu = mobius(j)
@@ -370,10 +384,15 @@ def plog_series(env: AtomEnvironment, r: int, p: int) -> List[TRational]:
             continue
         fenv, top = frobenius(env, j), r // j
         terms = {n: substitute_t_power(partition_sum(fenv, n, p), j) for n in range(1, top + 1)}
-        for k, x in _log_one_plus(terms, top).items():
-            acc[j * k] = acc[j * k] + x * Fraction(mu, j)
+        for k, x in _log_one_plus(terms, top, mu * (W // j)).items():
+            acc[j * k] = acc[j * k] + x
     out: List[TRational] = []
     for m in range(1, r + 1):
         h = acc[m].mul_poly_factor(1, 1).mul_poly_factor(L, 1)
         out.append(TRational(h.num, h.den))  # the one reduction of the pipeline
     return out
+
+
+def h_at_one(env: AtomEnvironment, r: int, p: int):
+    """H_r(1): W H_r(t) of :func:`plog_series` at t = 1, divided by W exactly."""
+    return exact_divide(eval_at_one(plog_series(env, r, p)[r - 1]), log_scale(r))

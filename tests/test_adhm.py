@@ -26,7 +26,8 @@ from t_rational import (
     TRational,
     _tp_mul,
     _tp_mul_factor,
-    eval_at_one,
+    h_at_one,
+    log_scale,
     partition_sum,
     plog_series,
     substitute_t_power,
@@ -221,14 +222,16 @@ class TestPlogSeries:
     def test_every_weil_h_m_matches_the_t_rational_reference(self, g, r, p, source, rng):
         # the weil logarithm runs on ints over one scale per Adams index,
         # lifted from each charge term's own; every h_m = s^(m-1) H_m, so
-        # several reads per index, equals the reference H_m at t = 1 + s.
+        # several reads per index, equals the reference H_m at t = 1 + s
+        # (W H_m, W = log_scale(r)).
         # A small L makes the factors d^k - n^k small and sharing primes, so
         # the scale's R is a true lcm; int atoms have P = d = 1
         env = _weil_env(g, source, rng)
         got = adhm.plog_series(env, range(1, r + 1), r, p)
+        W = log_scale(r)
         for m, (h, H) in enumerate(zip(got, plog_series(env, r, p)), 1):
             assert H.is_polynomial() and h.order == r - 1
-            assert h.coeffs == [_at_one_plus_s(H, i - m + 1) for i in range(r)]
+            assert [W * c for c in h.coeffs] == [_at_one_plus_s(H, i - m + 1) for i in range(r)]
 
 
 def _weil_env(g, source, rng):
@@ -388,7 +391,7 @@ class TestAdhmClass:
 def _t_rational_adhm_class(env, r, p):
     """adhm_class through the t-rational reference pipeline."""
     prefactor = env.lefschetz ** (r * r * (env.genus - 1) + p * (r * (r + 1) // 2))
-    return (-1) ** (p * r) * prefactor * eval_at_one(plog_series(env, r, p)[r - 1])
+    return (-1) ** (p * r) * prefactor * h_at_one(env, r, p)
 
 
 class TestLaurentRoute:

@@ -24,6 +24,7 @@ from uv_reference import ZeroPolynomial, format_terms, frac_latex, power_substit
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
 )
+coefficients = st.integers(min_value=-50, max_value=50)
 
 
 @st.composite
@@ -33,7 +34,7 @@ def laurents(draw, max_terms=5, zero_ok=True):
     for _ in range(n):
         a = draw(st.integers(min_value=-3, max_value=3))
         b = draw(st.integers(min_value=-3, max_value=3))
-        c = draw(rationals)
+        c = draw(coefficients)
         terms[(a, b)] = terms.get((a, b), 0) + c
     poly = UVLaurent(terms)
     if not zero_ok and not poly:
@@ -58,8 +59,8 @@ def product_operands(draw):
     """Operands around and above the packed path's size: dense boxes of
     ints up to 80 bits, boxes filled with one value +-(2**k - 1) so that
     product coefficients reach the slot bound, sparse operands spread too
-    wide to pack, Fraction boxes, and zero or a monomial."""
-    kind = draw(st.sampled_from(("dense", "extreme", "sparse", "fraction", "small")))
+    wide to pack, boxes of small coefficients, and zero or a monomial."""
+    kind = draw(st.sampled_from(("dense", "extreme", "sparse", "narrow", "small")))
     if kind == "small":
         return draw(laurents(max_terms=1))
     if kind == "sparse":
@@ -77,7 +78,7 @@ def product_operands(draw):
         coeffs = [sign * (2 ** draw(st.integers(min_value=1, max_value=80)) - 1)] * len(keys)
     else:
         bound = 2 ** draw(st.integers(min_value=1, max_value=80))
-        coef = rationals if kind == "fraction" else st.integers(min_value=-bound, max_value=bound)
+        coef = coefficients if kind == "narrow" else st.integers(min_value=-bound, max_value=bound)
         coeffs = draw(st.lists(coef, min_size=len(keys), max_size=len(keys)))
     return UVLaurent(dict(zip(keys, coeffs)))
 
@@ -85,12 +86,12 @@ def product_operands(draw):
 @st.composite
 def binomials(draw):
     """lc*X^hi + c0*X^lo with the step hi - lo one of (1,0), (0,1), (1,1),
-    (2,2) and (1,-2), a lead of +-1 or not a unit, and int or Fraction
-    coefficients."""
+    (2,2) and (1,-2), and a lead of +-1, the only one a two-term divisor
+    may have."""
     step = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (2, 2), (1, -2))))
     lo = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-    lc = draw(st.sampled_from((1, -1, 2, Fraction(-2, 3))))
-    c0 = draw(st.one_of(st.integers(-9, 9), rationals).filter(bool))
+    lc = draw(st.sampled_from((1, -1)))
+    c0 = draw(st.one_of(st.integers(-9, 9), coefficients).filter(bool))
     return UVLaurent({(lo[0] + step[0], lo[1] + step[1]): lc, lo: c0}), step
 
 
@@ -98,7 +99,7 @@ def binomials(draw):
 def monomials(draw):
     """lc*X^e with a lead of +-1 or not a unit."""
     e = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
-    return UVLaurent.monomial(*e, draw(st.sampled_from((1, -1, 2, Fraction(-2, 3)))))
+    return UVLaurent.monomial(*e, draw(st.sampled_from((1, -1, 2, -3))))
 
 
 def divisors():
@@ -107,8 +108,9 @@ def divisors():
 
 
 def _two_level_divide(num, den):
-    """Exact division as nested long division, by u-degree outside and by
-    v-degree inside, after shifting both operands to ordinary polynomials;
+    """Exact division as nested long division over the rationals, by
+    u-degree outside and by v-degree inside, after shifting both operands
+    to ordinary polynomials, and a check that the quotient is integral;
     the reference exact_divide is compared with."""
     if not num:
         return UVLaurent()
@@ -164,7 +166,9 @@ def _two_level_divide(num, den):
                     else:
                         target.pop(ve + qe, None)
         rem = {k: v for k, v in rem.items() if v}
-    return UVLaurent(quot)
+    if any(x.denominator != 1 for x in quot.values()):
+        raise NotDivisible("non-integral quotient")
+    return UVLaurent({k: x.numerator for k, x in quot.items()})
 
 
 class TestUVLaurent:
@@ -177,15 +181,41 @@ class TestUVLaurent:
         assert dict(x.items()) == before
 
     def test_construction_drops_zeros(self):
-        f = UVLaurent({(1, 0): Fraction(0), (0, 0): 3})
+        f = UVLaurent({(1, 0): 0, (0, 0): 3})
         assert f == 3
         assert list(f.items()) == [((0, 0), 3)]
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(0), Fraction(3), 1.0])
+    def test_constructor_refuses_a_non_int_coefficient(self, x):
+        # a zero Fraction too: the check is on the type, not the value
+        for build in (lambda: UVLaurent({(1, 0): x, (0, 0): 3}), lambda: UVLaurent([((0, 0), x)]),
+                      lambda: UVLaurent.const(x), lambda: UVLaurent.monomial(1, -1, x)):
+            with pytest.raises(TypeError, match="is not an int"):
+                build()
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(0), Fraction(1), Fraction(-4)])
+    def test_a_fraction_does_not_mix_with_a_polynomial(self, x):
+        # the ring is Z[u^+-1, v^+-1]: a sum, difference or product with a
+        # Fraction, integral or zero ones included, is a TypeError
+        for op in (lambda: UV + x, lambda: x + UV, lambda: UV - x, lambda: x - UV,
+                   lambda: UV * x, lambda: x * UV, lambda: UVLaurent() * x):
+            with pytest.raises(TypeError):
+                op()
+        assert UV != x
 
     def test_monomial_and_pow(self):
         assert total_degree(UV ** 3) == 6
         assert UV ** -2 == UVLaurent.monomial(-2, -2)
         with pytest.raises(NotDivisible):
             (1 + U) ** -1
+
+    def test_negative_power_of_a_non_unit_monomial(self):
+        # its inverse is no polynomial over the integers
+        for base, n in ((2 * UV, -1), (-3 * U, -2), (UVLaurent.const(5), -1)):
+            with pytest.raises(NotDivisible, match="non-unit monomial"):
+                base ** n
+        assert (-U) ** -3 == UVLaurent.monomial(-3, 0, -1)
+        assert (-V) ** -2 == UVLaurent.monomial(0, -2)
 
     def test_total_degree_examples(self):
         assert total_degree(UV ** 3) == 6
@@ -196,7 +226,7 @@ class TestUVLaurent:
 
     def test_scalar_mixing(self):
         assert 1 + U - 1 == U
-        assert (2 * UV) * Fraction(1, 2) == UV
+        assert (2 * UV) * 3 == 6 * UV == 3 * (2 * UV)
         assert not (U - U)
 
     @given(laurents(), laurents(), laurents())
@@ -223,7 +253,7 @@ class TestUVLaurent:
         assert _kronecker(terms, terms) == dict(schoolbook_product(dense, dense).items())
         assert _kronecker(sparse_terms, sparse_terms) is None
         assert dense * sparse == schoolbook_product(dense, sparse)
-        assert dense * (dense * Fraction(1, 3)) == schoolbook_product(dense, dense) * Fraction(1, 3)
+        assert dense * (dense * -3) == schoolbook_product(dense, dense) * -3
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
     def test_packed_slots_at_each_width_bound(self, width):
@@ -248,8 +278,12 @@ class TestUVLaurent:
     def test_power_of_a_monomial_is_one_term(self, f, n):
         m = UVLaurent(dict([next(iter(f.items()))]))
         ((a, b), x), = m.items()
+        if n < 0 and x not in (1, -1):
+            with pytest.raises(NotDivisible):
+                m ** n
+            return
         expected = math.prod([m] * n, start=UVLaurent.const(1)) if n >= 0 else \
-            UVLaurent.monomial(a * n, b * n, Fraction(x) ** n)
+            UVLaurent.monomial(a * n, b * n, x ** -n)
         got = m ** n
         assert got == expected and list(got.items()) == list(expected.items())
         assert all(type(c) is type(expected.coeff(*k)) for k, c in got.items())
@@ -278,6 +312,23 @@ class TestUVLaurent:
                 with pytest.raises(ValueError, match="more than two terms"):
                     exact_divide(num, den)
 
+    def test_one_term_divisor_checks_each_remainder(self):
+        # a monomial or int divisor divides every coefficient exactly
+        assert exact_divide(6 * U * U - 4 * V, -2 * U) == 2 * V * U ** -1 - 3 * U
+        assert exact_divide(-9 * UV, UVLaurent.const(-3)) == 3 * UV
+        for num, den in ((3 * UV + 2, 2), (4 * U + 3 * V, 2 * V), (UV, UVLaurent.const(-2))):
+            with pytest.raises(NotDivisible, match="nonzero coefficient remainder"):
+                exact_divide(num, den)
+
+    def test_binomial_lead_must_be_a_unit(self):
+        # the lex-leading coefficient of a two-term divisor is +-1, as in
+        # every 1 - L^k; another is refused before any division
+        for den in (2 * U + 1, V - 3 * UV, 1 + 2 * U):
+            for num in (den, den * (1 + U), 0):
+                with pytest.raises(ValueError, match="lead coefficient"):
+                    exact_divide(num, den)
+        assert exact_divide((1 + U) * (2 - U), 2 - U) == 1 + U
+
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             exact_divide(UVLaurent.const(1), UVLaurent())
@@ -290,7 +341,9 @@ class TestUVLaurent:
             exact_divide(Fraction(1, 2), 0)
         with pytest.raises(ZeroDivisionError):
             exact_divide(UV, Fraction(0))
-        assert exact_divide(2 * UV - 4, Fraction(2, 3)) == 3 * UV - 6
+        with pytest.raises(TypeError):
+            exact_divide(2 * UV - 4, Fraction(2, 3))
+        assert exact_divide(2 * UV - 4, -2) == 2 - UV
         assert exact_divide(2, 1 + U - U) == 2
 
     def test_exact_divide_ints(self):
@@ -315,21 +368,26 @@ class TestUVLaurent:
                 exact_divide(q * den + offset, den)
 
     @given(laurents(max_terms=6), divisors(),
-           st.fractions(min_value=-9, max_value=9, max_denominator=7)
-           .filter(lambda x: x not in (0, 1, -1)))
+           st.integers(min_value=-9, max_value=9).filter(lambda x: x not in (0, 1, -1)))
     @settings(max_examples=80, deadline=None)
     def test_exact_multiple_and_two_level_reference(self, a, b, scale):
-        # a non-unit Fraction lead coefficient takes the Fraction path
+        # a non-unit lead is divided exactly on a monomial and refused on a
+        # binomial, whose reference quotient still exists
         for den in (b, b * scale):
             num = a * den
+            assert _two_level_divide(num, den) == a
+            if len(list(den.items())) == 2 and den is not b:
+                with pytest.raises(ValueError, match="lead coefficient"):
+                    exact_divide(num, den)
+                continue
             q = exact_divide(num, den)
             assert q == a
             assert q == _two_level_divide(num, den)
-            assert all(type(x) is int or x.denominator != 1 for _, x in q.items())
+            assert all(type(x) is int for _, x in q.items())
 
     @given(laurents(max_terms=5), divisors(),
            st.integers(min_value=-7, max_value=7), st.integers(min_value=-7, max_value=7),
-           rationals.filter(lambda x: x != 0))
+           coefficients.filter(bool))
     @settings(max_examples=80, deadline=None)
     def test_changed_coefficient_not_divisible(self, a, b, ea, eb, delta):
         # a multiple of a non-monomial b plus one monomial is no multiple of b
@@ -378,7 +436,7 @@ class TestUVLaurent:
         num = q * den
         got = exact_divide(num, den)
         assert got == q == _two_level_divide(num, den)
-        assert all(type(x) is int or x.denominator != 1 for _, x in got.items())
+        assert all(type(x) is int for _, x in got.items())
         # one more monomial is no multiple: anywhere, at the bottom of a
         # chain of num, or one step below it
         spots = [(data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9)))]
@@ -387,7 +445,7 @@ class TestUVLaurent:
             while num.coeff(a - du, b - dv):
                 a, b = a - du, b - dv
             spots += [(a, b), (a - du, b - dv)]
-        delta = data.draw(rationals.filter(bool))
+        delta = data.draw(coefficients.filter(bool))
         for a, b in spots:
             changed = num + UVLaurent.monomial(a, b, delta)
             with pytest.raises(NotDivisible):
@@ -405,16 +463,16 @@ class TestUVLaurent:
         powers = [k, k, j] + extra
         factors = [1 - UV ** e for e in powers]
         product = math.prod(factors)
-        num = q * product
+        num = scale * q * product
 
         def at_one(numerator):
             value = TRational(numerator, [UV ** e for e in powers], scale)
             return eval_at_one(TruncatedSeries([value], order=0), 0)
 
-        assert at_one(num) == _two_level_divide(num, product) * Fraction(1, scale)
-        assert at_one(num) == q * Fraction(1, scale)
+        assert at_one(num) == exact_divide(_two_level_divide(num, product), scale)
+        assert at_one(num) == q
         # without one copy of the repeated factor, q must supply it
-        short = q * math.prod(factors[1:])
+        short = scale * q * math.prod(factors[1:])
         try:
             _two_level_divide(short, product)
         except NotDivisible:
@@ -428,19 +486,20 @@ class TestUVLaurent:
         assert power_substitute(f, 2) == 1 - 2 * U * U + 3 * (UV ** 2)
 
     def test_canonical_text(self):
-        f = UVLaurent({(2, -1): Fraction(-3, 2), (0, 0): 1})
-        assert f.text() == "-3/2*u^2*v^-1 + 1"
+        f = UVLaurent({(2, -1): -3, (0, 0): 1})
+        assert f.text() == "-3*u^2*v^-1 + 1"
         assert UVLaurent().text() == "0"
         assert (U - V).text() == "u - v"
 
     @given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                           st.one_of(st.sampled_from((1, -1, Fraction(1), Fraction(-1, 3))),
-                                     rationals, st.integers(-10 ** 6, 10 ** 6)),
+                           st.one_of(st.sampled_from((1, -1)), coefficients,
+                                     st.integers(-10 ** 6, 10 ** 6)),
                            max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_canonical_text_matches_the_reference(self, terms):
         # text, LaTeX and JSON against the formatter that sorted its own
-        # items: +-1 and Fraction coefficients, zero and negative exponents
+        # items: +-1 and other coefficients, zero and negative exponents; the
+        # LaTeX reference prints each int coefficient through one Fraction
         f = UVLaurent(terms)
         items = list(f.items())
         text = format_terms(items, "%s^%d", "*", str, "*")

@@ -202,16 +202,19 @@ class TestProcessPool:
 
 class TestExportRendering:
     def test_latex_fraction_and_signs(self):
+        # a u, v polynomial has int coefficients; a Fraction is rendered for
+        # the weil values
         from fractions import Fraction
 
         from motiveforge.base_rings import UVLaurent
-        from motiveforge.export import poly_to_latex
+        from motiveforge.export import _frac_latex, poly_to_latex
 
-        poly = UVLaurent({(2, -1): Fraction(-3, 2), (0, 0): 1})
+        poly = UVLaurent({(2, -1): -3, (0, 0): 1})
         text = poly_to_latex(poly)
-        assert text.startswith(r"-\frac{3}{2}")
+        assert text.startswith(r"-3\, ")
         assert "u^{2}" in text and "v^{-1}" in text
         assert text.endswith("+ 1")
+        assert _frac_latex(Fraction(-3, 2)) == r"-\frac{3}{2}"
 
 
 class TestErrorPaths:
@@ -240,6 +243,34 @@ class TestErrorPaths:
         assert "g=2 r=1" in err
         payload = json.loads(out.read_text())
         assert payload["all_pass"] is False
+
+    def test_non_integral_hodge_value_exits_arithmetic_error(self, monkeypatch, capsys):
+        # H_r(1) over a scale that does not divide it is no polynomial over
+        # the integers: eval_at_one raises NotDivisible, named by its route
+        import motiveforge.adhm as adhm
+        import motiveforge.cli as cli_mod
+        from motiveforge.base_rings import UVLaurent
+        from motiveforge.curve_ring import make_hodge_env
+        from motiveforge.series_engine import TRational, TruncatedSeries
+
+        real = adhm.plog_series
+
+        def halved(env, orders, r, p):
+            series = real(env, orders, r, p)
+            if not isinstance(env.lefschetz, UVLaurent):
+                return series
+            return [TruncatedSeries([TRational(x.num, x.den, 2 * x.scale) if x else x
+                                     for x in h.coeffs], order=h.order) for h in series]
+
+        monkeypatch.setattr(adhm, "plog_series", halved)
+        # a fresh hodge environment, so that no kept H_r(1) is read
+        monkeypatch.setattr(cli_mod, "make_hodge_env", make_hodge_env.__wrapped__)
+        code = main(["verify-adhm", "--g", "2", "--r", "1", "--trials", "1", "--hodge", "on"])
+        assert code == EXIT_ARITHMETIC_ERROR
+        captured = capsys.readouterr()
+        assert "nonzero coefficient remainder" in captured.err
+        assert "[adhm_class route, hodge environment, g=2]" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", [
         ["epoly", "--g", "2", "--r", "2", "--d", "1"],
@@ -424,11 +455,26 @@ class TestCommands:
     def test_verify_adhm_skips_invalid_cells(self, tmp_path):
         out = tmp_path / "r.json"
         code = main(["verify-adhm", "--g", "2", "--r", "2", "--p", "1",
-                     "--d", "2", "--trials", "1", "--out", str(out)])
+                     "--d", "1,2", "--trials", "1", "--out", str(out)])
         payload = json.loads(out.read_text())
-        assert payload["cells"] == []
-        assert payload["skipped"][0]["reason"] == "gcd(r, d) != 1"
+        assert [(c["r"], c["d"]) for c in payload["cells"]] == [(2, 1)]
+        assert payload["skipped"] == [{"g": 2, "r": 2, "d": 2, "p": 1, "reason": "gcd(r, d) != 1"}]
         assert code == EXIT_PASS
+
+    @pytest.mark.parametrize("flags", [
+        ["--r", "2", "--d", "2"],
+        ["--r", "2,3", "--d", "6", "--g", "2..3"],
+    ])
+    def test_verify_adhm_refuses_a_grid_with_every_cell_skipped(self, flags, monkeypatch, capsys):
+        # no cell would run, so the grid would pass vacuously
+        import motiveforge.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_adhm_cell", _must_not_run)
+        code = main(["verify-adhm", "--trials", "1"] + flags)
+        assert code == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "every cell of the grid has gcd(r, d) != 1" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags, message", [
         (["--g", "1", "--r", "2", "--d", "2"], "genus"),

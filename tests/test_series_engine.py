@@ -29,13 +29,17 @@ from t_rational import (
 )
 
 
-# scalars and Laurent polynomials in u, v, the two coefficient rings
-ring_elements = st.one_of(
+# scalars and Laurent polynomials in u, v over the integers, the two
+# coefficient rings; a Fraction and a UVLaurent do not mix, so a draw of
+# several elements keeps to one ring (``rings``)
+scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+uv_elements = st.one_of(
     st.integers(-3, 3),
-    st.fractions(min_value=-4, max_value=4, max_denominator=3),
     st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                     st.integers(-3, 3), max_size=2).map(UVLaurent),
 )
+ring_elements = st.one_of(scalars, uv_elements)
+rings = st.sampled_from((scalars, uv_elements))
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
@@ -78,13 +82,13 @@ class TestTruncatedSeries:
         assert (a * b).order == (b * a).order == 2
         assert [(a * b).coeff(n) for n in range(3)] == [1, 3, 3]
 
-    @given(st.lists(ring_elements, min_size=1, max_size=8),
-           st.one_of(st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=3),
-                     st.builds(UVLaurent.monomial, st.integers(-2, 2), st.integers(-2, 2),
-                               st.integers(-3, 3).filter(bool))),
-           st.integers(1, 3))
+    @given(rings, st.data(), st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
-    def test_over_geometric_is_the_product_by_geometric(self, xs, c, m):
+    def test_over_geometric_is_the_product_by_geometric(self, ring, data, m):
+        xs = data.draw(st.lists(ring, min_size=1, max_size=8))
+        c = data.draw(scalars if ring is scalars else st.one_of(
+            st.integers(-3, 3), st.builds(UVLaurent.monomial, st.integers(-2, 2),
+                                          st.integers(-2, 2), st.integers(-3, 3).filter(bool))))
         s = TruncatedSeries(xs, order=len(xs) - 1)
         got, expected = s.over_geometric(c, m), s * geometric(c, m, s.order)
         assert got.order == expected.order and got.coeffs == expected.coeffs
@@ -106,28 +110,44 @@ class TestTruncatedSeries:
         with pytest.raises(BadConstantTerm):
             series_log(TruncatedSeries([2, 1], order=3))
 
-    @given(st.sampled_from(["int", "Fraction", "UVLaurent"]), st.data())
+    @given(st.sampled_from(["int", "Fraction", "hodge"]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_log_matches_the_k_over_n_recurrence(self, kind, data):
         # one recurrence m_n = n a_n - sum m_k a_(n-k), divided by n once,
         # against the k/n-weighted one of series_reference; on ints the
-        # m_n stay ints: the only Fractions made are the 1/n of n >= 2
+        # m_n stay ints: the only Fractions made are the 1/n of n >= 2.
+        # Over Z[u, v] the 1/n go to a scale, as on the hodge route, whose
+        # coefficients are s-series of TRationals
         ring = {"int": st.integers(-9, 9),
                 "Fraction": st.fractions(min_value=-5, max_value=5, max_denominator=6),
-                "UVLaurent": ring_elements.filter(lambda x: isinstance(x, UVLaurent))}[kind]
+                "hodge": uv_elements.map(
+                    lambda x: TruncatedSeries([series_engine.TRational(x)], order=0))}[kind]
         tail = data.draw(st.lists(ring, max_size=6))
         s = TruncatedSeries([1] + tail, order=len(tail))
         made = []
 
-        def recording(*args):
-            made.append(args)
-            return Fraction(*args)
+        class Recording:
+            """Fraction, each construction recorded; TRational's isinstance
+            test against it is one against Fraction."""
+
+            def __call__(self, *args):
+                made.append(args)
+                return Fraction(*args)
+
+            def __instancecheck__(self, x):
+                return isinstance(x, Fraction)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(series_engine, "Fraction", recording)
+            patch.setattr(series_engine, "Fraction", Recording())
             got = series_log(s)
         want = log(s)
-        assert got.order == want.order and got.coeffs == want.coeffs
+        assert got.order == want.order
+        if kind == "hodge":
+            assert got.coeffs[0] == want.coeffs[0] == 0
+            assert all(_same_over_scales(x, y) for g, w in zip(got.coeffs[1:], want.coeffs[1:])
+                       for x, y in zip(g.coeffs, w.coeffs))
+        else:
+            assert got.coeffs == want.coeffs
         assert made == [(1, n) for n in range(2, s.order + 1)]
         if kind == "int":
             assert all((x * n).denominator == 1 for n, x in enumerate(got.coeffs))
@@ -155,6 +175,21 @@ class TestTruncatedSeries:
         assert [prod.coeff(n) for n in range(len(tail) + 1)] == [1] + [0] * len(tail)
 
 
+def _same_over_scales(x, y):
+    """x == y for coefficients that are a zero scalar or a TRational
+    num / scale over Z[u, v] with no factors (1 - c): num_x scale_y ==
+    num_y scale_x."""
+    def parts(z):
+        if isinstance(z, series_engine.TRational):
+            assert not z.den
+            return z.num, z.scale
+        assert not z  # an empty coefficient, times 1/n or k/n
+        return 0, 1
+
+    (a, s), (b, t) = parts(x), parts(y)
+    return a * t == b * s
+
+
 class TestSeriesArithmetic:
     """Sums, differences and scalar multiples, and products of series with
     leading zeros: the ADHM route's expansion weighted by s^(T-degree)."""
@@ -177,11 +212,12 @@ class TestSeriesArithmetic:
         assert [(minus_s * minus_s).coeff(k) for k in range(3)] == [0, 0, 1]
         assert [(q * Fraction(1, 2)).coeff(k) for k in range(2)] == [Fraction(-1, 2)] * 2
 
-    @given(st.lists(ring_elements, min_size=1, max_size=5),
-           st.lists(ring_elements, min_size=1, max_size=5), ring_elements)
+    @given(rings, st.data())
     @settings(max_examples=60, deadline=None)
-    def test_sum_difference_and_scalar_multiple(self, xs, ys, c):
+    def test_sum_difference_and_scalar_multiple(self, ring, data):
         # coefficient by coefficient, known as far as both operands are
+        xs, ys = (data.draw(st.lists(ring, min_size=1, max_size=5)) for _ in range(2))
+        c = data.draw(ring)
         a = TruncatedSeries(xs, order=len(xs) - 1)
         b = TruncatedSeries(ys, order=len(ys) - 1)
         both = min(len(xs), len(ys))
@@ -201,17 +237,25 @@ def _nonzero_terms(d):
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = rationals.filter(lambda x: x != 0)
+nonzero_ints = st.integers(-4, 4).filter(bool)
 uv_monomials = st.builds(UVLaurent.monomial, st.integers(-2, 2), st.integers(-2, 2),
-                         nonzero_rationals)
+                         nonzero_ints)
 uv_polynomials = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                                 rationals, max_size=3).map(UVLaurent)
-# Laurent t-polynomials over the rationals or over Q[u, v] Laurent polynomials
-t_polynomials = st.one_of(
-    st.dictionaries(st.integers(-5, 5), rationals, max_size=6),
-    st.dictionaries(st.integers(-5, 5), uv_polynomials, max_size=6),
-).map(_nonzero_terms)
-units = st.one_of(nonzero_rationals, uv_monomials)
-factors = st.tuples(units, st.integers(1, 4))
+                                 st.integers(-4, 4), max_size=3).map(UVLaurent)
+
+
+def in_one_ring(build):
+    """build(t_polynomials, factors, nonzero) over the rationals, or over
+    Laurent polynomials in u, v over the integers with int or monomial
+    units: Laurent t-polynomials, factors (c, m) for (1 - c t^m), and
+    nonzero coefficients.  One ring per example, as a Fraction and a
+    UVLaurent do not mix."""
+    return st.one_of(*(
+        build(st.dictionaries(st.integers(-5, 5), coeffs, max_size=6).map(_nonzero_terms),
+              st.tuples(units, st.integers(1, 4)), nonzero)
+        for coeffs, units, nonzero in ((rationals, nonzero_rationals, nonzero_rationals),
+                                       (uv_polynomials, st.one_of(nonzero_ints, uv_monomials),
+                                        nonzero_ints))))
 
 
 def _divide_by_reconstruction(a, c, m):
@@ -229,10 +273,10 @@ def _divide_by_reconstruction(a, c, m):
 
 
 class TestDivideFactor:
-    @given(t_polynomials, factors, nonzero_rationals)
+    @given(in_one_ring(st.tuples))
     @settings(max_examples=150, deadline=None)
-    def test_exact_multiples_and_perturbations(self, b, factor, delta):
-        c, m = factor
+    def test_exact_multiples_and_perturbations(self, drawn):
+        b, (c, m), delta = drawn
         a = _tp_mul_factor(b, c, m)
         assert _tp_divide_factor(a, c, m) == b
         assert _divide_by_reconstruction(a, c, m) == b
@@ -291,9 +335,11 @@ class TestTRational:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
 
-    @given(t_polynomials.filter(bool), st.lists(factors, min_size=1, max_size=3))
+    @given(in_one_ring(lambda polys, factors, _: st.tuples(
+        polys.filter(bool), st.lists(factors, min_size=1, max_size=3))))
     @settings(max_examples=60, deadline=None)
-    def test_constructor_cancels_every_dividing_factor(self, p, den):
+    def test_constructor_cancels_every_dividing_factor(self, drawn):
+        p, den = drawn
         num = p
         for c, m in den:
             num = _tp_mul_factor(num, c, m)
@@ -301,10 +347,11 @@ class TestTRational:
         assert a.num == p
         assert a.den == ()
 
-    @given(t_polynomials, st.lists(factors, max_size=2),
-           t_polynomials, st.lists(factors, max_size=2))
+    @given(in_one_ring(lambda polys, factors, _: st.tuples(
+        polys, st.lists(factors, max_size=2), polys, st.lists(factors, max_size=2))))
     @settings(max_examples=60, deadline=None)
-    def test_sum_and_product_cancel_nothing(self, pa, da, pb, db):
+    def test_sum_and_product_cancel_nothing(self, drawn):
+        pa, da, pb, db = drawn
         a = TRational(pa, da, reduce=False)
         b = TRational(pb, db, reduce=False)
         # a nonzero result keeps every factor of its operands; zero keeps none
@@ -448,10 +495,14 @@ class TestConstantDenominator:
         zero = series_engine.TRational(UVLaurent(), (UV,))
         h = TruncatedSeries([zero, value], order=1)
         assert series_engine.eval_at_one(h, 1) == 2
-        # then by the scale, which may leave rational coefficients
-        scaled = series_engine.TRational(3 * (1 - UV) * (1 + UV), (UV,), -6)
-        assert series_engine.eval_at_one(TruncatedSeries([scaled], order=0), 0) == \
-            UVLaurent({(0, 0): Fraction(-1, 2), (1, 1): Fraction(-1, 2)})
+        # then by the scale, exactly: the value is a polynomial over the
+        # integers, or NotDivisible
+        scaled = series_engine.TRational(3 * (1 - UV) * (1 + UV), (UV,), -3)
+        assert series_engine.eval_at_one(TruncatedSeries([scaled], order=0), 0) == -1 - UV
+        for scale in (-6, 2, 9):
+            halved = series_engine.TRational(3 * (1 - UV) * (1 + UV), (UV,), scale)
+            with pytest.raises(NotDivisible, match="nonzero coefficient remainder"):
+                series_engine.eval_at_one(TruncatedSeries([halved], order=0), 0)
 
     def test_eval_at_one_refuses_a_pole_and_a_non_polynomial(self):
         pole = series_engine.TRational(UV, (UV,))
