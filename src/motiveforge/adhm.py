@@ -39,12 +39,12 @@ weights and products, read off the environment's cached integer lift
 (:attr:`motiveforge.curve_ring.AtomEnvironment.lift`), one partition at
 a time (:func:`_quotients`).  Every product of coefficient lists is
 :func:`motiveforge.series_engine.truncated_product`, the package's one
-truncated-product loop.  The realizations differ in how the partitions'
-coefficients are divided: hodge makes one
-:class:`motiveforge.series_engine.TRational` per coefficient, divided at
-t = 1; weil sums the partitions and takes the logarithm on ints over one
-integer scale per Adams index, and makes one Fraction per s-coefficient
-of each Adams index it reads.
+truncated-product loop.  The logarithm returns k l_k, so the weight
+mu(j)/j of the U^k coefficient l_k is mu(j)/m at T-order m = j k: hodge
+makes one :class:`motiveforge.series_engine.TRational` per coefficient,
+m joining its integer scale, divided at t = 1; weil sums the partitions
+and takes the logarithm on ints over one integer scale per Adams index,
+and makes one Fraction per s-coefficient of each Adams index it reads.
 
 The class has no degree, so :func:`adhm_class` keeps H_r(1) in the
 environment's cache (:meth:`motiveforge.curve_ring.AtomEnvironment.cached`)
@@ -149,15 +149,17 @@ def plog_series(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> 
 
     psi_j F_n (:func:`partition_sum`) sits at T^(j n), so the logarithm is
     taken in U = T^j to U^(top), top the largest m / j; an Adams index j
-    dividing none of the orders adds nothing to them and is skipped.
+    dividing none of the orders adds nothing to them and is skipped.  Its
+    U^k coefficient m_k = k l_k is weighted mu(j)/(j k): on hodge by
+    TRational(mu(j), (), j k).
 
     On the weil route F_n comes as ints over its own scale (R_n, E_n),
     read from the environment's cache at the terms :func:`partition_sum`
     built it to, its order + 1; B_n = P d^(E_n) R_n.  Multiplying its s^i coefficient by
     (R / R_n)^(i + n) d^(n (E - E_n)) lifts it to one scale, R the lcm of
     the R_n and E the largest E_n, so the logarithm runs on ints in s / R
-    and U / B, and its U^k coefficient m_k / k makes one Fraction per
-    s^i coefficient, weighted by mu(j) / (j R^i B^k).
+    and U / B, and m_k makes one Fraction per s^i coefficient,
+    mu(j) m_k[i] / (j k R^i B^k).
     """
     if not orders or min(orders) < 1:
         raise ValueError("rank must be >= 1")
@@ -186,11 +188,10 @@ def plog_series(env: AtomEnvironment, orders: Sequence[int], r: int, p: int) -> 
         for k in reads:
             term = logs.coeff(k)
             if weil:
-                scale = j * B ** k
-                term = TruncatedSeries([Fraction(mu * x.numerator, x.denominator * scale * R ** i)
+                term = TruncatedSeries([Fraction(mu * x, j * k * B ** k * R ** i)
                                         for i, x in enumerate(term.coeffs)], order=term.order)
             else:
-                term = term * Fraction(mu, j)
+                term = term * TRational(mu, (), j * k)
             acc[j * k] = acc[j * k] + term
     clearing = TruncatedSeries([env.lefschetz - 1, env.lefschetz], order=r - 1)
     return [acc[m] * clearing for m in orders]

@@ -10,8 +10,9 @@ Subcommands:
 * ``betti``        - the Betti numbers read off the E-polynomial.
 
 Exit codes are a stable contract: 0 pass, 1 identity failure, 2 invalid
-input, 3 internal arithmetic error.  Reports are reproducible given the same
-flags and seed; only timing fields vary between reruns.
+input, 3 internal error (arithmetic, out of memory, a dead worker).
+Reports are reproducible given the same flags and seed; only timing
+fields vary between reruns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -147,16 +148,11 @@ def identity_test(
 def _adhm_cell(args: Tuple[int, int, int, int, int, int, Optional[bool]]) -> VerificationReport:
     g, r, d, p, trials, seed, hodge = args
     spec = ModuliSpec.from_p(g, r, d, p)
-    report = identity_test(
-        partial(adhm_class, r=r, p=p),
-        partial(motive, spec=spec),
-        g,
-        trials=trials,
-        seed=seed,
-        hodge=hodge,
-        cell=(g, r, d, p),
-    )
-    return report
+    try:
+        return identity_test(partial(adhm_class, r=r, p=p), partial(motive, spec=spec), g,
+                             trials=trials, seed=seed, hodge=hodge, cell=(g, r, d, p))
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory at cell g={g} r={r} d={d} p={p}") from exc
 
 
 def run_adhm_grid(
@@ -458,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID_INPUT
     except _ARITHMETIC_ERRORS + (NegativeBetti,) as exc:
         print(f"arithmetic error: {exc}", file=sys.stderr)
+        return EXIT_ARITHMETIC_ERROR
+    except (MemoryError, BrokenProcessPool) as exc:
+        print(f"internal error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ARITHMETIC_ERROR
 
 

@@ -1,9 +1,10 @@
 """Truncated power series, constant denominators and a bivariate window.
 
-Three carriers live here, all generic over the coefficient ring (plain
-rationals in the numeric realization, ``UVLaurent`` in the Hodge one; any
-ring element supporting ``+``, ``-``, ``*``, comparison with the scalar
-literals 0 and 1, and ``bool()`` false exactly at zero works):
+Three carriers live here, all generic over the coefficient ring (ints
+and rationals in the numeric realization, ``UVLaurent`` in the Hodge one;
+any ring element supporting ``+``, ``-``, ``*``, comparison with the scalar
+literals 0 and 1, and ``bool()`` false exactly at zero works, since only
+:func:`eval_at_one` divides a coefficient, and exactly):
 
 * :class:`TruncatedSeries` - univariate truncated power series c_0 .. c_order,
   used for every single-variable coefficient extraction, the stratification
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .base_rings import exact_divide
@@ -126,11 +126,11 @@ def series_product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """Formal logarithm of a series with constant term 1, truncated at s.order.
+    """n l_n for the formal logarithm sum l_n x^n of a series s with
+    constant term 1, truncated at s.order: the series m with s m = x s'.
 
-    Runs the recurrence m_n = n a_n - sum_{k<n} m_k a_(n-k) for m_n = n l_n,
-    which stays in the coefficient ring (int coefficients give int m_n),
-    and divides once per coefficient: l_n = m_n * (1/n), the only Fraction.
+    The recurrence m_n = n a_n - sum_{k<n} m_k a_(n-k) stays in the
+    coefficient ring (int coefficients give int m_n) and divides nothing.
     """
     if s.coeff(0) != 1:
         raise BadConstantTerm("constant term is not 1")
@@ -141,8 +141,7 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
         for k in range(1, n):
             acc = acc - m[k] * a[n - k]
         m.append(acc)
-    return TruncatedSeries([x * Fraction(1, n) if n > 1 else x for n, x in enumerate(m)],
-                           order=s.order)
+    return TruncatedSeries(m, order=s.order)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +158,13 @@ class TRational:
     coefficients only) and every c a power of L, so no division happens
     before :func:`eval_at_one`.  A sum is formed over the lcm of the two
     scales and the multiset union of the denominators, a product over the
-    product of the scales and the concatenation; a Fraction factor moves
-    its denominator into the scale, so numerators never meet a Fraction:
-    the logarithm's 1/n, once per coefficient (:func:`series_log`), and the
-    Moebius weight mu(j)/j.  Nothing cancels.  Zero carries no denominator,
-    and a zero term, a Fraction 0 included (an empty coefficient times 1/n),
-    leaves a sum unchanged.  The name dates from when the class was a
-    rational function in t; it is kept because the benchmark's traced runs
-    wrap its ``__add__`` and ``__mul__`` and count the factors of ``den``.
+    product of the scales and the concatenation, and a scalar factor
+    multiplies the numerator alone (a weight mu/m is the product with
+    TRational(mu, (), m)).  Nothing cancels.  Zero carries no denominator,
+    and a zero term leaves a sum unchanged.  The name dates from when the
+    class was a rational function in t; it is kept because the benchmark's
+    traced runs wrap its ``__add__`` and ``__mul__`` and count the factors
+    of ``den``.
     """
 
     __slots__ = ("num", "den", "scale")
@@ -197,8 +195,6 @@ class TRational:
     def __mul__(self, other):
         if isinstance(other, TRational):
             return TRational(self.num * other.num, self.den + other.den, self.scale * other.scale)
-        if isinstance(other, Fraction):
-            return TRational(self.num * other.numerator, self.den, self.scale * other.denominator)
         return TRational(self.num * other, self.den, self.scale)
 
     __rmul__ = __mul__

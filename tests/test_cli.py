@@ -199,6 +199,39 @@ class TestProcessPool:
         captured = capsys.readouterr()
         assert "threads" in captured.err and captured.out == ""
 
+    def test_dead_worker_exits_3_not_1(self, monkeypatch, capsys):
+        # a worker that dies mid-grid breaks the pool: the run could not
+        # finish, which is no identity failure
+        from motiveforge import cli
+
+        sizes = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(cli, "_adhm_cell", _dying_cell)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code = main(["verify-adhm", "--g", "2..3", "--r", "1", "--trials", "1",
+                     "--threads", "2", "--hodge", "off"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ARITHMETIC_ERROR and sizes == [2]
+        assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _dying_cell(args):
+    """The grid cell of the CLI, except that the worker running g = 3 dies;
+    a module-level function, so the pool can send it to a worker."""
+    if args[0] == 3:
+        os._exit(9)
+    return _ADHM_CELL(args)
+
+
+_ADHM_CELL = motiveforge.cli._adhm_cell
+
 
 class TestExportRendering:
     def test_latex_fraction_and_signs(self):
@@ -379,6 +412,25 @@ class TestErrorPaths:
         monkeypatch.setattr(cli_mod, "epoly", boom)
         code = main(["epoly", "--g", "2", "--r", "2", "--d", "1", "--p", "1"])
         assert code == EXIT_ARITHMETIC_ERROR
+
+    def test_memory_error_exits_3_not_1(self, monkeypatch, capsys):
+        # running out of memory says nothing of the identity: exit 3 with one
+        # line, naming the grid cell where one was running
+        import motiveforge.cli as cli_mod
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_mod, "epoly", exhausted)
+        code = main(["epoly", "--g", "2", "--r", "2", "--d", "1", "--p", "1"])
+        assert code == EXIT_ARITHMETIC_ERROR
+        assert capsys.readouterr().err == "internal error: out of memory\n"
+        monkeypatch.setattr(cli_mod, "motive", exhausted)
+        code = main(["verify-adhm", "--g", "2", "--r", "2", "--d", "3", "--trials", "1"])
+        assert code == EXIT_ARITHMETIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: out of memory at cell g=2 r=2 d=3 p=1\n"
+        assert captured.out == ""
 
     def test_adhm_route_error_is_named_and_exits_3(self, monkeypatch, capsys):
         import motiveforge.adhm as adhm

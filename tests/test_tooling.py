@@ -208,8 +208,8 @@ def test_weil_adhm_builds_no_trational(monkeypatch):
 
 def test_hodge_adhm_carrier_stays_integral():
     # every hodge s-coefficient, of each charge term and of h_1 .. h_r, is
-    # zero or an int-coefficient numerator over an int scale: Fractions
-    # enter only when eval_at_one divides by the scale
+    # zero or an int-coefficient numerator over an int scale, which
+    # eval_at_one divides exactly
     def integral(x):
         return not x or (type(x) is TRational and type(x.scale) is int
                          and all(type(c) is int for _, c in x.num.items()))
@@ -223,6 +223,41 @@ def test_hodge_adhm_carrier_stays_integral():
                     for j in range(1, r + 1) for n in range(1, r // j + 1)]
                 found = [x for h in series for x in h.coeffs if not integral(x)]
                 assert not found, (g, r, p, found)
+
+
+def test_cold_hodge_adhm_makes_no_fraction(monkeypatch):
+    # the hodge route runs in Z[u, v] from the environment to the value: the
+    # logarithm's 1/k and the Moebius weight mu(j)/j go to a TRational's
+    # int scale as mu(j)/(j k), so no Fraction is made anywhere, even with
+    # every environment built anew
+    def refuse(cls, *args):
+        raise AssertionError(f"Fraction{args} made on the hodge route")
+
+    make_hodge_env.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for g in (2, 3):
+        env = make_hodge_env(g)
+        for r in (1, 2, 3):
+            for p in (1, 2):
+                adhm_class(env, r, p)
+
+
+# the modules whose code names Fraction; series_engine divides nothing
+# but exactly, so its carriers never make one
+FRACTION_MODULES = {"adhm", "base_rings", "curve_ring", "export", "moduli_formulas"}
+
+
+def test_fraction_is_named_only_where_the_ledger_says():
+    # a test that patches one module's Fraction sees only the Fractions that
+    # module makes: this ledger names every module that could make another
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(getattr(node, "id", None) == "Fraction" or getattr(node, "attr", None) == "Fraction"
+               or isinstance(node, ast.alias) and node.name == "Fraction"
+               for node in ast.walk(tree)):
+            found.add(path.stem)
+    assert found == FRACTION_MODULES
 
 
 def test_one_lift_per_environment(monkeypatch):
